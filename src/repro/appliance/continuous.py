@@ -231,7 +231,7 @@ class TenantClass:
         return True
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Running:
     """In-flight request state inside a device's batch (identity
     semantics).
@@ -268,7 +268,7 @@ class _Running:
         return self.generated >= self.request.output_len
 
 
-@dataclass
+@dataclass(slots=True)
 class _QueueItem:
     """One waiting request with its attribution state.
 
@@ -742,6 +742,10 @@ class _EventKernel:
         self.sched = sched
         self.step = sched.step
         self.queue = _WaitQueue(waiting, sched.class_table())
+        # Lowest tier any request can run at; classes missing from the
+        # table default to priority 0.
+        self.lowest_prio = min(
+            [0, *(tc.priority for tc in self.queue.classes.values())])
         self.tracer = tracer
         self.metrics = metrics
         self.faults = faults
@@ -1092,9 +1096,8 @@ class _EventKernel:
             for item in self.queue.drain():
                 error = DeviceLostError(
                     "all devices failed; serving capacity lost")
-                self.rejected.append(RejectedRequest(
-                    request=item.request, arrival_s=item.arrival_s,
-                    reason=str(error), error=error))
+                self.rejected.append(RejectedRequest.of(
+                    item.request, item.arrival_s, error))
                 if self.metrics.enabled:
                     self.metrics.counter("scheduler.rejected").inc()
             self.heap.clear()
@@ -1117,9 +1120,8 @@ class _EventKernel:
         return best
 
     def _reject(self, item: _QueueItem, error, slo: bool = False) -> None:
-        self.rejected.append(RejectedRequest(
-            request=item.request, arrival_s=item.arrival_s,
-            reason=str(error), error=error))
+        self.rejected.append(RejectedRequest.of(
+            item.request, item.arrival_s, error))
         if self.metrics.enabled:
             self.metrics.counter("scheduler.rejected").inc()
             if slo:
@@ -1136,6 +1138,8 @@ class _EventKernel:
         victims wins, then the least KV freed (least over-eviction),
         then the lowest device index.
         """
+        if priority <= self.lowest_prio:
+            return None, []  # no running request can sit in a lower tier
         max_batch = self.sched.max_batch
         best_key: Optional[Tuple[int, int, int]] = None
         best: Tuple[Optional[_Device], List[_Running]] = (None, [])

@@ -17,7 +17,7 @@ from typing import Callable
 
 from repro.errors import ParallelismError
 from repro.llm.config import LLMConfig
-from repro.llm.graph import gen_stage_ops, sum_stage_ops
+from repro.llm.graph import compact_gen_stage, compact_sum_stage
 from repro.perf.analytical import DevicePerfModel, stage_result
 
 #: Seconds to move one activation tile between neighbouring stages:
@@ -66,12 +66,12 @@ class PipelinePlan:
     def stage_time(self, context_len: int, batch_tokens: int = 1) -> float:
         """Time one pipeline stage spends on its layer range."""
         if batch_tokens == 1:
-            ops = gen_stage_ops(self.config, context_len)
+            stage = compact_gen_stage(self.config, context_len)
         else:
-            ops = sum_stage_ops(self.config, batch_tokens)
+            stage = compact_sum_stage(self.config, batch_tokens)
         # Per-layer op lists are homogeneous; charge this stage its share
         # of the layer work plus its share of embedding/LM-head ends.
-        total = stage_result("stage", ops, self.model).time_s
+        total = stage_result("stage", stage, self.model).time_s
         return total / self.num_stages
 
     def token_latency(self, context_len: int) -> float:

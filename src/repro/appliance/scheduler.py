@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
@@ -38,7 +38,7 @@ def timer_service(config: LLMConfig, model: DevicePerfModel,
     return _serve
 
 
-@dataclass
+@dataclass(slots=True)
 class CompletedRequest:
     """One served request with its timeline.
 
@@ -84,22 +84,37 @@ class CompletedRequest:
             / (self.request.output_len - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RejectedRequest:
     """One request turned away at admission, with the reason.
 
-    ``error`` carries the typed exception
+    ``error`` is the typed exception
     (:class:`~repro.errors.AdmissionError` for infeasible requests,
     :class:`~repro.errors.DeviceLostError` when serving capacity died
     mid-run); ``reason`` is its human-readable string.  Schedulers
     record the rejection rather than raising — an admission-controlled
-    run that turns work away is a valid, reportable outcome.
+    run that turns work away is a valid, reportable outcome.  An
+    overloaded run sheds most of its requests, so the record keeps the
+    error's type and message and builds the exception on access rather
+    than holding one per request.
     """
 
     request: InferenceRequest
     arrival_s: float
     reason: str
-    error: Optional[ReproError] = None
+    error_type: Type[ReproError]
+
+    @classmethod
+    def of(cls, request: InferenceRequest, arrival_s: float,
+           error: ReproError) -> "RejectedRequest":
+        """The record of ``request`` turned away with ``error``."""
+        return cls(request=request, arrival_s=arrival_s, reason=str(error),
+                   error_type=type(error))
+
+    @property
+    def error(self) -> ReproError:
+        """The typed rejection: ``error_type`` raised with ``reason``."""
+        return self.error_type(self.reason)
 
 
 @dataclass
@@ -259,9 +274,8 @@ class RequestScheduler:
                 error = infeasible_error(self.config, self.memory_bytes,
                                          request)
                 if error is not None:
-                    rejected.append(RejectedRequest(
-                        request=request, arrival_s=arrival,
-                        reason=str(error), error=error))
+                    rejected.append(RejectedRequest.of(request, arrival,
+                                                       error))
                     if metrics.enabled:
                         metrics.counter("scheduler.rejected").inc()
                     continue

@@ -30,7 +30,7 @@ from repro.accelerator.vpu import VpuTiming
 from repro.accelerator import isa
 from repro.experiments.report import ExperimentResult
 from repro.gpu.device import A100_40G
-from repro.llm.batching import batched_gen_stage_ops, max_batch_for_memory
+from repro.llm.batching import compact_batched_gen_stage, max_batch_for_memory
 from repro.llm.config import GPT3_13B, OPT_13B, OPT_6_7B
 from repro.llm.graph import gen_stage_ops
 from repro.llm.moe import MoEConfig, moe_gen_stage_ops
@@ -130,9 +130,9 @@ def batching_ablation() -> ExperimentResult:
     ctx = PAPER_INPUT_TOKENS + 512
     rows = []
     for batch in (1, 2, 4, 8, 16, 32, 64):
-        ops = batched_gen_stage_ops(OPT_13B, ctx, batch)
-        p = stage_result(f"b{batch}", ops, pnm)
-        g = stage_result(f"b{batch}", ops, gpu)
+        stage = compact_batched_gen_stage(OPT_13B, ctx, batch)
+        p = stage_result(f"b{batch}", stage, pnm)
+        g = stage_result(f"b{batch}", stage, gpu)
         rows.append({
             "batch": batch,
             "pnm_step_ms": p.time_s * 1e3,

@@ -14,7 +14,7 @@ from repro.gpu.device import A100_40G
 from repro.gpu.kernels import GpuKernelModel
 from repro.gpu.offload import OffloadModel
 from repro.llm.config import OPT_30B
-from repro.llm.graph import gen_stage_ops, sum_stage_ops
+from repro.llm.graph import compact_gen_stage, compact_sum_stage, per_op
 import repro.perf.calibration as cal
 
 INPUT_TOKENS = 64
@@ -29,10 +29,10 @@ def run() -> ExperimentResult:
         offload = OffloadModel(spec=A100_40G, config=OPT_30B,
                                h2d_bandwidth=h2d)
         for stage, ops in (
-                ("sum", sum_stage_ops(OPT_30B, INPUT_TOKENS)),
-                ("gen", gen_stage_ops(OPT_30B, CONTEXT_FOR_GEN))):
+                ("sum", compact_sum_stage(OPT_30B, INPUT_TOKENS)),
+                ("gen", compact_gen_stage(OPT_30B, CONTEXT_FOR_GEN))):
             total = offload.stage_time(ops, kernels)
-            kernel_time = sum(kernels.op_time(op) for op in ops)
+            kernel_time = sum(per_op(ops, kernels.op_time))
             memcpy_frac = offload.memcpy_fraction(ops, kernels)
             rows.append({
                 "transfer": label,

@@ -12,7 +12,7 @@ from repro.experiments.report import ExperimentResult
 from repro.gpu.device import A100_40G
 from repro.gpu.kernels import GpuKernelModel
 from repro.llm.config import OPT_6_7B
-from repro.llm.graph import gen_stage_ops, sum_stage_ops
+from repro.llm.graph import compact_gen_stage, compact_sum_stage, per_op
 from repro.llm.ops import OpKind
 
 INPUT_TOKENS = 32
@@ -22,37 +22,39 @@ OUTPUT_TOKENS = 1024
 def run() -> ExperimentResult:
     kernels = GpuKernelModel(A100_40G)
 
-    def weighted_utilization(ops) -> float:
-        times = [(kernels.op_time(op), kernels.op_reported_utilization(op))
-                 for op in ops]
-        total = sum(t for t, _ in times)
-        return sum(t * u for t, u in times) / total
+    def profile(stage):
+        """(kernel time, reported utilization, kind) per op, flat order."""
+        return per_op(stage, lambda op: (
+            kernels.op_time(op), kernels.op_reported_utilization(op),
+            op.kind))
 
-    sum_ops = sum_stage_ops(OPT_6_7B, INPUT_TOKENS)
-    sum_time = sum(kernels.op_time(op) for op in sum_ops)
-    sum_util = weighted_utilization(sum_ops)
+    def weighted_utilization(prof) -> float:
+        total = sum(t for t, _, _ in prof)
+        return sum(t * u for t, u, _ in prof) / total
+
+    sum_prof = profile(compact_sum_stage(OPT_6_7B, INPUT_TOKENS))
+    sum_time = sum(t for t, _, _ in sum_prof)
+    sum_util = weighted_utilization(sum_prof)
 
     gemv_time = gemm_time = vector_time = 0.0
     gen_time = 0.0
     gen_util_acc = 0.0
     for step in range(1, OUTPUT_TOKENS):
-        ops = gen_stage_ops(OPT_6_7B, INPUT_TOKENS + step)
-        stage = sum(kernels.op_time(op) for op in ops)
+        prof = profile(compact_gen_stage(OPT_6_7B, INPUT_TOKENS + step))
+        stage = sum(t for t, _, _ in prof)
         gen_time += stage
-        gen_util_acc += stage * weighted_utilization(ops)
-        for op in ops:
-            t = kernels.op_time(op)
-            if op.kind is OpKind.GEMV:
+        gen_util_acc += stage * weighted_utilization(prof)
+        for t, _, kind in prof:
+            if kind is OpKind.GEMV:
                 gemv_time += t
-            elif op.kind is OpKind.GEMM:
+            elif kind is OpKind.GEMM:
                 gemm_time += t
             else:
                 vector_time += t
-    for op in sum_ops:
-        t = kernels.op_time(op)
-        if op.kind is OpKind.GEMM:
+    for t, _, kind in sum_prof:
+        if kind is OpKind.GEMM:
             gemm_time += t
-        elif op.kind is OpKind.GEMV:
+        elif kind is OpKind.GEMV:
             gemv_time += t
         else:
             vector_time += t

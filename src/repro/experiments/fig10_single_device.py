@@ -19,7 +19,7 @@ from repro.gpu.kernels import GpuKernelModel
 from repro.gpu.offload import OffloadModel
 from repro.gpu.power import GpuPowerModel
 from repro.llm.config import OPT_13B, OPT_1_3B, OPT_2_7B, OPT_30B, OPT_6_7B
-from repro.llm.graph import gen_stage_ops, sum_stage_ops
+from repro.llm.graph import compact_gen_stage, compact_sum_stage
 from repro.llm.workload import PAPER_INPUT_TOKENS
 import repro.perf.calibration as cal
 from repro.perf.analytical import GpuPerfModel, InferenceTimer, PnmPerfModel
@@ -36,12 +36,12 @@ def _offload_result(config, output_len: int) -> InferenceResult:
     # its boosted operating point; its power approaches true board idle.
     power = GpuPowerModel(A100_40G, active_idle_watts=75.0)
     sum_time = offload.stage_time(
-        sum_stage_ops(config, PAPER_INPUT_TOKENS), kernels)
+        compact_sum_stage(config, PAPER_INPUT_TOKENS), kernels)
     gen_time = 0.0
     step = max(1, (output_len - 1) // 16)
     sampled = list(range(1, output_len, step))
     per_stage = [offload.stage_time(
-        gen_stage_ops(config, PAPER_INPUT_TOKENS + s), kernels)
+        compact_gen_stage(config, PAPER_INPUT_TOKENS + s), kernels)
         for s in sampled]
     gen_time = sum(per_stage) / len(per_stage) * (output_len - 1) \
         if sampled else 0.0

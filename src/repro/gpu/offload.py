@@ -16,13 +16,12 @@ compute overlaps with the copy, so stage time is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.gpu.device import GPUSpec
 from repro.gpu.kernels import GpuKernelModel
 from repro.llm.config import LLMConfig
-from repro.llm.ops import OpSpec
+from repro.llm.graph import Stage, per_op
 import repro.perf.calibration as cal
 
 
@@ -70,10 +69,10 @@ class OffloadModel:
     def copy_time_per_stage(self) -> float:
         return self.streamed_bytes_per_stage / self.h2d_bandwidth
 
-    def stage_time(self, ops: Sequence[OpSpec],
-                   kernels: GpuKernelModel) -> float:
-        """Stage time with weight streaming overlapped against compute."""
-        compute = sum(kernels.op_time(op) for op in ops)
+    def stage_time(self, ops: Stage, kernels: GpuKernelModel) -> float:
+        """Stage time (compact or flat) with weight streaming overlapped
+        against compute."""
+        compute = sum(per_op(ops, kernels.op_time))
         if not self.is_needed:
             return compute
         copy = self.copy_time_per_stage()
@@ -81,12 +80,11 @@ class OffloadModel:
         # scheduling gaps leave a small non-overlapped tail.
         return max(copy, compute) + 0.02 * min(copy, compute)
 
-    def memcpy_fraction(self, ops: Sequence[OpSpec],
-                        kernels: GpuKernelModel) -> float:
+    def memcpy_fraction(self, ops: Stage, kernels: GpuKernelModel) -> float:
         """Fraction of stage time attributable to PCIe copies (Fig. 3)."""
         if not self.is_needed:
             return 0.0
-        compute = sum(kernels.op_time(op) for op in ops)
+        compute = sum(per_op(ops, kernels.op_time))
         copy = self.copy_time_per_stage()
         total = self.stage_time(ops, kernels)
         return max(0.0, (total - compute) / total) if copy > compute \

@@ -4,10 +4,13 @@ GPT-3 inference (paper Fig. 1) runs a **sum** stage over the ``L_in`` input
 tokens — dominated by GEMM — and then one **gen** stage per output token,
 each dominated by GEMV over all model parameters plus the growing KV cache.
 
-These builders produce flat :class:`~repro.llm.ops.OpSpec` lists; the
-performance models consume them directly, and the accelerator compiler uses
-the same shapes when emitting instructions, so functional and timing paths
-share one source of truth for shapes.
+Every stage is built first in compact form (:class:`CompactStage`: head
+ops, one decoder layer's ops, the layer count, tail ops), since all
+decoder layers are identical.  The flat :class:`~repro.llm.ops.OpSpec`
+lists, with their ``layer{i}.*`` names, are derived from it; the
+performance models price the compact form (one pricing per distinct op)
+while the roofline and the accelerator compiler use the same shapes, so
+functional and timing paths share one source of truth for shapes.
 
 Tensor-parallel execution is modelled by ``tensor_parallel`` ways: attention
 heads and FFN columns are split across devices (Megatron-style), shrinking
@@ -18,12 +21,17 @@ all-reduce points per layer (after attention projection, after FC2), which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, replace
+from typing import Callable, List, Sequence, Tuple, TypeVar, Union
 
 from repro.errors import ConfigurationError, ParallelismError
 from repro.llm.config import LLMConfig
 from repro.llm.ops import OpKind, OpSpec, matmul_op, vector_op
+
+T = TypeVar("T")
+
+#: Name prefix of the single decoder layer a compact stage carries.
+LAYER_NAME = "layer"
 
 
 @dataclass(frozen=True)
@@ -48,6 +56,50 @@ class StageShape:
             )
 
 
+@dataclass(frozen=True)
+class CompactStage:
+    """A stage as ``head + layer * num_layers + tail``.
+
+    ``layer`` holds one decoder layer's ops, named ``layer.*``; the flat
+    list (:meth:`ops`) repeats them ``num_layers`` times as
+    ``layer{i}.*``.  :func:`per_op` maps a function over the flat order
+    while calling it once per distinct op.
+    """
+
+    head: Tuple[OpSpec, ...]
+    layer: Tuple[OpSpec, ...]
+    num_layers: int
+    tail: Tuple[OpSpec, ...]
+
+    def ops(self) -> List[OpSpec]:
+        """The flat operator list, decoder layers named ``layer{i}.*``."""
+        ops = list(self.head)
+        suffixes = [op.name[len(LAYER_NAME):] for op in self.layer]
+        for i in range(self.num_layers):
+            ops.extend(replace(op, name=f"{LAYER_NAME}{i}{suffix}")
+                       for op, suffix in zip(self.layer, suffixes))
+        ops.extend(self.tail)
+        return ops
+
+
+#: A stage in either form: compact, or a flat operator list.
+Stage = Union[CompactStage, Sequence[OpSpec]]
+
+
+def per_op(stage: Stage, fn: Callable[[OpSpec], T]) -> List[T]:
+    """``fn`` of every op of ``stage`` in flat-list order.
+
+    On a compact stage ``fn`` runs once per distinct op and the layer's
+    results repeat ``num_layers`` times, so ``fn`` must not depend on op
+    names.
+    """
+    if isinstance(stage, CompactStage):
+        return ([fn(op) for op in stage.head]
+                + [fn(op) for op in stage.layer] * stage.num_layers
+                + [fn(op) for op in stage.tail])
+    return [fn(op) for op in stage]
+
+
 def _split(value: int, ways: int, what: str) -> int:
     if value % ways != 0:
         raise ParallelismError(
@@ -58,7 +110,7 @@ def _split(value: int, ways: int, what: str) -> int:
 
 def decoder_layer_ops(config: LLMConfig, shape: StageShape,
                       tensor_parallel: int = 1,
-                      layer_name: str = "layer") -> List[OpSpec]:
+                      layer_name: str = LAYER_NAME) -> List[OpSpec]:
     """Operator list for one decoding layer at the given stage shape.
 
     Follows the paper's decomposition: LayerNorm, QKV generation, attention
@@ -144,33 +196,46 @@ def embedding_ops(config: LLMConfig, shape: StageShape) -> List[OpSpec]:
                    output_bytes=float(elems * config.dtype_bytes))]
 
 
-def sum_stage_ops(config: LLMConfig, input_len: int,
-                  tensor_parallel: int = 1) -> List[OpSpec]:
-    """All operators of the summarization stage over ``input_len`` tokens."""
+def _compact(config: LLMConfig, shape: StageShape,
+             tensor_parallel: int) -> CompactStage:
+    return CompactStage(
+        head=tuple(embedding_ops(config, shape)),
+        layer=tuple(decoder_layer_ops(config, shape, tensor_parallel)),
+        num_layers=config.num_layers,
+        tail=tuple(lm_head_ops(config, shape)))
+
+
+def compact_sum_stage(config: LLMConfig, input_len: int,
+                      tensor_parallel: int = 1) -> CompactStage:
+    """The summarization stage over ``input_len`` tokens, compact form."""
     shape = StageShape(batch_tokens=input_len, context_len=input_len)
-    ops = embedding_ops(config, shape)
-    for i in range(config.num_layers):
-        ops.extend(decoder_layer_ops(config, shape, tensor_parallel,
-                                     layer_name=f"layer{i}"))
-    ops.extend(lm_head_ops(config, shape))
-    return ops
+    return _compact(config, shape, tensor_parallel)
 
 
-def gen_stage_ops(config: LLMConfig, context_len: int,
-                  tensor_parallel: int = 1) -> List[OpSpec]:
-    """All operators of one generation stage at attention span ``context_len``.
+def compact_gen_stage(config: LLMConfig, context_len: int,
+                      tensor_parallel: int = 1) -> CompactStage:
+    """One generation stage at attention span ``context_len``, compact
+    form.
 
     ``context_len`` counts the input tokens plus every token generated so
     far including the one produced by this stage's predecessor (the paper's
     ``L``).
     """
     shape = StageShape(batch_tokens=1, context_len=context_len)
-    ops = embedding_ops(config, shape)
-    for i in range(config.num_layers):
-        ops.extend(decoder_layer_ops(config, shape, tensor_parallel,
-                                     layer_name=f"layer{i}"))
-    ops.extend(lm_head_ops(config, shape))
-    return ops
+    return _compact(config, shape, tensor_parallel)
+
+
+def sum_stage_ops(config: LLMConfig, input_len: int,
+                  tensor_parallel: int = 1) -> List[OpSpec]:
+    """All operators of the summarization stage over ``input_len`` tokens."""
+    return compact_sum_stage(config, input_len, tensor_parallel).ops()
+
+
+def gen_stage_ops(config: LLMConfig, context_len: int,
+                  tensor_parallel: int = 1) -> List[OpSpec]:
+    """All operators of one generation stage at attention span
+    ``context_len`` (see :func:`compact_gen_stage`)."""
+    return compact_gen_stage(config, context_len, tensor_parallel).ops()
 
 
 def inference_op_count(config: LLMConfig, input_len: int,

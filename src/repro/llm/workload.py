@@ -32,7 +32,7 @@ DEFAULT_TENANT_CLASS = "default"
 ARRIVAL_SHAPES = ("steady", "diurnal", "flash-crowd")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InferenceRequest:
     """One text-generation request.
 

@@ -85,11 +85,28 @@ class InterleaveScheme:
         return slices
 
     def bytes_in_channel(self, base: int, length: int, channel: int) -> int:
-        """Bytes of the region that land in one channel."""
+        """Bytes of the region that land in one channel.
+
+        Closed form, equal to summing the channel's
+        :meth:`channel_slices`: below address ``x`` the channel owns
+        ``G`` bytes of every full ``G * C`` rotation plus its share of
+        the partial one, and the region is the difference at its ends.
+        """
         if not 0 <= channel < self.num_channels:
             raise AddressError(f"channel {channel} out of range")
-        return sum(size for _, size in
-                   self.channel_slices(base, length)[channel])
+        if length < 0:
+            raise AddressError("negative region length")
+        if length and base < 0:
+            raise AddressError(f"negative address {base:#x}")
+        granule = self.granule_bytes
+        rotation = granule * self.num_channels
+        first = channel * granule
+
+        def below(x: int) -> int:
+            full, rest = divmod(x, rotation)
+            return full * granule + min(max(rest - first, 0), granule)
+
+        return below(base + length) - below(base)
 
     def max_contiguous_fragment(self, base: int, length: int) -> int:
         """Largest contiguous run a single-channel accelerator can see.

@@ -3,6 +3,9 @@
 Implements a common per-operator interface for the GPU and the CXL-PNM
 accelerator and integrates it over the op graphs of a full inference:
 one sum stage plus ``output_len - 1`` gen stages with a growing KV cache.
+Stages are priced in compact form (:class:`~repro.llm.graph.CompactStage`):
+each distinct op is timed once and the per-op times are summed over the
+flat-list order, so results are bit-identical to pricing the flat list.
 Gen-stage time is affine in the context length between roofline regime
 switches, so the integrator samples context lengths and integrates with a
 trapezoid rule — exact-summation is available (and tested) for small
@@ -16,6 +19,7 @@ simulator (§VII); the instruction-level simulator in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -27,9 +31,14 @@ from repro.errors import ConfigurationError
 from repro.gpu.device import GPUSpec
 from repro.gpu.kernels import GpuKernelModel
 from repro.gpu.power import GpuPowerModel
-from repro.llm.batching import batched_gen_stage_ops
+from repro.llm.batching import compact_batched_gen_stage
 from repro.llm.config import LLMConfig
-from repro.llm.graph import gen_stage_ops, sum_stage_ops
+from repro.llm.graph import (
+    Stage,
+    compact_gen_stage,
+    compact_sum_stage,
+    per_op,
+)
 from repro.llm.ops import OpKind, OpSpec
 import repro.perf.calibration as cal
 from repro.perf.metrics import InferenceResult, StageResult
@@ -169,12 +178,18 @@ def no_comm(_batch_tokens: int) -> float:
     return 0.0
 
 
-def stage_result(name: str, ops: Sequence[OpSpec], model: DevicePerfModel,
+def _stage_time_s(stage: Stage, model: DevicePerfModel) -> float:
+    """Sum of op times over the stage's flat order; each distinct op of a
+    compact stage is timed once."""
+    return sum(per_op(stage, model.op_time))
+
+
+def stage_result(name: str, ops: Stage, model: DevicePerfModel,
                  comm_s: float = 0.0) -> StageResult:
-    """Time one stage's operator list on a device and account energy."""
-    time_s = sum(model.op_time(op) for op in ops) + comm_s
-    flops = sum(op.flops for op in ops)
-    mem = sum(op.total_bytes for op in ops)
+    """Time one stage (compact or flat) on a device and account energy."""
+    time_s = _stage_time_s(ops, model) + comm_s
+    flops = sum(per_op(ops, attrgetter("flops")))
+    mem = sum(per_op(ops, attrgetter("total_bytes")))
     cu = min(1.0, flops / (time_s * model.peak_flops)) if time_s else 0.0
     bu = min(1.0, mem / (time_s * model.peak_bandwidth)) if time_s else 0.0
     energy = model.power_watts(cu, bu) * time_s
@@ -210,12 +225,14 @@ class InferenceTimer:
             raise ConfigurationError("need at least 2 gen samples")
 
     def sum_stage(self, input_len: int) -> StageResult:
-        ops = sum_stage_ops(self.config, input_len, self.tensor_parallel)
-        return stage_result("sum", ops, self.model, self.comm(input_len))
+        stage = compact_sum_stage(self.config, input_len,
+                                  self.tensor_parallel)
+        return stage_result("sum", stage, self.model, self.comm(input_len))
 
     def gen_stage(self, context_len: int) -> StageResult:
-        ops = gen_stage_ops(self.config, context_len, self.tensor_parallel)
-        return stage_result(f"gen@{context_len}", ops, self.model,
+        stage = compact_gen_stage(self.config, context_len,
+                                  self.tensor_parallel)
+        return stage_result(f"gen@{context_len}", stage, self.model,
                             self.comm(1))
 
     def _gen_total(self, input_len: int, output_len: int, exact: bool
@@ -280,7 +297,7 @@ class BatchStepTimer:
 
     One *decode step* runs a batched gen stage — each running request
     contributes one token row, the weights stream once — so its cost
-    comes from :func:`~repro.llm.batching.batched_gen_stage_ops`; one
+    comes from :func:`~repro.llm.batching.compact_batched_gen_stage`; one
     *prefill* is the plain sum stage of a newly admitted request.
 
     Decode cost is affine in the attention span, so the scheduler may
@@ -320,9 +337,9 @@ class BatchStepTimer:
             raise ConfigurationError("input_len must be >= 1")
         cached = self._prefill_cache.get(input_len)
         if cached is None:
-            ops = sum_stage_ops(self.config, input_len, self.tensor_parallel)
-            cached = sum(self.model.op_time(op) for op in ops) \
-                + self.comm(input_len)
+            stage = compact_sum_stage(self.config, input_len,
+                                      self.tensor_parallel)
+            cached = _stage_time_s(stage, self.model) + self.comm(input_len)
             self._prefill_cache[input_len] = cached
         return cached
 
@@ -340,10 +357,9 @@ class BatchStepTimer:
         key = (batch, self._quantize(context_len))
         cached = self._decode_cache.get(key)
         if cached is None:
-            ops = batched_gen_stage_ops(self.config, key[1], batch,
-                                        self.tensor_parallel)
-            cached = sum(self.model.op_time(op) for op in ops) \
-                + self.comm(batch)
+            stage = compact_batched_gen_stage(self.config, key[1], batch,
+                                              self.tensor_parallel)
+            cached = _stage_time_s(stage, self.model) + self.comm(batch)
             self._decode_cache[key] = cached
         return cached
 

@@ -91,3 +91,34 @@ class TestD4Analysis:
     def test_bad_channel_rejected(self):
         with pytest.raises(AddressError):
             HOST_INTERLEAVE.bytes_in_channel(0, 100, 99)
+
+
+SCHEMES = [HOST_INTERLEAVE, MODULE_LOCAL_INTERLEAVE,
+           InterleaveScheme(num_channels=1, granule_bytes=1),
+           InterleaveScheme(num_channels=2, granule_bytes=8),
+           InterleaveScheme(num_channels=4, granule_bytes=2),
+           InterleaveScheme(num_channels=8, granule_bytes=16)]
+
+
+class TestBytesInChannelClosedForm:
+    @settings(max_examples=300, deadline=None)
+    @given(scheme=st.sampled_from(SCHEMES), data=st.data())
+    def test_matches_channel_slices(self, scheme, data):
+        rotation = scheme.num_channels * scheme.granule_bytes
+        base = data.draw(st.integers(0, 4 * rotation), label="base")
+        length = data.draw(st.integers(0, 6 * rotation + 3),
+                           label="length")
+        channel = data.draw(st.integers(0, scheme.num_channels - 1),
+                            label="channel")
+        expected = sum(size for _, size in
+                       scheme.channel_slices(base, length)[channel])
+        assert scheme.bytes_in_channel(base, length, channel) == expected
+
+    def test_errors_match_the_walk(self):
+        with pytest.raises(AddressError, match="out of range"):
+            HOST_INTERLEAVE.bytes_in_channel(0, 64, 8)
+        with pytest.raises(AddressError, match="negative region length"):
+            HOST_INTERLEAVE.bytes_in_channel(0, -1, 0)
+        with pytest.raises(AddressError, match="negative address"):
+            HOST_INTERLEAVE.bytes_in_channel(-1, 64, 0)
+        assert HOST_INTERLEAVE.bytes_in_channel(-1, 0, 0) == 0

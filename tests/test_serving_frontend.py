@@ -11,11 +11,14 @@ Timelines use ``ConstStep`` (prefill 1 s, decode 0.5 s) so every
 expected number is hand-computable.
 """
 
+import sys
+
 import pytest
 
 from repro.appliance import (
     ContinuousBatchScheduler,
     TenantClass,
+    continuous,
     poisson_arrivals,
 )
 from repro.errors import AdmissionError, ConfigurationError
@@ -334,6 +337,47 @@ class TestPreemption:
         assert stats.failover_latencies_s == []
         assert stats.failover_events == []
         assert all(c.failovers == 0 for c in stats.completed)
+
+    @staticmethod
+    def _spy_plans(monkeypatch):
+        """Count preemption-plan calls and the batch sorts they make."""
+        counts = {"calls": 0, "sorts": 0}
+        plan = continuous._EventKernel._plan_preemption
+
+        def counting_plan(kernel, priority, peak):
+            counts["calls"] += 1
+            return plan(kernel, priority, peak)
+
+        def counting_sorted(*args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "_plan_preemption":
+                counts["sorts"] += 1
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(continuous._EventKernel, "_plan_preemption",
+                            counting_plan)
+        monkeypatch.setattr(continuous, "sorted", counting_sorted,
+                            raising=False)
+        return counts
+
+    def test_two_tier_table_builds_plans(self, monkeypatch):
+        counts = self._spy_plans(monkeypatch)
+        stats = self._scenario()
+        assert stats.preemptions == 1
+        assert counts["calls"] >= 1 and counts["sorts"] >= 1
+
+    @pytest.mark.parametrize("classes", [
+        None, [TenantClass("low")], [TenantClass("a"), TenantClass("b")]])
+    def test_single_tier_never_builds_a_plan(self, monkeypatch, classes):
+        counts = self._spy_plans(monkeypatch)
+        names = [tc.name for tc in classes] if classes else ["default"]
+        reqs = [_req(i, names[i % len(names)]) for i in range(4)]
+        stats = _run(reqs, [0.0, 0.0, 2.5, 2.6], memory=_memory_for(2),
+                     classes=classes)
+        assert len(stats.completed) == 4 and stats.preemptions == 0
+        # Admission blocked on a full budget, so planning was asked for,
+        # but with no lower tier it returned before sorting any batch.
+        assert counts["calls"] >= 1
+        assert counts["sorts"] == 0
 
     def test_equal_priority_never_preempts(self):
         classes = [TenantClass("a"), TenantClass("b")]
