@@ -8,8 +8,9 @@ compile -> program -> execute -> simulate path twice:
   consumer re-validates, executor kernels loop per head, the timing
   simulator re-derives every duration — the seed behaviour;
 * **cached** (``fast_path=True``): stage-program cache with patching,
-  validate-once, vectorized kernels, weight-read cache, memoized
-  durations, and whole-program timing reuse.
+  validate-once, vectorized kernels, memoized durations, and
+  whole-program timing reuse.  Both paths read weights as zero-copy
+  views of device memory.
 
 Each path runs ``--runs`` times on one session (so caches reach steady
 state, as in a serving loop) and the best wall time wins.  The script

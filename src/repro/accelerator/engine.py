@@ -12,27 +12,27 @@ parameters, KV cache, I/O buffers) and a
 :class:`~repro.accelerator.registers.RegisterFileState` (live activations),
 and enforces both address ranges and register-file capacity while running.
 
-Two fast-path features keep the decode loop cheap without changing a
-single bit of output (tests assert bitwise equality against the slow
-paths):
+Operands a handler consumes itself (MPU weights, biases and scales,
+attention keys and values, conv weights, VPU biases, LayerNorm
+parameters) are read as zero-copy, read-only views of device memory
+(:meth:`~repro.accelerator.memory.DeviceMemory.view_tensor`), the way the
+accelerator streams weights straight out of its LPDDR.  Only
+``DMA_LOAD`` copies, so a register holds a snapshot that a later store
+cannot change.
 
-* **vectorized kernels** (``vectorized=True``): the per-head attention
-  loops run as one batched ``np.matmul`` and the row-by-row embedding
-  gather as one vectorized table read — per-slice BLAS calls are
-  identical, so results match the looped reference element-for-element;
-* **weight-stream read cache** (``cache_reads=True``): immutable
-  device-memory operands (weights, biases, LayerNorm parameters) are
-  read once and reused read-only.  Any store overlapping a cached range
-  invalidates it, ranges the executor itself has written (KV cache,
-  output buffer) are never cached, and a
-  :attr:`~repro.accelerator.memory.DeviceMemory.version` check detects
-  writes performed outside the executor between runs.
+With ``vectorized=True`` (the default) the per-head attention loops run
+as one batched ``np.matmul`` and the row-by-row embedding gather as one
+vectorized table read — per-slice BLAS calls are identical, so results
+match the looped reference element-for-element — and per-program
+statistics are memoized per stage geometry.  ``vectorized=False`` keeps
+the loop forms and uncached accounting as the equivalence oracle (tests
+assert bitwise equality).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,20 +115,13 @@ class Executor:
     def __init__(self, memory: DeviceMemory,
                  registers: Optional[RegisterFileState] = None,
                  tracer=None, metrics=None,
-                 vectorized: bool = True, cache_reads: bool = True):
+                 vectorized: bool = True):
         self.memory = memory
         self.registers = registers or RegisterFileState()
         self.stats = ExecutionStats()
         self._tracer = tracer
         self._metrics = metrics
         self.vectorized = vectorized
-        self.cache_reads = cache_reads
-        #: (addr, shape) -> (read-only array, start, end)
-        self._read_cache: Dict[Tuple[int, Tuple[int, ...]],
-                               Tuple[np.ndarray, int, int]] = {}
-        #: Merged [start, end) byte ranges this executor has stored to.
-        self._written: List[List[int]] = []
-        self._seen_version = memory.version
         #: CachedProgram.timing_key -> (instructions, flops, mem_elems,
         #: by_opcode).  A program's statistics are a pure function of its
         #: instruction geometry (DMA-store extras equal prod(shape)), so
@@ -145,61 +138,20 @@ class Executor:
             return value.reshape(1, -1)
         return value
 
-    def _overlaps_written(self, start: int, end: int) -> bool:
-        for lo, hi in self._written:
-            if start < hi and lo < end:
-                return True
-        return False
-
-    def _note_written(self, start: int, end: int) -> None:
-        # Re-writes inside an already-written span (KV rows on a repeat
-        # generation, the output buffer) need no work: no cached read
-        # ever overlaps a written span, by construction below.
-        for lo, hi in self._written:
-            if lo <= start and end <= hi:
-                return
-        # Invalidate cached reads the store overlaps, then merge the
-        # range into the written list (adjacent ranges coalesce, so KV
-        # appends keep the list short).
-        if self._read_cache:
-            stale = [key for key, (_, lo, hi) in self._read_cache.items()
-                     if start < hi and lo < end]
-            for key in stale:
-                del self._read_cache[key]
-        for span in self._written:
-            if start <= span[1] and span[0] <= end:
-                span[0] = min(span[0], start)
-                span[1] = max(span[1], end)
-                return
-        self._written.append([start, end])
-
     def _read(self, addr: int, shape: Tuple[int, ...]) -> np.ndarray:
-        """Read a tensor, caching operands no store has touched."""
-        if not self.cache_reads:
-            return self.memory.read_tensor(addr, shape)
-        key = (addr, shape)
-        hit = self._read_cache.get(key)
-        if hit is not None:
-            return hit[0]
-        value = self.memory.read_tensor(addr, shape)
-        end = addr + value.nbytes
-        if not self._overlaps_written(addr, end):
-            value.flags.writeable = False
-            self._read_cache[key] = (value, addr, end)
-        return value
+        """An operand the handler consumes itself: a read-only view."""
+        return self.memory.view_tensor(addr, shape)
 
     # -- instruction semantics --------------------------------------------
 
     def _exec_dma_load(self, instr: isa.DmaLoad) -> float:
-        self.registers.write(instr.dst, self._read(instr.addr, instr.shape))
+        self.registers.write(instr.dst,
+                             self.memory.read_tensor(instr.addr, instr.shape))
         return 0.0
 
     def _exec_dma_store(self, instr: isa.DmaStore) -> float:
         value = self.registers.read(instr.src)
         self.memory.write_tensor(instr.addr, value)
-        self._seen_version = self.memory.version
-        if self.cache_reads:
-            self._note_written(instr.addr, instr.addr + value.nbytes)
         return float(value.size)
 
     def _exec_dma_gather(self, instr: isa.DmaGather) -> float:
@@ -499,18 +451,12 @@ class Executor:
         if not isinstance(program, tuple):
             program = tuple(program)
         isa.validate_program_cached(program)
-        if self.cache_reads and self.memory.version != self._seen_version:
-            # Something outside this executor wrote device memory (e.g. a
-            # host store between launches): drop every cached read.
-            self._read_cache.clear()
-            self._written.clear()
-            self._seen_version = self.memory.version
         tracer = get_tracer(self._tracer)
         metrics = get_metrics(self._metrics)
         handlers = self._HANDLERS
         record = self.stats.record
         stats_key = getattr(program, "timing_key", None) \
-            if (self.cache_reads and not tracer.enabled
+            if (self.vectorized and not tracer.enabled
                 and not metrics.enabled) else None
         agg = self._stats_cache.get(stats_key) \
             if stats_key is not None else None

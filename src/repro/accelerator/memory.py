@@ -59,16 +59,6 @@ class DeviceMemory:
         self._buffer = np.zeros(capacity, dtype=np.uint8)
         self._regions: Dict[str, Region] = {}
         self._next = 0
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Monotonic write counter; bumps on every store.
-
-        Consumers that cache reads (e.g. the executor's weight-stream
-        cache) compare versions to detect writes they did not perform.
-        """
-        return self._version
 
     @property
     def allocated_bytes(self) -> int:
@@ -114,27 +104,30 @@ class DeviceMemory:
         raw = data.view(np.uint8).reshape(-1)
         self._check_range(addr, raw.nbytes)
         self._buffer[addr:addr + raw.nbytes] = raw
-        self._version += 1
 
     def write_bytes(self, addr: int, data: np.ndarray) -> None:
-        """Store raw bytes at ``addr``, bumping the version counter.
-
-        Every store path — tensors here, CXL.mem line writes in
-        :mod:`repro.cxl.memdev` — must land through a method that bumps
-        :attr:`version`, or read-caching consumers would serve stale
-        data.
-        """
+        """Store raw bytes at ``addr`` (CXL.mem line writes from
+        :mod:`repro.cxl.memdev`), bounds-checked like every store."""
         raw = np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
         self._check_range(addr, raw.nbytes)
         self._buffer[addr:addr + raw.nbytes] = raw
-        self._version += 1
 
     def read_tensor(self, addr: int, shape: Tuple[int, ...]) -> np.ndarray:
         """Load a float32 tensor of ``shape`` from ``addr`` (a copy)."""
+        return self.view_tensor(addr, shape).copy()
+
+    def view_tensor(self, addr: int, shape: Tuple[int, ...]) -> np.ndarray:
+        """A read-only float32 view of ``shape`` at ``addr`` (no copy).
+
+        The view aliases device memory, so it sees every later store;
+        take :meth:`read_tensor` when a snapshot is needed.
+        """
         nbytes = math.prod(shape) * 4
         self._check_range(addr, nbytes)
-        raw = self._buffer[addr:addr + nbytes]
-        return raw.view(np.float32).reshape(shape).copy()
+        view = self._buffer[addr:addr + nbytes].view(np.float32) \
+            .reshape(shape)
+        view.flags.writeable = False
+        return view
 
     def read_row(self, base_addr: int, row: int, row_elems: int
                  ) -> np.ndarray:

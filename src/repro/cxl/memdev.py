@@ -113,8 +113,6 @@ class FunctionalCxlDevice:
             raise AddressError(f"unaligned line write {addr:#x}")
         if addr + CACHELINE_BYTES > self.memory.capacity:
             raise AddressError(f"line write {addr:#x} beyond device memory")
-        # Through the version-bumping store path so executors that cache
-        # reads observe host-side writes (e.g. tensor-parallel broadcast).
         self.memory.write_bytes(addr, data)
 
     # -- CXL.io (side-band register access, Fig. 6) --------------------------

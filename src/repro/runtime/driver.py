@@ -73,8 +73,7 @@ class CxlPnmDriver:
         self._tracer = tracer
         self._metrics = metrics
         self._executor = Executor(memory, tracer=tracer, metrics=metrics,
-                                  vectorized=fast_path,
-                                  cache_reads=fast_path)
+                                  vectorized=fast_path)
         self._launches = 0
         self._poll_count = 0
         self.control.write_register(

@@ -111,8 +111,6 @@ class InferenceSession:
             if simulate_timing else None
         self._sim_clock_s = 0.0
         self._context_len = 0
-        self._interrupts_seen = 0
-        self.driver.interrupts.register_isr(self._on_interrupt)
         # Fault-injection hookup (repro.faults): when an ambient plan
         # with memory faults is active at construction time, a small
         # SECDED guard region is carved out of device memory and ticked
@@ -127,9 +125,6 @@ class InferenceSession:
             self._guard.write_array(
                 np.arange(words, dtype=np.uint64) * 0x9E37_79B9)
 
-    def _on_interrupt(self) -> None:
-        self._interrupts_seen += 1
-
     @property
     def context_len(self) -> int:
         """Tokens currently held in the device-side KV cache.
@@ -141,7 +136,8 @@ class InferenceSession:
 
     @property
     def interrupts_seen(self) -> int:
-        return self._interrupts_seen
+        """Completion interrupts this session's driver has delivered."""
+        return self.driver.interrupts.delivered
 
     def reset(self) -> None:
         """Forget the conversation (KV cache is overwritten next time)."""

@@ -57,6 +57,28 @@ class TestTensorIO:
         again = device_memory.read_tensor(region.addr, (2, 2))
         assert again[0, 0] == 1.0
 
+    def test_view_shares_device_memory(self, device_memory):
+        data = np.arange(6, dtype=np.float32).reshape(2, 3)
+        region = device_memory.store_named("t", data)
+        view = device_memory.view_tensor(region.addr, (2, 3))
+        assert view.dtype == np.float32
+        assert np.shares_memory(view, device_memory._buffer)
+        np.testing.assert_array_equal(view, data)
+        device_memory.write_tensor(region.addr, data * 2)
+        np.testing.assert_array_equal(view, data * 2)
+
+    def test_view_is_read_only(self, device_memory):
+        region = device_memory.store_named(
+            "t", np.ones(4, dtype=np.float32))
+        view = device_memory.view_tensor(region.addr, (4,))
+        with pytest.raises(ValueError):
+            view[0] = 5.0
+        assert device_memory.read_tensor(region.addr, (4,))[0] == 1.0
+
+    def test_out_of_range_view(self, device_memory):
+        with pytest.raises(AddressError):
+            device_memory.view_tensor(device_memory.capacity - 4, (4,))
+
     def test_write_casts_to_float32(self, device_memory):
         region = device_memory.alloc_tensor("t", (3,))
         device_memory.write_tensor(region.addr,

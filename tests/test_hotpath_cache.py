@@ -8,6 +8,8 @@ generations are token-exact and simulated numbers are bit-identical to
 the uncached seed behaviour.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,13 +179,15 @@ class TestVectorizedKernels:
 
 
 class TestReadCacheCoherence:
+    """Operand reads see live device memory; registers are snapshots."""
+
     def test_own_store_invalidates_cached_read(self):
         mem = DeviceMemory(1 * MiB)
         a = mem.store_named("a", np.ones(16, dtype=np.float32))
         b = mem.store_named("b", np.full(16, 7.0, dtype=np.float32))
-        ex = Executor(mem, cache_reads=True)
+        ex = Executor(mem)
         ex.execute((
-            isa.DmaLoad(dst="m0", addr=a.addr, shape=(16,)),  # caches a
+            isa.DmaLoad(dst="m0", addr=a.addr, shape=(16,)),
             isa.DmaLoad(dst="m1", addr=b.addr, shape=(16,)),
             isa.DmaStore(src="m1", addr=a.addr, shape=(16,)),  # clobbers a
             isa.DmaLoad(dst="m2", addr=a.addr, shape=(16,)),
@@ -194,14 +198,46 @@ class TestReadCacheCoherence:
     def test_external_write_invalidates_cached_read(self):
         mem = DeviceMemory(1 * MiB)
         a = mem.store_named("a", np.ones(16, dtype=np.float32))
-        ex = Executor(mem, cache_reads=True)
+        ex = Executor(mem)
         load = (isa.DmaLoad(dst="m0", addr=a.addr, shape=(16,)),)
         ex.execute(load)
-        # A host-side store between launches bumps the memory version.
+        # A host-side store between launches is seen by the next load.
         mem.write_tensor(a.addr, np.full(16, 5.0, dtype=np.float32))
         ex.execute(load)
         np.testing.assert_array_equal(ex.registers.read("m0"),
                                       np.full(16, 5.0, dtype=np.float32))
+
+    def test_loaded_register_survives_store_to_its_source(self):
+        mem = DeviceMemory(1 * MiB)
+        a = mem.store_named("a", np.ones(16, dtype=np.float32))
+        b = mem.store_named("b", np.full(16, 7.0, dtype=np.float32))
+        ex = Executor(mem)
+        ex.execute((
+            isa.DmaLoad(dst="m0", addr=a.addr, shape=(16,)),
+            isa.DmaLoad(dst="m1", addr=b.addr, shape=(16,)),
+            isa.DmaStore(src="m1", addr=a.addr, shape=(16,)),
+        ))
+        np.testing.assert_array_equal(mem.read_tensor(a.addr, (16,)),
+                                      np.full(16, 7.0, dtype=np.float32))
+        np.testing.assert_array_equal(ex.registers.read("m0"),
+                                      np.ones(16, dtype=np.float32))
+
+    def test_generate_holds_no_weight_copy(self):
+        # Operands are views of device memory, so a decode allocates far
+        # less than the model's weights; a per-session weight copy (a
+        # read cache, a copying operand read) would push the traced peak
+        # past the fp32 parameter bytes.
+        cfg = tiny_config(d_model=256, vocab_size=512)
+        weights = random_weights(cfg, seed=3)
+        InferenceSession(weights, simulate_timing=False).generate([1, 2], 2)
+        session = InferenceSession(weights, simulate_timing=False)
+        tracemalloc.start()
+        try:
+            session.generate([1, 2, 3], 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.num_params * 4
 
 
 class TestSimulatedStepTimer:

@@ -1,5 +1,8 @@
 """Software stack: driver semantics, library layer APIs, sessions."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -196,3 +199,17 @@ class TestSession:
                                    simulate_timing=False)
         with pytest.raises(ConfigurationError):
             session.generate([], 4)
+
+    def test_dropped_session_freed_without_cyclic_gc(self):
+        # A session's device buffer is the largest object it owns; no
+        # reference cycle may keep it alive past the last reference.
+        session = InferenceSession(random_weights(tiny_config(), seed=5),
+                                   simulate_timing=False)
+        session.generate([1, 2], 2)
+        ref = weakref.ref(session)
+        gc.disable()
+        try:
+            del session
+            assert ref() is None
+        finally:
+            gc.enable()
