@@ -17,7 +17,7 @@ test:
 # always), the ISA program-verifier smoke over the service decode
 # geometry (always), and ruff's pyflakes-error rules (when installed).
 lint:
-	$(PYTHON) tools/static_checks.py
+	$(PYTHON) -m repro lint
 	$(PYTHON) -m repro lint-program OPT-13B --batch-tokens 1
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests tools benchmarks examples; \

@@ -21,9 +21,8 @@ Both report :class:`repro.analysis.diagnostics.Diagnostic` values in an
 :class:`repro.analysis.diagnostics.AnalysisReport`; ``report.ok`` means
 no errors ("verifies clean"), ``report.clean`` means no findings at
 all.  Entry points: ``repro lint`` (tree suite) and ``repro
-lint-program`` (program verifier) on the CLI, the opt-in
-``verify_static=True`` hook on :class:`repro.accelerator.compiler.ProgramCache`,
-and ``tools/static_checks.py`` for the suite in CI.
+lint-program`` (program verifier) on the CLI, and the opt-in
+``verify_static=True`` hook on :class:`repro.accelerator.compiler.ProgramCache`.
 """
 
 from .baseline import Baseline, BaselineEntry, BaselineResult
@@ -36,7 +35,7 @@ from .dataflow import (
     register_pressure,
 )
 from .diagnostics import AnalysisReport, Diagnostic, Severity
-from .purity import lint_path, lint_source, lint_tree, rules_for
+from .purity import lint_source, rules_for
 from .suite import PASSES, pass_counts, render_result, resolve_passes, run_suite
 from .verifier import (
     DEFAULT_ADDRESS_SPACE,
@@ -65,9 +64,7 @@ __all__ = [
     "dataflow_diagnostics",
     "dtype_diagnostics",
     "infer_shapes",
-    "lint_path",
     "lint_source",
-    "lint_tree",
     "memory_windows",
     "pass_counts",
     "pressure_diagnostics",

@@ -25,19 +25,25 @@ This pass pins the contract statically:
   computed key can change spelling or set membership between runs;
   the key *set* is part of the cross-model contract.
 
-``CON600`` reports inputs that do not parse.  Entry points mirror the
-sibling lints: :func:`compare_step_timers` for two sources in tests,
-:func:`check_tree` for the shipped pairing over a source tree.
+``CON600`` reports inputs that do not parse.  :func:`compare_step_timers`
+and :func:`check_as_dict_keys` check sources in tests;
+:mod:`repro.analysis.suite` runs :func:`check_module` on every parsed
+file and :func:`check_pairing` once per tree.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .diagnostics import AnalysisReport, Diagnostic, Severity
+from .diagnostics import Diagnostic, Severity, by_line, syntax_error
 from .units_lint import dimension_of_name
+
+#: Code reported for a file that does not parse.
+SYNTAX_CODE = "CON600"
+
+#: A parsed file, or the ``SyntaxError`` parsing it raised.
+Parsed = Union[ast.Module, SyntaxError]
 
 #: The shipped contract: (relative path, class name) pairs that must
 #: expose identical unit-suffixed surfaces.
@@ -88,8 +94,21 @@ def class_surface(source: str, class_name: str
     Raises ``ValueError`` when the class is absent — callers decide
     whether a missing class is itself a finding.
     """
-    tree = ast.parse(source)
-    for node in tree.body:
+    return _surface(ast.parse(source), class_name)
+
+
+def _parse(source: str) -> Parsed:
+    try:
+        return ast.parse(source)
+    except SyntaxError as exc:
+        return exc
+
+
+def _surface(parsed: Parsed, class_name: str
+             ) -> Dict[str, MethodSurface]:
+    if isinstance(parsed, SyntaxError):
+        raise parsed
+    for node in parsed.body:
         if isinstance(node, ast.ClassDef) and node.name == class_name:
             break
     else:
@@ -114,6 +133,26 @@ def compare_step_timers(source_a: str, class_a: str, relpath_a: str,
                         source_b: str, class_b: str, relpath_b: str
                         ) -> List[Diagnostic]:
     """CON601/CON602 findings between two step-timer classes."""
+    return _compare(_parse(source_a), class_a, relpath_a,
+                    _parse(source_b), class_b, relpath_b)
+
+
+def check_pairing(parsed: Mapping[str, Parsed]) -> List[Diagnostic]:
+    """CON600-602 findings for the shipped :data:`STEP_TIMER_CONTRACT`.
+
+    ``parsed`` maps relative paths to parsed files; the pairing is
+    checked only when both of its files are present.
+    """
+    (path_a, class_a), (path_b, class_b) = STEP_TIMER_CONTRACT
+    if path_a not in parsed or path_b not in parsed:
+        return []
+    return _compare(parsed[path_a], class_a, path_a,
+                    parsed[path_b], class_b, path_b)
+
+
+def _compare(parsed_a: Parsed, class_a: str, relpath_a: str,
+             parsed_b: Parsed, class_b: str, relpath_b: str
+             ) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
 
     def _parse_error(relpath: str, exc: Exception) -> Diagnostic:
@@ -123,11 +162,11 @@ def compare_step_timers(source_a: str, class_a: str, relpath_a: str,
                           location=f"{relpath}:{line}", source=relpath)
 
     try:
-        surface_a = class_surface(source_a, class_a)
+        surface_a = _surface(parsed_a, class_a)
     except (SyntaxError, ValueError) as exc:
         return [_parse_error(relpath_a, exc)]
     try:
-        surface_b = class_surface(source_b, class_b)
+        surface_b = _surface(parsed_b, class_b)
     except (SyntaxError, ValueError) as exc:
         return [_parse_error(relpath_b, exc)]
 
@@ -184,9 +223,11 @@ def check_as_dict_keys(source: str, relpath: str) -> List[Diagnostic]:
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
-        return [Diagnostic(
-            "CON600", Severity.ERROR, f"syntax error: {exc.msg}",
-            location=f"{relpath}:{exc.lineno or 0}", source=relpath)]
+        return [syntax_error(SYNTAX_CODE, exc, relpath)]
+    return _as_dict_findings(tree, relpath)
+
+
+def _as_dict_findings(tree: ast.Module, relpath: str) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -205,9 +246,7 @@ def check_as_dict_keys(source: str, relpath: str) -> List[Diagnostic]:
                 f"across runs and models",
                 location=f"{relpath}:{getattr(key, 'lineno', 0)}",
                 source=relpath))
-    diags.sort(key=lambda d: (int(d.location.rsplit(':', 1)[-1] or 0),
-                              d.code))
-    return diags
+    return by_line(diags)
 
 
 def rules_for(relpath: str) -> Tuple[str, ...]:
@@ -221,25 +260,8 @@ def rules_for(relpath: str) -> Tuple[str, ...]:
     return tuple(rules)
 
 
-def check_tree(root: Path) -> AnalysisReport:
-    """Run the shipped contracts over a source tree.
-
-    The step-timer pairing (:data:`STEP_TIMER_CONTRACT`) is checked
-    when both files exist; ``as_dict`` key literalness is checked for
-    every file in the scoped packages.
-    """
-    root = Path(root)
-    diags: List[Diagnostic] = []
-    (path_a, class_a), (path_b, class_b) = STEP_TIMER_CONTRACT
-    file_a, file_b = root / path_a, root / path_b
-    if file_a.exists() and file_b.exists():
-        diags.extend(compare_step_timers(
-            file_a.read_text(encoding="utf-8"), class_a, path_a,
-            file_b.read_text(encoding="utf-8"), class_b, path_b))
-    for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root).as_posix()
-        if rel.split("/", 1)[0] not in AS_DICT_SCOPED:
-            continue
-        diags.extend(check_as_dict_keys(
-            path.read_text(encoding="utf-8"), rel))
-    return AnalysisReport.collect(diags, subject=str(root))
+def check_module(tree: ast.Module, relpath: str) -> List[Diagnostic]:
+    """CON603 findings for one parsed file, if its package is scoped."""
+    if "CON603" not in rules_for(relpath):
+        return []
+    return _as_dict_findings(tree, relpath)

@@ -86,6 +86,19 @@ class Diagnostic:
                f"{self.message}"
 
 
+def syntax_error(code: str, exc: SyntaxError, relpath: str) -> Diagnostic:
+    """The finding a source-tree pass reports for a file that won't parse."""
+    return Diagnostic(code, Severity.ERROR, f"syntax error: {exc.msg}",
+                      location=f"{relpath}:{exc.lineno or 0}",
+                      source=relpath)
+
+
+def by_line(diagnostics: List[Diagnostic]) -> List[Diagnostic]:
+    """One file's lint findings in (line, code) order."""
+    return sorted(diagnostics, key=lambda d: (
+        int(d.location.rsplit(":", 1)[-1] or 0), d.code))
+
+
 @dataclass
 class AnalysisReport:
     """An ordered collection of diagnostics from one analysis run."""

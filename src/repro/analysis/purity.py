@@ -31,10 +31,12 @@ in tests by passing a representative relative path.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .diagnostics import AnalysisReport, Diagnostic, Severity
+from .diagnostics import Diagnostic, Severity, by_line, syntax_error
+
+#: Code reported for a file that does not parse.
+SYNTAX_CODE = "PUR300"
 
 #: Packages (relative to ``src/repro``) where wall-clock reads are banned.
 WALL_CLOCK_BANNED = ("perf", "cxl", "appliance")
@@ -264,18 +266,9 @@ def _scan_guarded(stmts: Sequence[ast.stmt], guarded: bool,
 
 # -- Entry points ---------------------------------------------------------
 
-def lint_source(source: str, relpath: str) -> List[Diagnostic]:
-    """Lint one file's source; ``relpath`` selects the applicable rules."""
-    rules = rules_for(relpath)
-    out = _Findings(relpath, rules)
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        out.diagnostics.append(Diagnostic(
-            "PUR300", Severity.ERROR, f"syntax error: {exc.msg}",
-            location=f"{relpath}:{exc.lineno or 0}", source=relpath))
-        return out.diagnostics
-
+def check_module(tree: ast.Module, relpath: str) -> List[Diagnostic]:
+    """Lint one parsed file; ``relpath`` selects the applicable rules."""
+    out = _Findings(relpath, rules_for(relpath))
     time_names = frozenset(
         alias.asname or alias.name
         for node in ast.walk(tree)
@@ -288,23 +281,13 @@ def lint_source(source: str, relpath: str) -> List[Diagnostic]:
             _check_call(node, out, time_names)
         _check_float64(node, out)
     _scan_guarded(tree.body, False, out)
-    out.diagnostics.sort(
-        key=lambda d: (int(d.location.rsplit(":", 1)[-1] or 0), d.code))
-    return out.diagnostics
+    return by_line(out.diagnostics)
 
 
-def lint_path(path: Path, relpath: Optional[str] = None
-              ) -> List[Diagnostic]:
-    """Lint one file on disk."""
-    rel = relpath if relpath is not None else path.name
-    return lint_source(path.read_text(encoding="utf-8"), rel)
-
-
-def lint_tree(root: Path) -> AnalysisReport:
-    """Lint every ``*.py`` under ``root`` (typically ``src/repro``)."""
-    root = Path(root)
-    diags: List[Diagnostic] = []
-    for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root).as_posix()
-        diags.extend(lint_path(path, rel))
-    return AnalysisReport.collect(diags, subject=str(root))
+def lint_source(source: str, relpath: str) -> List[Diagnostic]:
+    """Lint one file's source; ``relpath`` selects the applicable rules."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        return [syntax_error(SYNTAX_CODE, exc, relpath)]
+    return check_module(tree, relpath)

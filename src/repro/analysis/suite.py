@@ -4,33 +4,41 @@ Composes the four tree passes — simulation purity (PUR3xx), unit
 discipline (UNIT4xx), determinism (DET5xx), and the cross-model
 contract checker (CON6xx) — into a single report, then applies the
 checked-in suppression baseline (:mod:`repro.analysis.baseline`).
-This is what ``repro lint``, ``tools/static_checks.py``, ``make
-lint``, and the blocking CI job all run, so "clean" means the same
-thing at every surface.
+This is what ``repro lint``, ``make lint``, and the blocking CI job
+all run, so "clean" means the same thing at every surface.
+
+The suite owns the tree walk: each file is read and parsed once, and
+the tree goes to every selected pass that has rules for the file
+(``check_module``); a file that does not parse gets each such pass's
+own syntax-error code instead.  The contract checker's cross-file
+step-timer pairing runs once per tree, after the walk.
 
 Passes are named for selection (``--select units,det``):
-:data:`PASSES` maps name -> tree-runner.  The ISA *program* verifier
+:data:`PASSES` maps name -> pass module.  The ISA *program* verifier
 is deliberately not part of this suite — it checks compiled programs,
 not source, and keeps its own entry point (``repro lint-program``).
 """
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
 from . import contracts, determinism, purity, units_lint
 from .baseline import Baseline, BaselineResult
-from .diagnostics import AnalysisReport
+from .diagnostics import AnalysisReport, Diagnostic, syntax_error
 
-#: Selectable tree passes, in report order.
+#: Selectable tree passes, in report order.  Each module provides
+#: ``rules_for(relpath)``, ``check_module(tree, relpath)`` and the
+#: ``SYNTAX_CODE`` it reports for a file that does not parse.
 PASSES = {
-    "purity": purity.lint_tree,
-    "units": units_lint.lint_tree,
-    "determinism": determinism.lint_tree,
-    "contracts": contracts.check_tree,
+    "purity": purity,
+    "units": units_lint,
+    "determinism": determinism,
+    "contracts": contracts,
 }
 
 #: Short aliases accepted by ``--select``.
@@ -42,15 +50,8 @@ PASS_ALIASES = {
     "contract": "contracts",
 }
 
-#: Diagnostic-code prefixes each pass emits — used to scope the
-#: baseline to the selected passes, so running ``--select units``
-#: does not report the DET/CON entries as stale.
-PASS_CODE_PREFIXES = {
-    "purity": ("PUR",),
-    "units": ("UNIT",),
-    "determinism": ("DET",),
-    "contracts": ("CON",),
-}
+#: Files the contract checker's step-timer pairing reads.
+_PAIRED_PATHS = frozenset(path for path, _ in contracts.STEP_TIMER_CONTRACT)
 
 
 def resolve_passes(names: Optional[Iterable[str]] = None
@@ -84,17 +85,41 @@ def run_suite(root: Path, passes: Optional[Iterable[str]] = None,
     if not root.is_dir():
         raise ConfigurationError(f"no such directory: {root}")
     selected = resolve_passes(passes)
-    merged = AnalysisReport(subject=str(root))
-    for name in selected:
-        merged = merged.merged(PASSES[name](root))
+    found: Dict[str, List[Diagnostic]] = {name: [] for name in selected}
+    paired: Dict[str, contracts.Parsed] = {}
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        applicable = [name for name in selected
+                      if PASSES[name].rules_for(rel)]
+        if not applicable:
+            continue
+        parsed: contracts.Parsed
+        try:
+            parsed = ast.parse(path.read_text(encoding="utf-8"))
+        except SyntaxError as exc:
+            parsed = exc
+        for name in applicable:
+            module = PASSES[name]
+            if isinstance(parsed, SyntaxError):
+                found[name].append(
+                    syntax_error(module.SYNTAX_CODE, parsed, rel))
+            else:
+                found[name].extend(module.check_module(parsed, rel))
+        if rel in _PAIRED_PATHS:
+            paired[rel] = parsed
+    if "contracts" in found:
+        found["contracts"][:0] = contracts.check_pairing(paired)
+    merged = AnalysisReport.collect(
+        (diag for name in selected for diag in found[name]),
+        subject=str(root))
     if baseline is None:
         baseline = Baseline()
     # Scope the baseline to the selected passes: an entry for a pass
     # that did not run cannot match anything, and must not be counted
     # stale for it (``--select units`` with the full checked-in
     # baseline would otherwise always fail).
-    prefixes = tuple(p for name in selected
-                     for p in PASS_CODE_PREFIXES[name])
+    prefixes = tuple(PASSES[name].SYNTAX_CODE.rstrip("0123456789")
+                     for name in selected)
     scoped = Baseline(tuple(e for e in baseline.entries
                             if e.code.startswith(prefixes)))
     return scoped.apply(merged, root)

@@ -34,10 +34,12 @@ that do not parse.  Rule selection follows the file's path relative to
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .diagnostics import AnalysisReport, Diagnostic, Severity
+from .diagnostics import Diagnostic, Severity, by_line, syntax_error
+
+#: Code reported for a file that does not parse.
+SYNTAX_CODE = "UNIT400"
 
 #: Packages (relative to ``src/repro``) where bare magnitude literals
 #: are banned (UNIT403): the packages whose numbers feed the paper's
@@ -371,34 +373,17 @@ class _UnitVisitor(ast.NodeVisitor):
 
 # -- Entry points ---------------------------------------------------------
 
+def check_module(tree: ast.Module, relpath: str) -> List[Diagnostic]:
+    """Lint one parsed file; ``relpath`` selects the applicable rules."""
+    visitor = _UnitVisitor(relpath, rules_for(relpath))
+    visitor.visit(tree)
+    return by_line(visitor.diagnostics)
+
+
 def lint_source(source: str, relpath: str) -> List[Diagnostic]:
     """Lint one file's source; ``relpath`` selects the applicable rules."""
-    rules = rules_for(relpath)
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
-        return [Diagnostic(
-            "UNIT400", Severity.ERROR, f"syntax error: {exc.msg}",
-            location=f"{relpath}:{exc.lineno or 0}", source=relpath)]
-    visitor = _UnitVisitor(relpath, rules)
-    visitor.visit(tree)
-    visitor.diagnostics.sort(
-        key=lambda d: (int(d.location.rsplit(":", 1)[-1] or 0), d.code))
-    return visitor.diagnostics
-
-
-def lint_path(path: Path, relpath: Optional[str] = None
-              ) -> List[Diagnostic]:
-    """Lint one file on disk."""
-    rel = relpath if relpath is not None else path.name
-    return lint_source(path.read_text(encoding="utf-8"), rel)
-
-
-def lint_tree(root: Path) -> AnalysisReport:
-    """Lint every ``*.py`` under ``root`` (typically ``src/repro``)."""
-    root = Path(root)
-    diags: List[Diagnostic] = []
-    for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root).as_posix()
-        diags.extend(lint_path(path, rel))
-    return AnalysisReport.collect(diags, subject=str(root))
+        return [syntax_error(SYNTAX_CODE, exc, relpath)]
+    return check_module(tree, relpath)

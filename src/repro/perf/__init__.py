@@ -15,24 +15,19 @@ _METRICS = ("ApplianceResult", "InferenceResult", "StageResult",
 _SIMULATOR = ("AcceleratorSimulator", "SimulationResult")
 _ROOFLINE = ("Roofline", "device_roofline", "op_scatter", "roofline_report",
              "stage_intensity")
-_POWER = ("PowerSample", "PowerTrace", "power_trace")
 
 __all__ = sorted(("calibration",) + _ANALYTICAL + _METRICS + _SIMULATOR
-                 + _ROOFLINE + _POWER)
+                 + _ROOFLINE)
 
 
 _SUBMODULE_OF = {}
 for _names, _module in ((_ANALYTICAL, "analytical"), (_METRICS, "metrics"),
-                        (_SIMULATOR, "simulator"), (_ROOFLINE, "roofline"),
-                        (_POWER, "power_trace")):
+                        (_SIMULATOR, "simulator"), (_ROOFLINE, "roofline")):
     for _name in _names:
         _SUBMODULE_OF[_name] = _module
 
 
 def __getattr__(name):
-    # importlib (not `from ... import`) because some exported names equal
-    # their submodule's name (power_trace), which would recurse through
-    # this hook during the submodule's own import.
     if name in _SUBMODULE_OF:
         import importlib
         module = importlib.import_module(

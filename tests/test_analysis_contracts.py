@@ -11,10 +11,10 @@ The integration test asserts the shipped ``BatchStepTimer`` /
 import textwrap
 from pathlib import Path
 
+from repro.analysis import Baseline, run_suite
 from repro.analysis.contracts import (
     STEP_TIMER_CONTRACT,
     check_as_dict_keys,
-    check_tree,
     class_surface,
     compare_step_timers,
     rules_for,
@@ -191,21 +191,25 @@ class TestRuleSelection:
         assert rules_for("cxl/arbiter.py") == ()
 
 
+def _real_tree_report():
+    return run_suite(REPO_SRC, passes=["contracts"],
+                     baseline=Baseline()).report
+
+
 class TestRealTree:
     def test_shipped_pairing_contract_clean(self):
         diags = compare_step_timers(*_real_sources())
         assert diags == [], [d.message for d in diags]
 
     def test_tree_clean_modulo_baseline(self):
-        from repro.analysis.baseline import Baseline
-        report = check_tree(REPO_SRC)
+        report = _real_tree_report()
         baseline = Baseline.load(
             REPO_ROOT / "tools" / "static_analysis_baseline.json")
         result = baseline.apply(report, REPO_SRC)
         assert result.report.clean, result.report.render()
 
     def test_known_exceptions_are_the_unit_enum_keys(self):
-        report = check_tree(REPO_SRC)
+        report = _real_tree_report()
         assert [d.code for d in report.diagnostics] \
             == ["CON603", "CON603"]
         assert all(d.location.startswith("perf/simulator.py")

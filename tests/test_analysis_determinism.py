@@ -11,7 +11,8 @@ the checked-in baseline.
 import textwrap
 from pathlib import Path
 
-from repro.analysis.determinism import lint_source, lint_tree, rules_for
+from repro.analysis import Baseline, run_suite
+from repro.analysis.determinism import lint_source, rules_for
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 REPO_SRC = REPO_ROOT / "src" / "repro"
@@ -239,17 +240,21 @@ class TestSyntaxError:
         assert lint_source("def f(:\n", "obs/example.py") == []
 
 
+def _real_tree_report():
+    return run_suite(REPO_SRC, passes=["determinism"],
+                     baseline=Baseline()).report
+
+
 class TestRealTree:
     def test_tree_clean_modulo_baseline(self):
-        from repro.analysis.baseline import Baseline
-        report = lint_tree(REPO_SRC)
+        report = _real_tree_report()
         baseline = Baseline.load(
             REPO_ROOT / "tools" / "static_analysis_baseline.json")
         result = baseline.apply(report, REPO_SRC)
         assert result.report.clean, result.report.render()
 
     def test_known_exceptions_are_the_isa_identity_memo(self):
-        report = lint_tree(REPO_SRC)
+        report = _real_tree_report()
         assert [d.code for d in report.diagnostics] \
             == ["DET501", "DET501"]
         assert all(d.location.startswith("accelerator/isa.py")

@@ -9,7 +9,7 @@ clean — the property the blocking CI job enforces.
 import textwrap
 from pathlib import Path
 
-from repro.analysis import lint_source, lint_tree, rules_for
+from repro.analysis import Baseline, lint_source, rules_for, run_suite
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -252,13 +252,18 @@ class TestSyntaxError:
         assert [d.code for d in diags] == ["PUR300"]
 
 
+def _real_tree_report():
+    return run_suite(REPO_SRC, passes=["purity"],
+                     baseline=Baseline()).report
+
+
 class TestRealTree:
     def test_src_repro_is_clean(self):
-        report = lint_tree(REPO_SRC)
+        report = _real_tree_report()
         assert report.clean, report.render()
 
     def test_report_shape(self):
-        report = lint_tree(REPO_SRC)
+        report = _real_tree_report()
         data = report.as_dict()
         assert data["clean"] is True
         assert data["counts"] == {"error": 0, "warning": 0, "info": 0}

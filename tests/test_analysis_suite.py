@@ -4,9 +4,10 @@ The baseline is a policy mechanism, so its semantics get direct tests:
 match by (code, path, stripped line text) — a moved line stays
 suppressed, an edited line goes stale — plus the loader's validation
 (version, required fields, non-empty justification) and the suite's
-pass selection and report merging.
+pass selection, report merging, and the single tree walk.
 """
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -85,6 +86,33 @@ class TestRunSuite:
     def test_pass_counts_by_family(self, tmp_path):
         result = run_suite(_write_dirty(tmp_path))
         assert pass_counts(result) == {"DET": 1, "UNIT": 1}
+
+
+class TestOneTreeWalk:
+    def test_each_file_parsed_once_for_all_passes(self, monkeypatch):
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, *args, **kwargs):
+            parsed.append(source)
+            return real_parse(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        result = run_suite(REPO_SRC, baseline=Baseline.load(BASELINE_FILE))
+        assert result.ok, render_result(result)
+        files = len(list(REPO_SRC.rglob("*.py")))
+        parses = len(parsed)
+        assert parses == files
+
+    def test_syntax_error_yields_each_pass_code(self, tmp_path):
+        pkg = tmp_path / "accelerator"
+        pkg.mkdir()
+        (pkg / "broken.py").write_text("def f(:\n")
+        result = run_suite(tmp_path)
+        assert [d.code for d in result.report.diagnostics] \
+            == ["PUR300", "UNIT400", "DET500"]
+        assert all(d.location == "accelerator/broken.py:1"
+                   for d in result.report.diagnostics)
 
 
 class TestBaselineMatching:

@@ -11,11 +11,11 @@ enforces.
 import textwrap
 from pathlib import Path
 
+from repro.analysis import Baseline, run_suite
 from repro.analysis.units_lint import (
     dimension_of_name,
     infer_dimension,
     lint_source,
-    lint_tree,
     rules_for,
 )
 
@@ -285,17 +285,21 @@ class TestSyntaxError:
         assert [d.code for d in diags] == ["UNIT400"]
 
 
+def _real_tree_report():
+    return run_suite(REPO_SRC, passes=["units"],
+                     baseline=Baseline()).report
+
+
 class TestRealTree:
     def test_tree_clean_modulo_baseline(self):
-        from repro.analysis.baseline import Baseline
-        report = lint_tree(REPO_SRC)
+        report = _real_tree_report()
         baseline = Baseline.load(
             REPO_ROOT / "tools" / "static_analysis_baseline.json")
         result = baseline.apply(report, REPO_SRC)
         assert result.report.clean, result.report.render()
 
     def test_known_exception_is_the_roofline_grid_bound(self):
-        report = lint_tree(REPO_SRC)
+        report = _real_tree_report()
         locations = [d.location for d in report.diagnostics]
         assert all(loc.startswith("perf/roofline.py")
                    for loc in locations), locations

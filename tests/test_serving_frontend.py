@@ -8,21 +8,25 @@ truncation and re-admission ordering), SLO-aware admission through the
 typed ``AdmissionError`` path, and goodput-under-SLO accounting.
 
 Timelines use ``ConstStep`` (prefill 1 s, decode 0.5 s) so every
-expected number is hand-computable.
+expected number is hand-computable; one class serves a flash crowd on
+the real analytical step costs.
 """
 
 import sys
 
 import pytest
 
+from repro.accelerator import CXLPNMDevice
 from repro.appliance import (
     ContinuousBatchScheduler,
     TenantClass,
     continuous,
     poisson_arrivals,
+    timer_service,
 )
 from repro.errors import AdmissionError, ConfigurationError
 from repro.llm import (
+    OPT_13B,
     InferenceRequest,
     arrivals_for_shape,
     diurnal_arrivals,
@@ -35,6 +39,7 @@ from repro.llm import (
     write_trace,
     zipf_tenants,
 )
+from repro.perf.analytical import BatchStepTimer, PnmPerfModel
 
 CFG = tiny_config()
 
@@ -464,3 +469,43 @@ class TestSloAdmission:
                      classes=classes, slo_admission=True)
         by_id = {c.request.request_id: c for c in stats.completed}
         assert 1 in by_id and by_id[1].preemptions == 1
+
+
+class TestAnalyticalMultiTenantStream:
+    """The front end on the real perf model: a flash crowd of Zipf
+    tenants in two classes, served by OPT-13B step costs on 2 devices."""
+
+    def _serve(self, multi_tenant):
+        device = CXLPNMDevice()
+        perf = PnmPerfModel(device)
+        step = BatchStepTimer(OPT_13B, perf)
+        requests = multi_tenant_workload(
+            64, num_tenants=8, class_names=("interactive", "batch"),
+            seed=11, mean_input=64, mean_output=64,
+            max_total=OPT_13B.max_seq_len)
+        rate = 6.0 / timer_service(OPT_13B, perf)(InferenceRequest(64, 64))
+        arrivals = arrivals_for_shape("flash-crowd", 64, rate, seed=11)
+        classes = None
+        if multi_tenant:
+            classes = (TenantClass("interactive", weight=3.0, priority=1,
+                                   ttft_target_s=4.0 * step.prefill_s(64),
+                                   tbt_target_s=8.0 * step.decode_step_s(
+                                       1, 65)),
+                       TenantClass("batch", weight=1.0))
+        return ContinuousBatchScheduler(
+            step, OPT_13B, device.memory_capacity, num_devices=2,
+            classes=classes, slo_admission=multi_tenant
+        ).run(requests, arrivals)
+
+    def test_single_class_stream_sheds_nothing(self):
+        stats = self._serve(multi_tenant=False)
+        assert not stats.rejected
+        assert len(stats.completed) == 64
+
+    def test_both_classes_served_with_goodput(self):
+        stats = self._serve(multi_tenant=True)
+        cells = stats.class_breakdown()
+        assert set(cells) == {"interactive", "batch"}
+        assert all("goodput_tokens_per_s" in c for c in cells.values())
+        assert stats.goodput_tokens_per_s > 0
+        assert 0.0 <= stats.slo_attainment <= 1.0
