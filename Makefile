@@ -29,8 +29,11 @@ docs:
 	$(PYTHON) tools/check_docs.py
 
 # Deeper program verification than the lint smoke: every geometry the
-# test sweep exercises, plus the batched decode step in JSON form.
+# test sweep exercises, plus two serve-sim geometries (its batch-8
+# decode step and a 256-token prefill).
 verify-programs:
 	$(PYTHON) -m repro lint-program OPT-13B --batch-tokens 1
 	$(PYTHON) -m repro lint-program OPT-13B --batch-tokens 64 --ctx-prev 0
 	$(PYTHON) -m repro lint-program tiny --batched 4 --errors-only
+	$(PYTHON) -m repro lint-program OPT-1.3B --batched 8 --errors-only
+	$(PYTHON) -m repro lint-program OPT-1.3B --batch-tokens 256 --ctx-prev 0

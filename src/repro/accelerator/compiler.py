@@ -17,10 +17,13 @@ The emitted code is consumed three ways, from one source of truth:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -75,14 +78,19 @@ class ModelLayout:
 
     Attributes:
         config: The model architecture.
-        regions: Tensor name -> allocated region (weights, caches, I/O).
+        regions: Tensor name -> allocated region (weights, caches, I/O),
+            read-only: timing layouts are shared between programs.
         quantize: ``"int8"`` when the loader stored quantized weight
             codes plus per-channel ``<name>.scale`` regions, else None.
     """
 
     config: LLMConfig
-    regions: Dict[str, Region]
+    regions: Mapping[str, Region]
     quantize: Optional[str] = field(default=None)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "regions",
+                           MappingProxyType(dict(self.regions)))
 
     def addr(self, name: str) -> int:
         try:
@@ -266,27 +274,11 @@ class StageCompiler:
         code.append(isa.Free(regs=(h2, f1, g, f2, x2)))
         return x3
 
-    def compile_stage(self, tokens: Sequence[int], ctx_prev: int
-                      ) -> Tuple[isa.Instruction, ...]:
-        """Acceleration code for one stage over ``tokens``.
-
-        ``ctx_prev`` is the number of tokens already in the KV cache: 0
-        for the sum stage, ``L - 1`` for a gen stage.  The code embeds the
-        tokens, runs all decoding layers, and leaves the argmax-sampled
-        next token in the designated output buffer.
-        """
+    def _head(self, tokens: Sequence[int], ctx_prev: int,
+              regs: RegisterAllocator, code: List[isa.Instruction]) -> str:
+        """Embed ``tokens``; returns the register the first layer reads."""
         cfg = self.config
-        m = len(tokens)
-        if m == 0:
-            raise ConfigurationError("stage needs at least one token")
-        if ctx_prev + m > cfg.max_seq_len:
-            raise CapacityError(
-                f"stage would reach {ctx_prev + m} tokens, beyond "
-                f"max_seq_len={cfg.max_seq_len}")
-        regs = RegisterAllocator()
-        code: List[isa.Instruction] = []
         addr = self.layout.addr
-
         tok = regs.matrix()
         code.append(isa.DmaGather(dst=tok,
                                   table_addr=addr("token_embedding"),
@@ -296,14 +288,17 @@ class StageCompiler:
         code.append(isa.DmaLoad(
             dst=pos,
             addr=addr("position_embedding") + ctx_prev * cfg.d_model * 4,
-            shape=(m, cfg.d_model)))
+            shape=(len(tokens), cfg.d_model)))
         x = regs.matrix()
         code.append(isa.VpuAdd(dst=x, a=tok, b=pos))
         code.append(isa.Free(regs=(tok, pos)))
+        return x
 
-        for layer_idx in range(cfg.num_layers):
-            x = self._layer(x, layer_idx, m, ctx_prev, regs, code)
-
+    def _tail(self, x: str, regs: RegisterAllocator,
+              code: List[isa.Instruction]) -> None:
+        """Final LayerNorm, LM head and greedy argmax of the last row."""
+        cfg = self.config
+        addr = self.layout.addr
         last = regs.matrix()
         code.append(isa.VpuRow(dst=last, src=x, row=-1))
         final = regs.matrix()
@@ -321,7 +316,45 @@ class StageCompiler:
                                  shape=(1,)))
         code.append(isa.Free(regs=(x, last, final, logits, token_reg)))
         code.append(isa.Barrier())
+
+    def _check_stage(self, m: int, ctx_prev: int) -> None:
+        if m == 0:
+            raise ConfigurationError("stage needs at least one token")
+        if ctx_prev + m > self.config.max_seq_len:
+            raise CapacityError(
+                f"stage would reach {ctx_prev + m} tokens, beyond "
+                f"max_seq_len={self.config.max_seq_len}")
+
+    def compile_stage(self, tokens: Sequence[int], ctx_prev: int
+                      ) -> Tuple[isa.Instruction, ...]:
+        """Acceleration code for one stage over ``tokens``.
+
+        ``ctx_prev`` is the number of tokens already in the KV cache: 0
+        for the sum stage, ``L - 1`` for a gen stage.  The code embeds the
+        tokens, runs all decoding layers, and leaves the argmax-sampled
+        next token in the designated output buffer.
+        """
+        m = len(tokens)
+        self._check_stage(m, ctx_prev)
+        regs = RegisterAllocator()
+        code: List[isa.Instruction] = []
+        x = self._head(tokens, ctx_prev, regs, code)
+        for layer_idx in range(self.config.num_layers):
+            x = self._layer(x, layer_idx, m, ctx_prev, regs, code)
+        self._tail(x, regs, code)
         return tuple(code)
+
+    def compile_compact(self, tokens: Sequence[int], ctx_prev: int
+                        ) -> isa.CompactProgram:
+        """:meth:`compile_stage` as a compact program: the same code,
+        with only decoder layer 0 emitted."""
+        m = len(tokens)
+        self._check_stage(m, ctx_prev)
+        return _compact(
+            self.layout,
+            lambda regs, code: self._head(tokens, ctx_prev, regs, code),
+            lambda x, regs, code: self._layer(x, 0, m, ctx_prev, regs, code),
+            self._tail)
 
     def compile_sum_stage(self, prompt: Sequence[int]
                           ) -> Tuple[isa.Instruction, ...]:
@@ -519,9 +552,49 @@ class ProgramCache:
         return self.stage((token,), ctx_prev=context_len - 1)
 
 
+def _compact(layout: ModelLayout,
+             emit_head: Callable[[RegisterAllocator, List[isa.Instruction]],
+                                 str],
+             emit_layer: Callable[[str, RegisterAllocator,
+                                   List[isa.Instruction]], str],
+             emit_tail: Callable[[str, RegisterAllocator,
+                                  List[isa.Instruction]], None]
+             ) -> isa.CompactProgram:
+    """A stage as head, decoder layer 0 and tail.
+
+    ``emit_head`` returns the register the first layer reads;
+    ``emit_layer`` emits layer 0 from that register and returns the one
+    it hands on.  The allocator then skips the registers layers 1.. take
+    in the flat program, so the tail holds its flat names.  Each layer's
+    regions sit one layer block after the previous layer's.
+    """
+    num_layers = layout.config.num_layers
+    regs = RegisterAllocator()
+    head: List[isa.Instruction] = []
+    carry_in = emit_head(regs, head)
+    before = regs.counts()
+    layer: List[isa.Instruction] = []
+    carry_out = emit_layer(carry_in, regs, layer)
+    stride = {bank: n - before[bank] for bank, n in regs.counts().items()}
+    regs.skip({bank: n * (num_layers - 1) for bank, n in stride.items()})
+    tail: List[isa.Instruction] = []
+    emit_tail(isa.renumbered(carry_out, stride, num_layers - 1), regs, tail)
+    layer_bytes = (layout.addr("layer1.ln1_gamma")
+                   - layout.addr("layer0.ln1_gamma")) if num_layers > 1 else 0
+    return isa.CompactProgram(
+        head=tuple(head), layer=tuple(layer), tail=tuple(tail),
+        num_layers=num_layers, carry_in=carry_in, carry_out=carry_out,
+        reg_stride=tuple(stride.items()), layer_bytes=layer_bytes)
+
+
+@functools.lru_cache(maxsize=32)
 def _fake_layout(config: LLMConfig,
                  quantize: Optional[str] = None) -> ModelLayout:
-    """A layout with correctly-sized regions but no backing memory."""
+    """A layout with correctly-sized regions but no backing memory.
+
+    Cached per ``(config, quantize)``: every timing program of a model
+    shares one (read-only) layout.
+    """
     regions: Dict[str, Region] = {}
     cursor = 0
 
@@ -574,23 +647,24 @@ def timing_layout(config: LLMConfig,
 
 
 def timing_program(config: LLMConfig, batch_tokens: int, ctx_prev: int,
-                   quantize: Optional[str] = None
-                   ) -> Tuple[isa.Instruction, ...]:
+                   quantize: Optional[str] = None) -> isa.CompactProgram:
     """A stage program with placeholder tokens/addresses for timing only.
 
     Builds a fake layout with correctly-sized regions but no backing
     memory, so the timing simulator can schedule real instruction streams
     for models far larger than simulatable memory.  ``quantize="int8"``
     emits the int8 weight path so the simulator prices the halved
-    weight stream.
+    weight stream.  The program is compact (one decoder layer emitted);
+    its expansion equals ``compile_stage`` on the same layout.
     """
     layout = _fake_layout(config, quantize=quantize)
-    return StageCompiler(layout).compile_stage([0] * batch_tokens, ctx_prev)
+    return StageCompiler(layout).compile_compact([0] * batch_tokens,
+                                                 ctx_prev)
 
 
 def batched_timing_program(config: LLMConfig, batch: int, ctx_prev: int,
                            quantize: Optional[str] = None
-                           ) -> Tuple[isa.Instruction, ...]:
+                           ) -> isa.CompactProgram:
     """One batched decode step for timing: a gen token from each of
     ``batch`` concurrent requests, all at attention span ``ctx_prev + 1``.
 
@@ -599,7 +673,8 @@ def batched_timing_program(config: LLMConfig, batch: int, ctx_prev: int,
     once per step), while KV appends and masked attention run per request
     at ``m=1`` on the adder trees, each against its own cache.  Timing
     only — addresses come from a fake layout and the program is never
-    executed functionally (register shapes would not line up).
+    executed functionally (register shapes would not line up).  The
+    program is compact, like :func:`timing_program`'s.
     """
     if batch < 1:
         raise ConfigurationError(f"batch={batch} must be >= 1")
@@ -614,21 +689,23 @@ def batched_timing_program(config: LLMConfig, batch: int, ctx_prev: int,
     heads, hd = cfg.num_heads, cfg.head_dim
     ctx = ctx_prev + 1
     addr = layout.addr
-    regs = RegisterAllocator()
-    code: List[isa.Instruction] = []
 
-    tok = regs.matrix()
-    code.append(isa.DmaGather(dst=tok, table_addr=addr("token_embedding"),
-                              row_elems=d, indices=(0,) * batch))
-    pos = regs.matrix()
-    code.append(isa.DmaLoad(dst=pos, addr=addr("position_embedding"),
-                            shape=(batch, d)))
-    x = regs.matrix()
-    code.append(isa.VpuAdd(dst=x, a=tok, b=pos))
-    code.append(isa.Free(regs=(tok, pos)))
+    def head(regs: RegisterAllocator, code: List[isa.Instruction]) -> str:
+        tok = regs.matrix()
+        code.append(isa.DmaGather(dst=tok,
+                                  table_addr=addr("token_embedding"),
+                                  row_elems=d, indices=(0,) * batch))
+        pos = regs.matrix()
+        code.append(isa.DmaLoad(dst=pos, addr=addr("position_embedding"),
+                                shape=(batch, d)))
+        x = regs.matrix()
+        code.append(isa.VpuAdd(dst=x, a=tok, b=pos))
+        code.append(isa.Free(regs=(tok, pos)))
+        return x
 
-    for i in range(cfg.num_layers):
-        p = f"layer{i}."
+    def layer(x: str, regs: RegisterAllocator,
+              code: List[isa.Instruction]) -> str:
+        p = "layer0."
         h = regs.matrix()
         code.append(isa.VpuLayerNorm(dst=h, src=x,
                                      gamma_addr=addr(p + "ln1_gamma"),
@@ -686,20 +763,24 @@ def batched_timing_program(config: LLMConfig, batch: int, ctx_prev: int,
         x3 = regs.matrix()
         code.append(isa.VpuAdd(dst=x3, a=x2, b=f2))
         code.append(isa.Free(regs=(h2, f1, g, f2, x2)))
-        x = x3
+        return x3
 
-    final = regs.matrix()
-    code.append(isa.VpuLayerNorm(dst=final, src=x,
-                                 gamma_addr=addr("ln_f_gamma"),
-                                 beta_addr=addr("ln_f_beta"),
-                                 n=d, eps=LN_EPS))
-    logits = regs.matrix()
-    sc._matmul(logits, final, "lm_head", batch, d, cfg.vocab_size, code)
-    token_reg = regs.scalar()
-    code.append(isa.VpuArgmax(dst=token_reg, src=logits))
-    code.append(isa.DmaStore(src=token_reg,
-                             addr=layout.output_region.addr,
-                             shape=(batch,)))
-    code.append(isa.Free(regs=(x, final, logits, token_reg)))
-    code.append(isa.Barrier())
-    return tuple(code)
+    def tail(x: str, regs: RegisterAllocator,
+             code: List[isa.Instruction]) -> None:
+        final = regs.matrix()
+        code.append(isa.VpuLayerNorm(dst=final, src=x,
+                                     gamma_addr=addr("ln_f_gamma"),
+                                     beta_addr=addr("ln_f_beta"),
+                                     n=d, eps=LN_EPS))
+        logits = regs.matrix()
+        sc._matmul(logits, final, "lm_head", batch, d, cfg.vocab_size,
+                   code)
+        token_reg = regs.scalar()
+        code.append(isa.VpuArgmax(dst=token_reg, src=logits))
+        code.append(isa.DmaStore(src=token_reg,
+                                 addr=layout.output_region.addr,
+                                 shape=(batch,)))
+        code.append(isa.Free(regs=(x, final, logits, token_reg)))
+        code.append(isa.Barrier())
+
+    return _compact(layout, head, layer, tail)

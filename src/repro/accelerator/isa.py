@@ -37,9 +37,12 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
+from repro.accelerator.registers import bank_of
 from repro.errors import IsaError
 
 
@@ -730,6 +733,182 @@ def _numel(shape: Tuple[int, ...]) -> int:
 
 Program = Tuple[Instruction, ...]
 
+#: Instruction fields that name a register (``Free.regs`` holds a tuple
+#: of them) and fields that hold a device address.  ``scale_addr`` and
+#: ``bias_addr`` are optional: a negative value means absent.
+REGISTER_FIELDS = frozenset(
+    {"dst", "src", "a", "b", "act", "q", "probs", "rowmax", "rowmax_dst"})
+ADDRESS_FIELDS = frozenset(
+    {"addr", "table_addr", "weight_addr", "k_addr", "v_addr", "gamma_addr",
+     "beta_addr"})
+OPTIONAL_ADDRESS_FIELDS = frozenset({"scale_addr", "bias_addr"})
+
+
+def _relocated(instr: Instruction, names: Dict[str, str],
+              offset: int) -> Instruction:
+    """``instr`` with registers renamed by ``names`` and every device
+    address shifted by ``offset`` bytes.
+
+    Clones at the ``__dict__`` level: the fields come from an
+    already-constructed instruction, so ``__post_init__`` need not rerun.
+    """
+    fields = {}
+    for key, value in instr.__dict__.items():
+        if key in REGISTER_FIELDS:
+            value = names.get(value, value)
+        elif key == "regs":
+            value = tuple(names.get(reg, reg) for reg in value)
+        elif key in ADDRESS_FIELDS or (key in OPTIONAL_ADDRESS_FIELDS
+                                       and value >= 0):
+            value += offset
+        fields[key] = value
+    clone = object.__new__(type(instr))
+    clone.__dict__.update(fields)
+    return clone
+
+
+def renumbered(reg: str, stride: Mapping[str, int], times: int) -> str:
+    """``reg`` moved ``times × stride[bank]`` further up its bank."""
+    bank = reg[0]
+    return f"{bank}{int(reg[1:]) + times * stride.get(bank, 0)}"
+
+
+def _registers(code: Sequence[Instruction]) -> Iterator[str]:
+    for instr in code:
+        yield from instr.reads()
+        yield from instr.writes()
+
+
+@dataclass(frozen=True)
+class CompactProgram(Sequence):
+    """A stage program as ``head + layer × num_layers + tail``.
+
+    The instruction-level counterpart of
+    :class:`repro.llm.graph.CompactStage`.  ``layer`` is decoder layer 0
+    as the flat program holds it.  Layer ``i`` is layer 0 with its
+    device addresses shifted by ``i × layer_bytes`` and each register it
+    allocates renumbered ``i × stride`` further up its bank
+    (``reg_stride`` pairs a bank with the registers one layer allocates
+    in it).  The register it reads from its predecessor, ``carry_in``,
+    is layer ``i - 1``'s ``carry_out``.  The tail names the last layer's
+    registers by their flat names.
+
+    :meth:`expand` renders the flat program; ``len``, indexing and
+    iteration read that expansion, so a compact program goes wherever a
+    flat one does.  ``CompactProgram(code)`` is a flat program: the
+    compact case with no layer.  Construction rejects a compact program
+    whose renaming would let two layers, or a layer and the head or
+    tail, share a register name, so schedulers and checkers may treat
+    every layer as a renamed copy of layer 0.
+    """
+
+    head: Program
+    layer: Program = ()
+    tail: Program = ()
+    num_layers: int = 0
+    carry_in: str = ""
+    carry_out: str = ""
+    reg_stride: Tuple[Tuple[str, int], ...] = ()
+    layer_bytes: int = 0
+
+    def __post_init__(self) -> None:
+        if bool(self.layer) != (self.num_layers > 0):
+            raise IsaError("compact program: a layer needs num_layers >= 1 "
+                           "and num_layers needs a layer")
+        if not self.layer:
+            return
+        if self.carry_out not in self.layer_regs:
+            raise IsaError(f"compact program: carry_out {self.carry_out!r} "
+                           f"is not a register of the layer")
+        for bank, (low, own) in self._own.items():
+            if self.num_layers > 1 \
+                    and max(own) - low >= self._stride.get(bank, 0):
+                raise IsaError(f"compact program: the layer's {bank}-bank "
+                               f"registers span its stride, so layers "
+                               f"would share names")
+        last = self.num_layers - 1
+        for reg in (self.carry_in, *_registers(self.head)):
+            if self.layer_of(reg) is not None:
+                raise IsaError(f"compact program: head register {reg} is "
+                               f"also a layer register")
+        for reg in _registers(self.tail):
+            if reg == self.carry_in or self.layer_of(reg) not in (None,
+                                                                  last):
+                raise IsaError(f"compact program: tail register {reg} "
+                               f"names a layer other than the last")
+
+    @cached_property
+    def layer_regs(self) -> Tuple[str, ...]:
+        """The registers layer 0 allocates: all it names but carry_in."""
+        regs = dict.fromkeys(_registers(self.layer))
+        regs.pop(self.carry_in, None)
+        return tuple(regs)
+
+    @cached_property
+    def _stride(self) -> Dict[str, int]:
+        return dict(self.reg_stride)
+
+    @cached_property
+    def _own(self) -> Dict[str, Tuple[int, frozenset]]:
+        """Bank -> (lowest index, indices) of :attr:`layer_regs`."""
+        indices: Dict[str, set] = {}
+        for reg in self.layer_regs:
+            indices.setdefault(bank_of(reg), set()).add(int(reg[1:]))
+        return {bank: (min(own), frozenset(own))
+                for bank, own in indices.items()}
+
+    def layer_of(self, reg: str) -> Optional[int]:
+        """``i`` when ``reg`` is layer ``i``'s name for a register of
+        :attr:`layer_regs`, else None."""
+        bank = bank_of(reg)
+        if bank not in self._own:
+            return None
+        low, own = self._own[bank]
+        index = int(reg[1:])
+        step = self._stride.get(bank, 0)
+        if step == 0:
+            return 0 if index in own else None
+        i, rem = divmod(index - low, step)
+        return i if 0 <= i < self.num_layers and low + rem in own else None
+
+    def rename(self, reg: str, i: int) -> str:
+        """Layer ``i``'s name for layer 0's register ``reg``."""
+        return renumbered(reg, self._stride, i)
+
+    def layer_start(self, i: int) -> int:
+        """Flat index of layer ``i``'s first instruction."""
+        return len(self.head) + i * len(self.layer)
+
+    def layer_at(self, i: int) -> Program:
+        """Decoder layer ``i`` as the flat program holds it."""
+        if i == 0:
+            return self.layer
+        names = {reg: self.rename(reg, i) for reg in self.layer_regs}
+        names[self.carry_in] = self.rename(self.carry_out, i - 1)
+        return tuple(_relocated(instr, names, i * self.layer_bytes)
+                     for instr in self.layer)
+
+    def expand(self) -> Program:
+        """The flat program."""
+        return self._flat
+
+    @cached_property
+    def _flat(self) -> Program:
+        code = list(self.head)
+        for i in range(self.num_layers):
+            code.extend(self.layer_at(i))
+        code.extend(self.tail)
+        return tuple(code)
+
+    def __len__(self) -> int:
+        return self.layer_start(self.num_layers) + len(self.tail)
+
+    def __getitem__(self, index):
+        return self._flat[index]
+
+    def __iter__(self) -> Iterator[Instruction]:
+        return iter(self._flat)
+
 
 def validate_program(program) -> None:
     """Static checks: registers written before read, types correct.
@@ -739,9 +918,22 @@ def validate_program(program) -> None:
     misaligned memory windows (PNM201/PNM202/PNM203) — as
     :class:`IsaError`.  The deeper layout-aware and dataflow
     diagnostics stay behind the opt-in ``verify_static`` hook.
+
+    A :class:`CompactProgram` gets exactly the verdict and error of its
+    expansion without being expanded.
     """
-    written = set()
-    for idx, instr in enumerate(program):
+    if isinstance(program, CompactProgram):
+        _check_compact_registers(program)
+    else:
+        _check_registers(program, set(), 0)
+    _validate_addresses(program)
+
+
+def _check_registers(code: Sequence[Instruction], written: set,
+                     start: int) -> None:
+    """Read-before-write check of ``code``, numbered from ``start``;
+    ``written`` holds the live registers and is updated in place."""
+    for idx, instr in enumerate(code, start):
         if not isinstance(instr, Instruction):
             raise IsaError(f"program[{idx}] is not an Instruction: {instr!r}")
         for reg in instr.reads():
@@ -752,7 +944,33 @@ def validate_program(program) -> None:
         written.update(instr.writes())
         if isinstance(instr, Free):
             written.difference_update(instr.regs)
-    _validate_addresses(program)
+
+
+def _check_compact_registers(program: CompactProgram) -> None:
+    """The register check of ``program.expand()``, over head, layer, tail.
+
+    Every layer touches only its own registers and its carry-in, so it
+    repeats layer 0's check except for whether the carry-in is live on
+    entry: layer 0 inherits that from the head, each later layer from
+    whether the layer leaves ``carry_out`` live.  When the two differ,
+    layer 1 is checked as well; layers 2 on enter as layer 1 does.  The
+    tail sees the head's registers and the last layer's live ones.
+    """
+    written: set = set()
+    _check_registers(program.head, written, 0)
+    if program.num_layers:
+        entry_live = program.carry_in in written
+        _check_registers(program.layer, written, len(program.head))
+        live = [reg for reg in program.layer_regs if reg in written]
+        if program.num_layers > 1 \
+                and (program.carry_out in written) != entry_live:
+            _check_registers(program.layer_at(1), written,
+                             program.layer_start(1))
+        last = program.num_layers - 1
+        written = {reg for reg in written if program.layer_of(reg) is None}
+        written.update(program.rename(reg, last) for reg in live)
+    _check_registers(program.tail, written,
+                     program.layer_start(program.num_layers))
 
 
 def _validate_addresses(program) -> None:
@@ -761,8 +979,7 @@ def _validate_addresses(program) -> None:
         from repro.analysis.verifier import address_diagnostics
     except ImportError:  # pragma: no cover - analysis layer optional
         return
-    errors = [d for d in address_diagnostics(program)
-              if d.severity.value == "error"]
+    errors = address_diagnostics(program)
     if errors:
         rendered = "; ".join(d.render() for d in errors[:4])
         more = f" (+{len(errors) - 4} more)" if len(errors) > 4 else ""

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Mapping
 
 import numpy as np
 
@@ -70,6 +70,16 @@ class RegisterAllocator:
 
     def scalar(self) -> str:
         return self.fresh("s")
+
+    def counts(self) -> Dict[str, int]:
+        """Registers handed out so far, per bank."""
+        return dict(self._counters)
+
+    def skip(self, counts: Mapping[str, int]) -> None:
+        """Advance each bank as if ``counts[bank]`` more registers had
+        been handed out."""
+        for bank, n in counts.items():
+            self._counters[bank] += n
 
 
 class RegisterFileState:

@@ -44,6 +44,7 @@ from .verifier import (
     dtype_diagnostics,
     memory_windows,
     pressure_diagnostics,
+    store_overlap_diagnostics,
     verify_program,
 )
 
@@ -73,5 +74,6 @@ __all__ = [
     "resolve_passes",
     "rules_for",
     "run_suite",
+    "store_overlap_diagnostics",
     "verify_program",
 ]

@@ -30,7 +30,8 @@ fake address, which is exactly what PNM204 describes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+import heapq
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.accelerator import isa
 
@@ -124,18 +125,97 @@ def _find_region(regions, addr: int):
     return None
 
 
+def _address_bound(regions, memory_capacity: Optional[int]) -> int:
+    if memory_capacity is not None:
+        return memory_capacity
+    if regions:
+        return max(r.end for r in regions)
+    return DEFAULT_ADDRESS_SPACE
+
+
+def _program_windows(program) -> Iterator[Tuple[int, isa.Instruction, int,
+                                               int, str]]:
+    """``(index, instruction, addr, nbytes, kind)`` for every memory
+    window of ``program``, in flat program order.
+
+    On a :class:`~repro.accelerator.isa.CompactProgram`, layer ``i``'s
+    windows are layer 0's shifted by ``i × layer_bytes``: every layer is
+    checked, and nothing is expanded.
+    """
+    if not isinstance(program, isa.CompactProgram):
+        program = isa.CompactProgram(tuple(program))
+    for idx, instr in enumerate(program.head):
+        for window in memory_windows(instr):
+            yield (idx, instr, *window)
+    layer = [(j, instr, memory_windows(instr))
+             for j, instr in enumerate(program.layer)]
+    for i in range(program.num_layers):
+        start, shift = program.layer_start(i), i * program.layer_bytes
+        for j, instr, windows in layer:
+            for addr, nbytes, kind in windows:
+                yield start + j, instr, addr + shift, nbytes, kind
+    start = program.layer_start(program.num_layers)
+    for idx, instr in enumerate(program.tail, start):
+        for window in memory_windows(instr):
+            yield (idx, instr, *window)
+
+
 def address_diagnostics(program, *, layout=None,
                         memory_capacity: Optional[int] = None
                         ) -> List[Diagnostic]:
-    """PNM2xx: bounds, alignment, overlap, and layout-aware checks."""
+    """PNM201-203, PNM205-206: bounds, alignment and layout-aware checks.
+
+    Every finding is an ERROR.  Overlapping stores (PNM204 warnings) are
+    :func:`store_overlap_diagnostics`.
+    """
     diags: List[Diagnostic] = []
     regions = list(layout.regions.values()) if layout is not None else []
-    if memory_capacity is not None:
-        bound = memory_capacity
-    elif regions:
-        bound = max(r.end for r in regions)
-    else:
-        bound = DEFAULT_ADDRESS_SPACE
+    bound = _address_bound(regions, memory_capacity)
+
+    def error(code: str, message: str) -> None:
+        diags.append(Diagnostic(code, Severity.ERROR, message,
+                                location=f"program[{idx}]", index=idx,
+                                source=instr.opcode))
+
+    for idx, instr, addr, nbytes, kind in _program_windows(program):
+        if addr < 0:
+            error("PNM201", f"negative device address {addr}")
+            continue
+        if addr + nbytes > bound:
+            error("PNM202", f"window [{addr:#x}, {addr + nbytes:#x}) "
+                            f"exceeds the device address space "
+                            f"({bound:#x} bytes)")
+            continue
+        if addr % ADDRESS_ALIGNMENT:
+            error("PNM203", f"address {addr:#x} is not "
+                            f"{ADDRESS_ALIGNMENT}-byte aligned")
+        if regions and nbytes > 0:
+            region = _find_region(regions, addr)
+            if region is None:
+                error("PNM205", f"window start {addr:#x} falls outside "
+                                f"every layout region")
+            elif addr + nbytes > region.end:
+                error("PNM205", f"window [{addr:#x}, {addr + nbytes:#x}) "
+                                f"crosses the end of region "
+                                f"'{region.name}' ({region.end:#x})")
+            elif kind == "store" and not _region_is_mutable(region.name):
+                error("PNM206",
+                      f"store into read-only region '{region.name}'")
+    return diags
+
+
+def store_overlap_diagnostics(program, *, layout=None,
+                              memory_capacity: Optional[int] = None
+                              ) -> List[Diagnostic]:
+    """PNM204: DMA store windows that overlap with no barrier between.
+
+    Quadratic in the stores between two barriers, so only
+    :func:`verify_program` runs it.  Windows that fail PNM201/PNM202
+    are skipped: :func:`address_diagnostics` reports those.
+    """
+    diags: List[Diagnostic] = []
+    regions = list(layout.regions.values()) if layout is not None else []
+    bound = _address_bound(regions, memory_capacity)
     #: store windows seen since the last barrier: (index, addr, nbytes)
     stores: List[Tuple[int, int, int]] = []
     for idx, instr in enumerate(program):
@@ -143,60 +223,21 @@ def address_diagnostics(program, *, layout=None,
             stores.clear()
             continue
         for addr, nbytes, kind in memory_windows(instr):
-            loc = f"program[{idx}]"
-            op = instr.opcode
-            if addr < 0:
-                diags.append(Diagnostic(
-                    "PNM201", Severity.ERROR,
-                    f"negative device address {addr}",
-                    location=loc, index=idx, source=op))
+            if kind != "store" or nbytes <= 0 or addr < 0 \
+                    or addr + nbytes > bound:
                 continue
-            if addr + nbytes > bound:
-                diags.append(Diagnostic(
-                    "PNM202", Severity.ERROR,
-                    f"window [{addr:#x}, {addr + nbytes:#x}) exceeds the "
-                    f"device address space ({bound:#x} bytes)",
-                    location=loc, index=idx, source=op))
-                continue
-            if addr % ADDRESS_ALIGNMENT:
-                diags.append(Diagnostic(
-                    "PNM203", Severity.ERROR,
-                    f"address {addr:#x} is not "
-                    f"{ADDRESS_ALIGNMENT}-byte aligned",
-                    location=loc, index=idx, source=op))
-            if regions and nbytes > 0:
-                region = _find_region(regions, addr)
-                if region is None:
+            for prev_idx, prev_addr, prev_bytes in stores:
+                if addr < prev_addr + prev_bytes \
+                        and prev_addr < addr + nbytes:
                     diags.append(Diagnostic(
-                        "PNM205", Severity.ERROR,
-                        f"window start {addr:#x} falls outside every "
-                        f"layout region",
-                        location=loc, index=idx, source=op))
-                elif addr + nbytes > region.end:
-                    diags.append(Diagnostic(
-                        "PNM205", Severity.ERROR,
-                        f"window [{addr:#x}, {addr + nbytes:#x}) crosses "
-                        f"the end of region '{region.name}' "
-                        f"({region.end:#x})",
-                        location=loc, index=idx, source=op))
-                elif kind == "store" and not _region_is_mutable(region.name):
-                    diags.append(Diagnostic(
-                        "PNM206", Severity.ERROR,
-                        f"store into read-only region '{region.name}'",
-                        location=loc, index=idx, source=op))
-            if kind == "store" and nbytes > 0:
-                for prev_idx, prev_addr, prev_bytes in stores:
-                    if addr < prev_addr + prev_bytes \
-                            and prev_addr < addr + nbytes:
-                        diags.append(Diagnostic(
-                            "PNM204", Severity.WARNING,
-                            f"store window [{addr:#x}, "
-                            f"{addr + nbytes:#x}) overlaps the store at "
-                            f"program[{prev_idx}] with no intervening "
-                            f"barrier",
-                            location=loc, index=idx, source=op))
-                        break
-                stores.append((idx, addr, nbytes))
+                        "PNM204", Severity.WARNING,
+                        f"store window [{addr:#x}, {addr + nbytes:#x}) "
+                        f"overlaps the store at program[{prev_idx}] with "
+                        f"no intervening barrier",
+                        location=f"program[{idx}]", index=idx,
+                        source=instr.opcode))
+                    break
+            stores.append((idx, addr, nbytes))
     return diags
 
 
@@ -311,8 +352,14 @@ def verify_program(program, *, layout=None,
     """
     diags: List[Diagnostic] = []
     diags.extend(dataflow_diagnostics(program))
-    diags.extend(address_diagnostics(
-        program, layout=layout, memory_capacity=memory_capacity))
+    # Address errors and overlap warnings in program order, as one scan
+    # used to report them (at one index, the errors come first).
+    diags.extend(heapq.merge(
+        address_diagnostics(program, layout=layout,
+                            memory_capacity=memory_capacity),
+        store_overlap_diagnostics(program, layout=layout,
+                                  memory_capacity=memory_capacity),
+        key=lambda d: d.index))
     diags.extend(dtype_diagnostics(program))
     if check_pressure:
         diags.extend(pressure_diagnostics(program, budgets))

@@ -30,6 +30,16 @@ from repro.obs.context import get_metrics, get_tracer
 import repro.perf.calibration as cal
 
 
+#: Units in plan order: a lowered step names its unit by index here.
+_UNITS = tuple(isa.Unit)
+_UNIT_INDEX = {unit: i for i, unit in enumerate(_UNITS)}
+
+#: Unit indices of the two plan steps that schedule no instruction.
+_BARRIER, _BOUNDARY = -1, -2
+_BARRIER_STEP = (_BARRIER, (), (), 0.0, 0.0, 0.0, 0.0, None)
+_BOUNDARY_STEP = (_BOUNDARY, (), (), 0.0, 0.0, 0.0, 0.0, None)
+
+
 @dataclass
 class _ShapeTracker:
     """Propagates register shapes through a program without executing it."""
@@ -142,13 +152,13 @@ class AcceleratorSimulator:
         self._dma = self.device.dma_timing()
         self._clock = self.device.spec.clock_hz
         self._bw = self.device.effective_memory_bandwidth
-        #: (instruction, out_elems) -> (busy_s, mem_s, mem_bytes).  The
-        #: duration of an instruction is a pure function of its fields,
-        #: the shape-tracked output size (VPU cost input), and device
+        #: (instruction, out_elems) -> :meth:`_cost`.  The cost of an
+        #: instruction is a pure function of its fields, the
+        #: shape-tracked output size (VPU cost input), and device
         #: constants, so this key is exact — repeated decode steps reuse
         #: per-instruction costs instead of re-deriving them.
-        self._durations: Dict[Tuple[isa.Instruction, int],
-                              Tuple[float, float, float]] = {}
+        self._costs: Dict[Tuple[isa.Instruction, int],
+                          Tuple[int, float, float, float, float]] = {}
         #: CachedProgram.timing_key -> SimulationResult for whole-program
         #: reuse (identical stage geometry schedules identically).
         self._results: Dict[Hashable, SimulationResult] = {}
@@ -187,20 +197,21 @@ class AcceleratorSimulator:
             return busy, mem_time, mem_bytes
         return 0.0, 0.0, 0.0  # control instructions
 
-    def _duration_memo(self, instr: isa.Instruction, shapes: _ShapeTracker
-                       ) -> Tuple[float, float, float]:
-        out_elems = (shapes.elems(instr.writes()[0])
-                     if instr.writes() else 0)
-        if not self.memoize:
-            return self._duration(instr, out_elems)
-        key = (instr, out_elems)
-        hit = self._durations.get(key)
-        if hit is None:
-            if len(self._durations) > 65536:
-                self._durations.clear()
-            hit = self._duration(instr, out_elems)
-            self._durations[key] = hit
-        return hit
+    def _cost(self, instr: isa.Instruction, out_elems: int
+              ) -> Tuple[int, float, float, float, float]:
+        """(unit index, busy s, memory s, memory bytes, flops)."""
+        if self.memoize:
+            key = (instr, out_elems)
+            hit = self._costs.get(key)
+            if hit is not None:
+                return hit
+            if len(self._costs) > 65536:
+                self._costs.clear()
+        cost = (_UNIT_INDEX[instr.unit], *self._duration(instr, out_elems),
+                instr.flops())
+        if self.memoize:
+            self._costs[key] = cost
+        return cost
 
     @staticmethod
     def _copy_result(result: SimulationResult) -> SimulationResult:
@@ -211,6 +222,70 @@ class AcceleratorSimulator:
             mem_bytes=result.mem_bytes,
             flops=result.flops)
 
+    def _lower(self, program: isa.CompactProgram
+               ) -> Tuple[list, int, int, int, Tuple[int, ...]]:
+        """Lower ``program`` once into integer-indexed plan steps.
+
+        Returns ``(steps, slots, carry_in, carry_out, layer_slots)``.
+        A step is ``(unit index, read slots, write slots, busy s,
+        memory s, memory bytes, flops, instruction)``; a barrier or a
+        layer boundary is a step whose unit index is ``_BARRIER`` or
+        ``_BOUNDARY``.  Each register name gets one slot.  The layer is
+        lowered once and its steps repeat ``num_layers`` times, each
+        time after a boundary.  The head writes the carried register
+        into ``carry_out``'s slot, so every boundary does the same: move
+        ``carry_out``'s times to ``carry_in``'s slot and reset the
+        layer's own slots to 0.0, as fresh register names start.
+        """
+        shapes = _ShapeTracker()
+        slots: Dict[str, int] = {}
+
+        def lower(code: Sequence[isa.Instruction],
+                  names: Dict[str, str]) -> list:
+            steps = []
+            for instr in code:
+                if isinstance(instr, isa.Barrier):
+                    steps.append(_BARRIER_STEP)
+                    continue
+                shapes.update(instr)
+                writes = instr.writes()
+                unit, busy, mem_time, mem_bytes, flops = self._cost(
+                    instr, shapes.elems(writes[0]) if writes else 0)
+                steps.append((
+                    unit,
+                    [slots.setdefault(names.get(r, r), len(slots))
+                     for r in instr.reads()],
+                    [slots.setdefault(names.get(r, r), len(slots))
+                     for r in writes],
+                    busy, mem_time, mem_bytes, flops, instr))
+            return steps
+
+        if not program.num_layers:
+            steps = lower(program.head, {}) + lower(program.tail, {})
+            return steps, len(slots), 0, 0, ()
+        carry_in, carry_out = program.carry_in, program.carry_out
+        head = lower(program.head, {carry_in: carry_out})
+        entry_shape = shapes.shapes.get(carry_in)
+        layer = lower(program.layer, {})
+        if program.num_layers > 1 \
+                and shapes.shapes.get(carry_out) != entry_shape:
+            raise SimulationError(
+                f"layer 0 reads a carry of shape {entry_shape} but hands "
+                f"on {shapes.shapes.get(carry_out)}, so later layers "
+                f"would not repeat it")
+        # The tail names the last layer's registers by their flat names.
+        last = program.num_layers - 1
+        aliases = {program.rename(r, last): r for r in program.layer_regs}
+        for flat, own in aliases.items():
+            if own in shapes.shapes:
+                shapes.shapes[flat] = shapes.shapes[own]
+        tail = lower(program.tail, aliases)
+        steps = head + ([_BOUNDARY_STEP] + layer) * program.num_layers \
+            + tail
+        cin = slots.setdefault(carry_in, len(slots))
+        layer_slots = tuple(slots[r] for r in program.layer_regs)
+        return steps, len(slots), cin, slots[carry_out], layer_slots
+
     def run(self, program: Sequence[isa.Instruction],
             trace_offset_s: float = 0.0) -> SimulationResult:
         """Schedule a program; returns makespan and per-unit busy time.
@@ -220,6 +295,11 @@ class AcceleratorSimulator:
         e.g. a generation session — lay stages out contiguously).  It
         never affects the returned result.
 
+        A :class:`~repro.accelerator.isa.CompactProgram` is lowered from
+        its one decoder layer and scheduled as its expansion would be,
+        with the same float operations in the same order; a flat program
+        is the compact case with no layer.
+
         Programs produced by a :class:`~repro.accelerator.compiler
         .ProgramCache` carry a ``timing_key`` identifying their stage
         geometry; with ``memoize`` on, re-running the same geometry
@@ -227,7 +307,7 @@ class AcceleratorSimulator:
         rescheduling.  The bypass is disabled while a tracer or metrics
         registry is active so observability output stays complete.
         """
-        if not isinstance(program, tuple):
+        if not isinstance(program, (tuple, isa.CompactProgram)):
             program = tuple(program)
         tracer = get_tracer(self._tracer)
         metrics = get_metrics(self._metrics)
@@ -241,75 +321,89 @@ class AcceleratorSimulator:
                 # already passed validation on its first run.
                 return self._copy_result(cached)
         isa.validate_program_cached(program)
-        shapes = _ShapeTracker()
-        unit_free: Dict[isa.Unit, float] = {u: 0.0 for u in isa.Unit}
-        unit_busy: Dict[isa.Unit, float] = {u: 0.0 for u in isa.Unit}
+        if not isinstance(program, isa.CompactProgram):
+            program = isa.CompactProgram(program)
+        tracing, counting = tracer.enabled, metrics.enabled
+        n_units = len(_UNITS)
+        unit_free = [0.0] * n_units
+        unit_busy = [0.0] * n_units
         mem_free = 0.0
-        reg_ready: Dict[str, float] = {}
-        reg_last_read: Dict[str, float] = {}
         makespan = 0.0
         total_mem = 0.0
         total_flops = 0.0
 
         with tracer.span("simulator.run", category="accelerator",
                          instructions=len(program)):
-            for instr in program:
-                if isinstance(instr, isa.Barrier):
-                    unit_free = {u: makespan for u in isa.Unit}
-                    mem_free = makespan
+            steps, n_slots, cin, cout, layer_slots = self._lower(program)
+            ready = [0.0] * n_slots
+            last_read = [0.0] * n_slots
+            for unit, reads, writes, busy, mem_time, mem_bytes, flops, \
+                    instr in steps:
+                if unit < 0:
+                    if unit == _BARRIER:
+                        unit_free = [makespan] * n_units
+                        mem_free = makespan
+                    else:
+                        ready[cin] = ready[cout]
+                        last_read[cin] = last_read[cout]
+                        for slot in layer_slots:
+                            ready[slot] = 0.0
+                            last_read[slot] = 0.0
                     continue
-                shapes.update(instr)
-                busy, mem_time, mem_bytes = self._duration_memo(instr,
-                                                                shapes)
-                ready = unit_free[instr.unit]
-                for reg in instr.reads():
-                    ready = max(ready, reg_ready.get(reg, 0.0))
-                for reg in instr.writes():
+                start = unit_free[unit]
+                for slot in reads:
+                    if ready[slot] > start:
+                        start = ready[slot]
+                for slot in writes:
                     # WAW / WAR serialization.
-                    ready = max(ready, reg_ready.get(reg, 0.0),
-                                reg_last_read.get(reg, 0.0))
+                    if ready[slot] > start:
+                        start = ready[slot]
+                    if last_read[slot] > start:
+                        start = last_read[slot]
+                if mem_time > 0 and mem_free > start:
+                    start = mem_free
+                end = start + busy
+                unit_free[unit] = end
+                unit_busy[unit] += busy
                 if mem_time > 0:
-                    ready = max(ready, mem_free)
-                end = ready + busy
-                unit_free[instr.unit] = end
-                unit_busy[instr.unit] += busy
-                if mem_time > 0:
-                    mem_free = ready + mem_time
+                    mem_free = start + mem_time
                     # Count the bytes the timing model actually streamed
                     # (on gemm_via_tree devices the memory operand is
                     # re-streamed per activation row), so mem_bytes and
                     # bandwidth_utilization_of reflect modelled traffic.
                     total_mem += mem_bytes
-                for reg in instr.reads():
-                    reg_last_read[reg] = max(reg_last_read.get(reg, 0.0),
-                                             end)
-                for reg in instr.writes():
-                    reg_ready[reg] = end
-                total_flops += instr.flops()
-                makespan = max(makespan, end)
-                if tracer.enabled:
+                for slot in reads:
+                    if end > last_read[slot]:
+                        last_read[slot] = end
+                for slot in writes:
+                    ready[slot] = end
+                total_flops += flops
+                if end > makespan:
+                    makespan = end
+                if tracing:
                     tracer.sim_span(
-                        instr.opcode, start_s=trace_offset_s + ready,
-                        dur_s=busy, track=f"pnm.{instr.unit.name}",
+                        instr.opcode, start_s=trace_offset_s + start,
+                        dur_s=busy, track=f"pnm.{_UNITS[unit].name}",
                         category="accelerator")
-                if metrics.enabled:
+                if counting:
                     metrics.counter("sim.instructions",
                                     opcode=instr.opcode).inc()
 
+        busy_s = dict(zip(_UNITS, unit_busy))
         result = SimulationResult(
             total_time_s=makespan,
             instructions=len(program),
-            unit_busy_s=unit_busy,
+            unit_busy_s=busy_s,
             mem_bytes=total_mem,
             flops=total_flops)
-        if metrics.enabled:
+        if counting:
             metrics.counter("sim.time_s").inc(makespan)
             metrics.counter("sim.mem_bytes").inc(total_mem)
             metrics.counter("sim.flops").inc(total_flops)
-            for unit in isa.Unit:
-                if unit_busy.get(unit, 0.0) > 0.0:
+            for unit in _UNITS:
+                if busy_s[unit] > 0.0:
                     metrics.counter("sim.unit_busy_s",
-                                    unit=unit.name).inc(unit_busy[unit])
+                                    unit=unit.name).inc(busy_s[unit])
                     metrics.gauge("sim.unit_utilization",
                                   unit=unit.name).set(
                         result.utilization(unit))

@@ -9,6 +9,7 @@ from repro.accelerator import (
     load_model,
     timing_program,
 )
+from repro.accelerator.compiler import timing_layout
 from repro.errors import CapacityError, ConfigurationError
 from repro.llm import OPT_1_3B, random_weights, tiny_config
 from repro.units import KiB, MiB
@@ -27,6 +28,10 @@ class TestLoadModel:
             assert f"layer{i}.vcache" in loaded_layout.regions
         assert loaded_layout.input_region.nbytes > 0
         assert loaded_layout.output_region.nbytes > 0
+
+    def test_regions_are_read_only(self, loaded_layout):
+        with pytest.raises(TypeError):
+            loaded_layout.regions["extra"] = loaded_layout.output_region
 
     def test_missing_tensor_raises(self, loaded_layout):
         with pytest.raises(ConfigurationError):
@@ -111,6 +116,13 @@ class TestTimingProgram:
         code = timing_program(OPT_1_3B, batch_tokens=1, ctx_prev=63)
         assert len(code) > OPT_1_3B.num_layers * 10
         isa.validate_program(code)
+
+    def test_timing_layout_built_once_per_key(self):
+        layout = timing_layout(OPT_1_3B)
+        assert timing_layout(OPT_1_3B) is layout
+        assert timing_layout(OPT_1_3B, quantize="int8") is not layout
+        with pytest.raises(TypeError):
+            layout.regions["token_embedding"] = None
 
     def test_timing_program_matches_compiled_structure(self, loaded_layout,
                                                        tiny_cfg):

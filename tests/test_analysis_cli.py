@@ -5,6 +5,7 @@ found diagnostics, 1 = the tool itself failed.  CI scripts rely on the
 distinction to tell "findings" from "the linter broke".
 """
 
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,8 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
+
+import pytest
 
 from repro.cli import EXIT_DIAGNOSTICS, main
 
@@ -76,6 +79,29 @@ class TestLintProgramJson:
             assert diag["code"].startswith("PNM")
             assert isinstance(diag["index"], int)
             assert diag["severity"] == "warning"
+
+
+class TestLintProgramOutputStable:
+    """Byte-identical ``lint-program`` output (sha256 of stdout, recorded
+    before the PNM204 overlap scan moved to its own function and timing
+    programs became compact), warnings and all."""
+
+    RECORDED = {
+        ("tiny", "--batched", "4", "--json"):
+            "a6336973259e2e57c824264650d8878e35e4fb579d69f56f5f3225916e30df27",
+        ("OPT-1.3B", "--batched", "8"):
+            "0e8698ffdca16d63940031d46ac6cbf19fa25a8e44f2f9973614155d912bc13b",
+        ("OPT-1.3B", "--batched", "8", "--dtype", "int8", "--json"):
+            "cca6ff97feb42307dcb866fbe35710a72b9c59bbaaf71f908e9fa162990199d4",
+        ("tiny", "--batch-tokens", "3", "--ctx-prev", "2", "--json"):
+            "58f1dfe760e72a16833f9ab6002e8a047bc08187737aef11f18d1a7a73a1cba8",
+    }
+
+    @pytest.mark.parametrize("argv", list(RECORDED), ids=" ".join)
+    def test_output_unchanged(self, argv):
+        _, out = _run(["lint-program", *argv])
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.RECORDED[argv]
 
 
 class TestLintTree:

@@ -23,11 +23,14 @@ from repro.accelerator.compiler import (
 from repro.analysis import (
     AnalysisReport,
     Severity,
+    address_diagnostics,
     analyze_program,
     infer_shapes,
     register_pressure,
+    store_overlap_diagnostics,
     verify_program,
 )
+from repro.analysis import verifier
 from repro.errors import IsaError, ProgramVerificationError
 from repro.llm import get_model, random_weights, tiny_config
 from repro.runtime.session import InferenceSession
@@ -367,6 +370,46 @@ class TestValidateProgramAddressRegression:
         cfg = tiny_config()
         program = timing_program(cfg, batch_tokens=1, ctx_prev=2)
         isa.validate_program(program)  # should not raise
+
+
+class TestStoreOverlapScan:
+    """PNM204 is its own scan, run by verify_program only."""
+
+    def test_validate_program_never_runs_the_scan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("overlap scan on the validation path")
+
+        monkeypatch.setattr(verifier, "store_overlap_diagnostics", refuse)
+        program = batched_timing_program(tiny_config(), batch=4, ctx_prev=8)
+        isa.validate_program(program)
+        isa.validate_program(program.expand())
+
+    def test_address_diagnostics_holds_errors_only(self):
+        program = batched_timing_program(tiny_config(), batch=4, ctx_prev=8)
+        assert address_diagnostics(program) == []
+        assert store_overlap_diagnostics(program)
+
+    def test_errors_precede_the_overlap_at_one_index(self):
+        program = (
+            _load("m0", shape=(4, 4)),
+            isa.DmaStore(src="m0", addr=256, shape=(4, 4)),
+            isa.DmaStore(src="m0", addr=258, shape=(4, 4)),
+            isa.Free(regs=("m0",)),
+        )
+        at_two = [d.code for d in verify_program(program).diagnostics
+                  if d.index == 2]
+        assert at_two == ["PNM203", "PNM204"]
+
+    def test_out_of_bounds_store_is_not_an_overlap(self):
+        program = (
+            _load("m0", shape=(4, 4)),
+            isa.DmaStore(src="m0", addr=2 ** 50, shape=(4, 4)),
+            isa.DmaStore(src="m0", addr=2 ** 50, shape=(4, 4)),
+            isa.Free(regs=("m0",)),
+        )
+        report = verify_program(program)
+        assert len(report.by_code("PNM202")) == 2
+        assert not report.by_code("PNM204")
 
 
 class TestReportModel:

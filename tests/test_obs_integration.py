@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.accelerator.compiler import timing_program
+from repro.accelerator.compiler import batched_timing_program, timing_program
 from repro.cli import main
 from repro.experiments.registry import run_experiment
 from repro.llm import random_weights, tiny_config
@@ -60,6 +60,39 @@ class TestBehaviourPreserving:
         assert traced.total_time_s == baseline.total_time_s
         assert traced.unit_busy_s == baseline.unit_busy_s
         assert traced.as_dict() == baseline.as_dict()
+
+    @pytest.mark.parametrize("program", [
+        batched_timing_program(OPT_1_3B, batch=3, ctx_prev=31),
+        timing_program(OPT_1_3B, batch_tokens=7, ctx_prev=0,
+                       quantize="int8"),
+    ], ids=["batched", "prefill-int8"])
+    def test_compact_program_observed_like_its_expansion(self, program):
+        """Replaying one lowered layer emits the sim spans and sim.*
+        metrics that scheduling the flat program does."""
+        from repro.obs import MetricsRegistry, Tracer
+
+        class Recording(Tracer):
+            def __init__(self):
+                super().__init__()
+                self.sim_calls = []
+
+            def sim_span(self, name, start_s, dur_s, track,
+                         category="sim", args=None):
+                self.sim_calls.append(
+                    (name, start_s.hex(), dur_s.hex(), track, category))
+                super().sim_span(name, start_s, dur_s, track, category,
+                                 args)
+
+        def observed(code):
+            tracer, metrics = Recording(), MetricsRegistry()
+            AcceleratorSimulator(tracer=tracer, metrics=metrics).run(
+                code, trace_offset_s=0.25)
+            wall = [(s.name, s.args) for s in tracer.spans
+                    if s.clock == "wall"]
+            return tracer.sim_calls, wall, metrics.as_dict()
+
+        compact, flat = observed(program), observed(program.expand())
+        assert compact[0] and compact == flat
 
     def test_injected_tracer_equivalent_to_ambient(self, weights):
         from repro.obs import MetricsRegistry, Tracer
