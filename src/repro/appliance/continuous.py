@@ -12,56 +12,42 @@ requests leave the moment their last token is produced.
 
 :class:`ContinuousBatchScheduler` simulates that regime at decode-step
 granularity with a **global event heap** of request-arrival,
-device-step-complete, and device-fault events.  Each device's timeline
-advances independently: admission, prefill, decode, stall, and failover
-all fire at their true simulated times instead of at a global iteration
-boundary.  Quiet decode stretches (no pending admissions, no scheduled
-fault before the next completion) are planned as a single *macro-step*:
-the whole cohort of decode steps is priced in one vectorized call
-(``step.decode_steps_s`` when the model provides it), which is what
-makes cluster-scale runs (10^5–10^6 requests) tractable.  (The legacy
-lock-step "barrier" kernel the event heap replaced was retired after
-an A/B deprecation window; DESIGN.md records the semantic deltas.)
+device-step-complete, and device-fault events; each device's timeline
+advances independently.  Quiet decode stretches (no pending admission,
+no fault before the next completion) run as one *macro-step* whose
+cohort of decode steps is priced in one vectorized call
+(``step.decode_steps_s`` when the model provides it).
+
+Every decoder on a device advances one token per decode step, so a
+device keeps a **step clock** (decode steps completed) and a decoding
+request stores only its ``origin``, the clock value at which it had
+generated 0 tokens.  The device keeps integer aggregates — decoder
+count, Σ``input_len``, Σ``origin``, the pending-prefill list and a
+finish heap of ``(origin + output_len, order)`` — so planning a unit
+(mean context, steps to the next completion) and advancing it are
+O(1) in the batch size; completing one costs O(log n) per finished
+request, and only preemption and failover touch the heap's middle.
 
 Scheduling semantics:
 
 * **Admission** — FCFS from the waiting queue; a request is admitted
   when the target device has a slot (``max_batch``) and its *peak* KV
-  footprint fits in the reserved-KV budget (``kv_spare_bytes``;
-  reserving peak up-front guarantees no mid-flight eviction).
-  Requests that can never be served — position budget or device
-  memory exceeded — are rejected with a reason instead of being
-  served with a fabricated latency.
-* **Iteration** — newly admitted requests run their prefill (sum
-  stage, emitting their first token); everyone else advances one
-  decode step, costed by the step model at the batch's mean context.
+  footprint fits in the reserved-KV budget (``kv_spare_bytes``), so no
+  request is evicted mid-flight for memory.  Requests that can never
+  be served (position budget or device memory) are rejected with a
+  typed reason.
+* **Iteration** — newly admitted requests run their prefill (emitting
+  their first token); everyone else advances one decode step, costed
+  at the batch's mean context.
 * **Completion** — a request reaching ``output_len`` leaves and frees
   its KV reservation at its own device's step boundary.
+* **Tenant classes** (:class:`TenantClass`, inert unless configured) —
+  strict priority tiers, weighted fair queuing within a tier,
+  preemption of strictly lower tiers under KV or slot pressure
+  (victims restart from prefill), and SLO admission
+  (``slo_admission=True``) shedding requests whose projected TTFT/TBT
+  misses their class target, with goodput reported beside throughput.
 
-Multi-tenant serving layers three policies over the same kernel, all
-inert unless configured (the default single-class path is bit-identical
-to plain FCFS):
-
-* **Tenant classes** (:class:`TenantClass`) — requests carry a
-  ``tenant_class`` name resolved against the scheduler's class table.
-  Classes admit in strict priority tiers; within a tier, weighted fair
-  queuing picks the class with the least weighted service (virtual
-  time = admitted tokens / weight), so a weight-4 class gets 4x the
-  admissions of a weight-1 sibling under contention.
-* **Preemption** — when a class head cannot fit and strictly
-  lower-priority requests are running, the cheapest eviction set
-  (fewest victims, least KV freed, lowest device index) is preempted:
-  victims lose their KV reservation, return to the *front* of their
-  class queue, and restart from prefill on re-admission (the same
-  restart semantics as failover requeue).
-* **SLO admission** (``slo_admission=True``) — per-class TTFT/TBT
-  targets shed requests whose projected service level cannot be met,
-  via the typed :class:`~repro.errors.AdmissionError` path.  Goodput
-  (tokens of requests that met their class targets) is reported next
-  to raw throughput in :class:`ContinuousBatchStats`.
-
-Per-request time-to-first-token and time-between-tokens come out of the
-same timeline, alongside the familiar :class:`ServiceStats` aggregates.
 Observability (per-device-step sim spans on ``scheduler.dev<i>``
 tracks, a batch-occupancy gauge, admission/rejection counters) only
 records — results are bit-identical with tracing on or off.
@@ -69,6 +55,7 @@ records — results are bit-identical with tracing on or off.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -233,12 +220,17 @@ class TenantClass:
 
 @dataclass(eq=False, slots=True)
 class _Running:
-    """In-flight request state inside a device's batch (identity
-    semantics).
+    """In-flight request state in a device's batch (identity semantics).
 
-    ``failovers``/``requeued_at`` travel with the *queue entry* (set at
-    admission from the waiting-queue tuple), never through a table
-    keyed by ``id(request)`` — duplicate request objects in the input
+    ``order`` is the request's admission number on its device (the key
+    of ``dev.batch``).  A decoding request stores ``origin``, the
+    device's step clock at which it had generated 0 tokens, so
+    ``generated`` is derived from the clock rather than counted; a
+    request waiting for its prefill has no origin.
+
+    ``failovers`` travels with the *queue entry* (set at admission
+    from the waiting-queue item), never through a table keyed by
+    ``id(request)`` — duplicate request objects in the input
     or recycled object ids therefore cannot mis-attribute failover
     counts.
     """
@@ -248,24 +240,27 @@ class _Running:
     admitted_s: float
     kv_reserved: int
     slot: int
-    device: int = 0
-    generated: int = 0
+    dev: "_Device"
+    order: int
+    origin: Optional[int] = None
     failovers: int = 0
     first_token_s: Optional[float] = None
-    requeued_at: Optional[float] = None
     seq: int = 0
     preempted: int = 0
     cls_name: str = DEFAULT_TENANT_CLASS
     prio: int = 0
 
     @property
+    def generated(self) -> int:
+        """Tokens produced so far (0 while the prefill is pending)."""
+        if self.origin is None:
+            return 0
+        return self.dev.clock - self.origin
+
+    @property
     def context_len(self) -> int:
         """Attention span of this request's next decode step."""
         return self.request.input_len + self.generated
-
-    @property
-    def done(self) -> bool:
-        return self.generated >= self.request.output_len
 
 
 @dataclass(slots=True)
@@ -277,7 +272,9 @@ class _QueueItem:
     ``requeued_at`` is set only by device-failure requeue and drives
     failover-latency accounting at re-admission — preemption requeue
     deliberately leaves it ``None`` so preemptions never pollute the
-    failover latency distribution.
+    failover latency distribution.  ``peak`` memoizes the request's
+    peak KV footprint once its feasibility check passed, so a head
+    blocked for KV room is not re-checked at every retry.
     """
 
     request: InferenceRequest
@@ -286,6 +283,7 @@ class _QueueItem:
     failovers: int = 0
     preemptions: int = 0
     requeued_at: Optional[float] = None
+    peak: Optional[int] = None
 
 
 class _WaitQueue:
@@ -333,17 +331,12 @@ class _WaitQueue:
     def __len__(self) -> int:
         return sum(len(dq) for dq in self.queues.values())
 
-    def peek(self, name: str) -> _QueueItem:
-        return self.queues[name][0]
-
     def pop(self, name: str) -> _QueueItem:
         return self.queues[name].popleft()
 
     def charge(self, name: str, tokens: int) -> None:
+        """Add weighted service; a requeue refunds with ``-tokens``."""
         self.service[name] += tokens / self.cls(name).weight
-
-    def refund(self, name: str, tokens: int) -> None:
-        self.service[name] -= tokens / self.cls(name).weight
 
     def select(self, now: float, blocked: set,
                prio_floor: Optional[int]) -> Optional[str]:
@@ -360,7 +353,7 @@ class _WaitQueue:
         for name, dq in self.queues.items():
             if not dq or name in blocked:
                 continue
-            tc = self.cls(name)
+            tc = self.classes[name]  # made with the queue
             if prio_floor is not None and tc.priority < prio_floor:
                 continue
             if dq[0].arrival_s > now:
@@ -370,12 +363,8 @@ class _WaitQueue:
                 best, best_key = name, key
         return best
 
-    def earliest_head_arrival(self) -> Optional[float]:
-        heads = [dq[0].arrival_s for dq in self.queues.values() if dq]
-        return min(heads) if heads else None
-
     def next_wakeup(self, now: float) -> Optional[Tuple[float, int]]:
-        """``(arrival, seq)`` of the earliest future class head."""
+        """``(arrival, seq)`` of the earliest class head after ``now``."""
         best: Optional[Tuple[float, int]] = None
         for dq in self.queues.values():
             if dq and dq[0].arrival_s > now:
@@ -447,11 +436,11 @@ class ContinuousBatchStats(ServiceStats):
 
     @property
     def slo_attainment(self) -> float:
-        """Fraction of completed requests meeting their class targets."""
-        if not self.completed:
-            return 0.0
+        """Fraction of *offered* requests (completed + rejected) that
+        completed and met their class targets; a shed request misses."""
+        offered = len(self.completed) + len(self.rejected)
         met = sum(1 for c in self.completed if self.met_slo(c))
-        return met / len(self.completed)
+        return met / offered if offered else 0.0
 
     def class_breakdown(self) -> Dict[str, Dict[str, float]]:
         """Per-tenant-class service report, sorted by class name.
@@ -472,15 +461,16 @@ class ContinuousBatchStats(ServiceStats):
             ttfts = [c.ttft_s for c in done if c.ttft_s is not None]
             tbts = [c.mean_tbt_s for c in done
                     if c.mean_tbt_s is not None]
+            rejected = sum(1 for r in self.rejected
+                           if r.request.tenant_class == name)
+            offered = len(done) + rejected
             out[name] = {
                 "completed": float(len(done)),
-                "rejected": float(sum(
-                    1 for r in self.rejected
-                    if r.request.tenant_class == name)),
+                "rejected": float(rejected),
                 "preempted_requests": float(sum(
                     1 for c in done if c.preemptions)),
-                "slo_attainment":
-                    len(met) / len(done) if done else 0.0,
+                # Over offered requests: a shed request misses.
+                "slo_attainment": len(met) / offered if offered else 0.0,
                 "throughput_tokens_per_s":
                     sum(c.request.output_len for c in done) / span
                     if span else 0.0,
@@ -698,29 +688,76 @@ _PRIO_STEP, _PRIO_FAULT, _PRIO_ARRIVAL = 0, 1, 2
 
 
 class _Device:
-    """One device's independent timeline inside the event kernel."""
+    """One device's independent timeline inside the event kernel.
 
-    __slots__ = ("index", "alive", "busy", "epoch", "batch", "kv_reserved",
-                 "stall_until", "failed_at", "unit_kind", "unit_start",
-                 "unit_end", "unit_steps", "unit_ends", "unit_prefills",
-                 "unit_decoders")
+    ``batch`` maps admission ``order`` to request, in admission order.
+    ``clock`` counts completed decode steps; ``n_dec``, ``sum_in``,
+    ``sum_origin`` and the ``finish`` heap aggregate the decoders, and
+    ``pending`` lists the requests waiting for prefill, in batch order.
+    """
+
+    __slots__ = ("index", "alive", "busy", "epoch", "batch", "next_order",
+                 "clock", "n_dec", "sum_in", "sum_origin", "pending",
+                 "finish", "kv_reserved", "stall_until", "failed_at",
+                 "unit_start", "unit_end", "unit_ends", "unit_prefills",
+                 "unit_n_dec")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.alive = True
         self.busy = False
         self.epoch = 0           # invalidates stale step-complete events
-        self.batch: List[_Running] = []
+        self.batch: Dict[int, _Running] = {}  # admission order -> entry
+        self.next_order = 0
+        self.clock = 0           # decode steps completed
+        self.n_dec = self.sum_in = self.sum_origin = 0
+        self.pending: List[_Running] = []
+        self.finish: List[Tuple[int, int]] = []
         self.kv_reserved = 0
         self.stall_until = 0.0   # stalls elapse in simulated time
         self.failed_at: Optional[float] = None
-        self.unit_kind = ""      # "iter" (prefills + 1 decode) | "decode"
         self.unit_start = 0.0
         self.unit_end = 0.0
-        self.unit_steps = 0
-        self.unit_ends: Optional[np.ndarray] = None
+        # A unit with prefills is one atomic iteration; a decode unit of
+        # k > 1 steps keeps its k step boundaries in unit_ends.
+        self.unit_ends: Optional[List[float]] = None
         self.unit_prefills: Sequence[_Running] = ()
-        self.unit_decoders: Sequence[_Running] = ()
+        self.unit_n_dec = 0
+
+    def start_decoding(self, entry: _Running) -> None:
+        """Count a request whose prefill just ran as one step old."""
+        entry.origin = self.clock - 1
+        self.n_dec += 1
+        self.sum_in += entry.request.input_len
+        self.sum_origin += entry.origin
+        heapq.heappush(self.finish, (entry.origin
+                                     + entry.request.output_len,
+                                     entry.order))
+
+    def pop_done(self) -> List[_Running]:
+        """Remove the finished decoders, in batch order."""
+        orders = []
+        while self.finish and self.finish[0][0] <= self.clock:
+            orders.append(heapq.heappop(self.finish)[1])
+        done = [self.batch[order] for order in sorted(orders)]
+        for entry in done:
+            self.remove(entry, finished=True)
+        return done
+
+    def remove(self, entry: _Running, finished: bool = False) -> None:
+        """Take one request out of the batch and the aggregates."""
+        del self.batch[entry.order]
+        self.kv_reserved -= entry.kv_reserved
+        if entry.origin is None:
+            self.pending.remove(entry)  # identity comparison (eq=False)
+            return
+        self.n_dec -= 1
+        self.sum_in -= entry.request.input_len
+        self.sum_origin -= entry.origin
+        if not finished:  # pop_done already took it off the heap
+            self.finish.remove((entry.origin + entry.request.output_len,
+                                entry.order))
+            heapq.heapify(self.finish)
 
 
 class _EventKernel:
@@ -728,12 +765,11 @@ class _EventKernel:
 
     Three event kinds drive the simulation: request arrivals,
     device-step completions, and scheduled device faults.  A device
-    with pending prefills runs one barrier-style iteration (prefill
-    block plus one decode step of the previous residents — the atomic
-    unit both kernels share); a device with only decoders runs a
-    *macro-step*: the whole cohort of decode steps up to its next
-    completion, priced in one vectorized call and truncated early only
-    if an admission lands on the device mid-flight or a fault is due.
+    with pending prefills runs one atomic iteration (prefill block plus
+    one decode step of the previous residents); a device with only
+    decoders runs a *macro-step*: every decode step up to its next
+    completion, priced in one vectorized call and cut short only by an
+    admission landing on the device or a fault falling due.
     """
 
     def __init__(self, sched: ContinuousBatchScheduler,
@@ -783,14 +819,14 @@ class _EventKernel:
             if not self.heap:
                 # Only future arrivals remain; jump to the earliest
                 # class head.
-                arrival = self.queue.earliest_head_arrival()
-                if arrival is None:  # pragma: no cover - invariant
+                head = self.queue.next_wakeup(-math.inf)
+                if head is None:  # pragma: no cover - invariant
                     break
                 if not any(dev.busy for dev in self.devs):
-                    self._admit_and_start(arrival)
-                    nxt = self.queue.earliest_head_arrival()
+                    self._admit_and_start(head[0])
+                    nxt = self.queue.next_wakeup(-math.inf)
                     if not self.heap and nxt is not None \
-                            and nxt <= arrival:
+                            and nxt[0] <= head[0]:
                         raise SimulationError(
                             "admission deadlock: waiting head can "
                             "never be admitted")
@@ -824,12 +860,7 @@ class _EventKernel:
 
     # -- step planning -------------------------------------------------
 
-    def _next_fault_time(self) -> Optional[float]:
-        if self.fault_idx < len(self.events):
-            return self.events[self.fault_idx].at_s
-        return None
-
-    def _decode_run(self, batch: int, ctx0: int, k: int) -> np.ndarray:
+    def _decode_run(self, batch: int, ctx0: int, k: int) -> List[float]:
         """Durations of ``k`` consecutive decode steps, vectorized.
 
         The mean context of an unchanged batch grows by exactly one
@@ -838,19 +869,22 @@ class _EventKernel:
         """
         steps = getattr(self.step, "decode_steps_s", None)
         if steps is not None:
-            return np.asarray(
-                steps(batch, ctx0 + np.arange(k)), dtype=float)
-        return np.array([self.step.decode_step_s(batch, ctx0 + i)
-                         for i in range(k)], dtype=float)
+            return np.asarray(steps(batch, ctx0 + np.arange(k)),
+                              dtype=float).tolist()
+        return [float(self.step.decode_step_s(batch, ctx0 + i))
+                for i in range(k)]
 
     def _start_unit(self, dev: _Device, now: float) -> None:
-        """Plan the device's next unit and schedule its completion."""
-        prefills = [e for e in dev.batch if e.generated == 0]
-        decoders = [e for e in dev.batch
-                    if e.generated > 0 and not e.done]
-        if not prefills and not decoders:
+        """Plan the device's next unit from its clock and aggregates."""
+        prefills = list(dev.pending)
+        n = dev.n_dec
+        if not prefills and not n:
             return
         start = max(now, dev.stall_until)
+        if n:
+            # Σ(input_len + generated) over the decoders, exactly.
+            ctx0 = int(math.ceil(
+                (dev.sum_in + n * dev.clock - dev.sum_origin) / n))
         if prefills:
             # Barrier-style iteration: prefill block plus one decode
             # step of the previous residents (atomic, like one
@@ -860,50 +894,33 @@ class _EventKernel:
                 cursor += self.step.prefill_s(e.request.input_len)
                 e.admitted_s = start  # service begins at unit start
                 e.first_token_s = cursor
-            decode_s = 0.0
-            if decoders:
-                mean_ctx = int(math.ceil(
-                    sum(e.context_len for e in decoders)
-                    / len(decoders)))
-                decode_s = self.step.decode_step_s(len(decoders),
-                                                   mean_ctx)
-            dev.unit_kind = "iter"
-            dev.unit_steps = 1
+            decode_s = self.step.decode_step_s(n, ctx0) if n else 0.0
             dev.unit_ends = None
             dev.unit_end = cursor + decode_s
         else:
             # Macro-step: the whole cohort of decode steps up to the
             # batch's next completion, bounded by the next scheduled
             # fault so stalls/failures strike at a step boundary.
-            n = len(decoders)
-            k = min(e.request.output_len - e.generated
-                    for e in decoders)
-            ctx0 = int(math.ceil(
-                sum(e.context_len for e in decoders) / n))
+            k = dev.finish[0][0] - dev.clock
             if k == 1:
                 dev.unit_ends = None
                 dev.unit_end = start + self.step.decode_step_s(n, ctx0)
             else:
-                durs = self._decode_run(n, ctx0, k)
-                # Sequential cumulative sum from `start`, so step
+                # Sequential running sum from `start`, so step
                 # boundaries are bit-identical to the one-step-at-a-
                 # time barrier arithmetic.
-                ends = np.cumsum(
-                    np.concatenate(((start,), durs)))[1:]
-                next_fault = self._next_fault_time()
-                if next_fault is not None \
-                        and next_fault < float(ends[-1]):
-                    j = int(np.searchsorted(ends, next_fault,
-                                            side="left"))
-                    k = min(k, j + 1)
-                    ends = ends[:k]
+                ends = list(itertools.accumulate(
+                    self._decode_run(n, ctx0, k), initial=start))[1:]
+                fault = self.events[self.fault_idx].at_s \
+                    if self.fault_idx < len(self.events) else math.inf
+                if fault < ends[-1]:
+                    k = bisect.bisect_left(ends, fault) + 1
+                    del ends[k:]
                 dev.unit_ends = ends
-                dev.unit_end = float(ends[-1])
-            dev.unit_kind = "decode"
-            dev.unit_steps = k
+                dev.unit_end = ends[-1]
         dev.unit_start = start
         dev.unit_prefills = prefills
-        dev.unit_decoders = decoders
+        dev.unit_n_dec = n
         dev.busy = True
         dev.epoch += 1
         heapq.heappush(self.heap, (dev.unit_end, _PRIO_STEP,
@@ -912,21 +929,18 @@ class _EventKernel:
     def _truncate_unit(self, dev: _Device, now: float) -> None:
         """Cut an in-flight macro-step at its next boundary >= now.
 
-        Called when an admission lands on a busy device: the new
-        request's prefill can begin at the device's next decode-step
-        boundary instead of waiting out the whole macro-step.
-        Prefill-bearing units are atomic (as in the barrier kernel).
+        Called when an admission lands on a busy device, so the new
+        request's prefill begins at the next decode-step boundary.
+        Prefill-bearing units are atomic.
         """
-        if not dev.busy or dev.unit_kind != "decode" \
-                or dev.unit_ends is None:
-            return
+        if not dev.busy or dev.unit_ends is None:
+            return  # only a multi-step decode unit has inner boundaries
         ends = dev.unit_ends
-        j = int(np.searchsorted(ends, now, side="left"))
+        j = bisect.bisect_left(ends, now)
         if j + 1 >= len(ends):
             return  # already ends at the next boundary
-        dev.unit_steps = j + 1
         dev.unit_ends = ends[:j + 1]
-        dev.unit_end = float(ends[j])
+        dev.unit_end = ends[j]
         dev.epoch += 1
         heapq.heappush(self.heap, (dev.unit_end, _PRIO_STEP,
                                    next(self.seq), dev.index, dev.epoch))
@@ -940,31 +954,32 @@ class _EventKernel:
         # Occupancy is charged for the unit's members (the batch as of
         # unit start); requests admitted mid-unit hold KV but only
         # occupy a batch slot from their own first unit on.
-        occupancy = len(dev.unit_prefills) + len(dev.unit_decoders)
-        k = dev.unit_steps
-        decoders = dev.unit_decoders
-        if dev.unit_kind == "iter":
-            for e in dev.unit_prefills:
-                e.generated = 1
-            for e in decoders:
-                e.generated += 1
+        occupancy = len(dev.unit_prefills) + dev.unit_n_dec
+        k = len(dev.unit_ends) if dev.unit_ends else 1
+        dev.clock += k  # every surviving decoder advances k tokens
+        if dev.unit_prefills:
+            # The unit's surviving prefills lead the pending list (later
+            # admissions were appended behind them).
+            survivors = [e for e in dev.unit_prefills
+                         if e.order in dev.batch]
+            del dev.pending[:len(survivors)]
+            for e in survivors:
+                dev.start_decoding(e)
             self.busy_s += now - dev.unit_start
             self.occupancy_time_s += (now - dev.unit_start) * occupancy
-            total_decodes = len(decoders)
+            total_decodes = dev.unit_n_dec
         else:
-            for e in decoders:
-                e.generated += k
             # Per-boundary accumulation matches the barrier kernel's
             # iteration-by-iteration float arithmetic exactly.
             prev = dev.unit_start
-            ends = dev.unit_ends if dev.unit_ends is not None \
-                else (dev.unit_end,)
-            for boundary in ends:
-                boundary = float(boundary)
-                self.busy_s += boundary - prev
-                self.occupancy_time_s += (boundary - prev) * occupancy
+            busy, occupied = self.busy_s, self.occupancy_time_s
+            for boundary in dev.unit_ends or (dev.unit_end,):
+                span = boundary - prev
+                busy += span
+                occupied += span * occupancy
                 prev = boundary
-            total_decodes = len(decoders) * k
+            self.busy_s, self.occupancy_time_s = busy, occupied
+            total_decodes = dev.unit_n_dec * k
         self.iterations += k
         if self.max_occupancy < self.in_flight:
             self.max_occupancy = self.in_flight
@@ -989,17 +1004,11 @@ class _EventKernel:
             self.metrics.counter("scheduler.prefills").inc(
                 len(dev.unit_prefills))
         dev.unit_prefills = ()
-        dev.unit_decoders = ()
         dev.unit_ends = None
         self._admit_and_start(now)
 
     def _complete_done(self, dev: _Device, now: float) -> None:
-        done = [e for e in dev.batch if e.done]
-        if not done:
-            return
-        dev.batch = [e for e in dev.batch if not e.done]
-        for entry in done:
-            dev.kv_reserved -= entry.kv_reserved
+        for entry in dev.pop_done():
             heapq.heappush(self.free_slots, entry.slot)
             self.in_flight -= 1
             self.completed.append(CompletedRequest(
@@ -1026,13 +1035,11 @@ class _EventKernel:
     def _on_fault(self, now: float, idx: int) -> None:
         event = self.events[idx]
         self.fault_idx = idx + 1
-        if event.device >= len(self.devs):
+        if event.device >= len(self.devs) \
+                or not self.devs[event.device].alive:
             self._admit_and_start(now)
-            return  # unmapped device
+            return  # unmapped or already dead device
         dev = self.devs[event.device]
-        if not dev.alive:
-            self._admit_and_start(now)
-            return
         if event.kind is DeviceFaultKind.STALL:
             # The stall elapses in simulated time starting now (or at
             # the end of the step in flight); a stall fully absorbed by
@@ -1064,21 +1071,9 @@ class _EventKernel:
             dev.busy = False
             dev.epoch += 1  # invalidate the pending step event
             dev.unit_prefills = ()
-            dev.unit_decoders = ()
             dev.unit_ends = None
-        victims = dev.batch
-        dev.batch = []
-        for victim in victims:
-            dev.kv_reserved -= victim.kv_reserved
-            heapq.heappush(self.free_slots, victim.slot)
-            self.in_flight -= 1
-        self.queue.push_front([
-            _QueueItem(request=v.request, arrival_s=v.arrival_s,
-                       seq=v.seq, failovers=v.failovers + 1,
-                       preemptions=v.preempted, requeued_at=now)
-            for v in victims])
-        for v in victims:
-            self.queue.refund(v.cls_name, v.request.total_tokens)
+        victims = list(dev.batch.values())
+        self._requeue(dev, victims, failed_at=now)
         self.failover_events.append(FailoverEvent(
             at_s=now, device=event.device, requeued=len(victims)))
         if self.faults is not None:
@@ -1147,56 +1142,62 @@ class _EventKernel:
             if not dev.alive:
                 continue
             order = sorted(
-                ((e.prio, -e.admitted_s, -i, e)
-                 for i, e in enumerate(dev.batch) if e.prio < priority),
-                key=lambda t: t[:3])
+                (e for e in dev.batch.values() if e.prio < priority),
+                key=lambda e: (e.prio, -e.admitted_s, -e.order))
             victims: List[_Running] = []
             freed = 0
-            for _p, _a, _i, e in order:
-                kv_ok = dev.kv_reserved - freed + peak <= self.kv_budget
-                slot_ok = max_batch is None \
-                    or len(dev.batch) - len(victims) < max_batch
-                if kv_ok and slot_ok:
+            for e in [*order, None]:  # None: every candidate evicted
+                fits = dev.kv_reserved - freed + peak <= self.kv_budget \
+                    and (max_batch is None
+                         or len(dev.batch) - len(victims) < max_batch)
+                if fits or e is None:
                     break
                 victims.append(e)
                 freed += e.kv_reserved
-            kv_ok = dev.kv_reserved - freed + peak <= self.kv_budget
-            slot_ok = max_batch is None \
-                or len(dev.batch) - len(victims) < max_batch
-            if not victims or not kv_ok or not slot_ok:
+            if not victims or not fits:
                 continue
             key = (len(victims), freed, dev.index)
             if best_key is None or key < best_key:
                 best_key, best = key, (dev, victims)
         return best
 
+    def _requeue(self, dev: _Device, victims: List[_Running],
+                 failed_at: Optional[float] = None) -> None:
+        """Return ``victims`` from ``dev`` to their class queue fronts.
+
+        Victims lose their KV reservation and batch slot and restart
+        from prefill at re-admission.  ``failed_at`` marks a failover
+        requeue (timed for failover latency); otherwise each victim
+        counts one preemption.
+        """
+        failover = failed_at is not None
+        for v in victims:
+            dev.remove(v)
+            heapq.heappush(self.free_slots, v.slot)
+            self.in_flight -= 1
+            self.queue.charge(v.cls_name, -v.request.total_tokens)
+        self.queue.push_front([_QueueItem(
+            request=v.request, arrival_s=v.arrival_s, seq=v.seq,
+            failovers=v.failovers + failover,
+            preemptions=v.preempted + (not failover),
+            requeued_at=failed_at) for v in victims])
+
     def _preempt(self, dev: _Device, victims: List[_Running],
                  now: float) -> None:
         """Evict ``victims`` from ``dev`` back to their class fronts.
 
-        Victims lose their KV reservation and batch slot and restart
-        from prefill at re-admission — the same restart semantics as
-        failover requeue, but attributed to ``preemptions`` and kept
-        out of the failover-latency distribution.  A victim inside the
-        device's in-flight unit keeps its already-planned step work
-        (charged as occupancy) but its stale running state is simply
-        abandoned; decode macro-steps are truncated at the next
-        boundary so the freed capacity is usable immediately after.
+        The same restart semantics as failover requeue, but attributed
+        to ``preemptions`` and kept out of the failover-latency
+        distribution.  A victim inside the device's in-flight unit
+        keeps its already-planned step work (charged as occupancy) but
+        leaves the batch and the aggregates; decode macro-steps are
+        truncated at the next boundary so the freed capacity is usable
+        immediately after.
         """
         if dev.busy:
             self._truncate_unit(dev, now)
-        items: List[_QueueItem] = []
-        for v in victims:
-            dev.batch.remove(v)  # identity comparison (eq=False)
-            dev.kv_reserved -= v.kv_reserved
-            heapq.heappush(self.free_slots, v.slot)
-            self.in_flight -= 1
-            self.queue.refund(v.cls_name, v.request.total_tokens)
-            self.preempted += 1
-            items.append(_QueueItem(
-                request=v.request, arrival_s=v.arrival_s, seq=v.seq,
-                failovers=v.failovers, preemptions=v.preempted + 1))
-        self.queue.push_front(items)
+        self._requeue(dev, victims)
+        self.preempted += len(victims)
         if self.metrics.enabled:
             self.metrics.counter("scheduler.preempted").inc(len(victims))
         if self.tracer.enabled:
@@ -1214,34 +1215,29 @@ class _EventKernel:
         there; a prefill-bearing unit is atomic), behind the prefills
         of already-admitted requests that have not run yet.
         """
-        if dev.busy and dev.unit_kind == "decode" \
-                and dev.unit_ends is not None:
-            ends = dev.unit_ends
-            j = int(np.searchsorted(ends, now, side="left"))
-            busy_until = float(ends[min(j, len(ends) - 1)])
-        elif dev.busy:
-            busy_until = dev.unit_end
-        else:
-            busy_until = now
+        busy_until = now
+        if dev.busy:
+            ends = dev.unit_ends or (dev.unit_end,)
+            busy_until = ends[min(bisect.bisect_left(ends, now),
+                                  len(ends) - 1)]
         start = max(now, dev.stall_until, busy_until)
-        queued = sum(
-            self.step.prefill_s(e.request.input_len)
-            for e in dev.batch
-            if e.generated == 0
-            and not any(e is p for p in dev.unit_prefills)
-            and not any(e is v for v in victims))
+        skip = {e.order for e in dev.unit_prefills}  # prefills in flight
+        skip.update(v.order for v in victims)
+        queued = sum(self.step.prefill_s(e.request.input_len)
+                     for e in dev.pending if e.order not in skip)
         own = self.step.prefill_s(item.request.input_len)
         return start + queued + own - item.arrival_s
 
     def _projected_tbt(self, item: _QueueItem, dev: _Device,
                        victims: List[_Running]) -> float:
         """Projected decode step time at the post-admission occupancy."""
-        survivors = [e for e in dev.batch
-                     if not any(e is v for v in victims)]
-        batch = len(survivors) + 1
+        batch = len(dev.batch) - len(victims) + 1
+        # Σ context_len over the batch minus the victims, exactly.
+        context = dev.sum_in + dev.n_dec * dev.clock - dev.sum_origin \
+            + sum(e.request.input_len for e in dev.pending) \
+            - sum(v.context_len for v in victims)
         ctx = int(math.ceil(
-            (sum(e.context_len for e in survivors)
-             + item.request.input_len + 1) / batch))
+            (context + item.request.input_len + 1) / batch))
         return self.step.decode_step_s(batch, ctx)
 
     def _slo_error(self, tc: TenantClass, item: _QueueItem,
@@ -1286,17 +1282,19 @@ class _EventKernel:
             name = queue.select(now, blocked, prio_floor)
             if name is None:
                 break
-            tc = queue.cls(name)
-            item = queue.peek(name)
+            tc = queue.classes[name]
+            item = queue.queues[name][0]
             request = item.request
-            error = infeasible_error(sched.config, sched.memory_bytes,
-                                     request)
-            if error is not None:
-                queue.pop(name)
-                self._reject(item, error)
-                continue
-            peak = peak_kv_bytes(sched.config, request.input_len,
-                                 request.output_len)
+            if item.peak is None:  # first time at a class head
+                error = infeasible_error(sched.config, sched.memory_bytes,
+                                         request)
+                if error is not None:
+                    queue.pop(name)
+                    self._reject(item, error)
+                    continue
+                item.peak = peak_kv_bytes(sched.config, request.input_len,
+                                          request.output_len)
+            peak = item.peak
             dev = self._pick_device()
             if dev is not None \
                     and dev.kv_reserved + peak > self.kv_budget:
@@ -1329,9 +1327,8 @@ class _EventKernel:
                 self.next_slot += 1
             entry = _Running(request=request, arrival_s=item.arrival_s,
                              admitted_s=now, kv_reserved=peak,
-                             slot=slot, device=dev.index,
+                             slot=slot, dev=dev, order=dev.next_order,
                              failovers=item.failovers,
-                             requeued_at=item.requeued_at,
                              seq=item.seq, preempted=item.preemptions,
                              cls_name=name, prio=tc.priority)
             if item.requeued_at is not None:
@@ -1342,7 +1339,9 @@ class _EventKernel:
                 if metrics.enabled:
                     metrics.counter("scheduler.failover_readmits").inc()
             dev.kv_reserved += peak
-            dev.batch.append(entry)
+            dev.next_order += 1
+            dev.batch[entry.order] = entry
+            dev.pending.append(entry)
             self.in_flight += 1
             if self.max_occupancy < self.in_flight:
                 self.max_occupancy = self.in_flight
@@ -1351,7 +1350,7 @@ class _EventKernel:
             if dev.busy:
                 self._truncate_unit(dev, now)
         for dev in self.devs:
-            if dev.alive and not dev.busy and dev.batch:
+            if not dev.busy and dev.batch and dev.alive:
                 self._start_unit(dev, now)
         # Wake up when the earliest future class head arrives, if any.
         nxt = queue.next_wakeup(now)

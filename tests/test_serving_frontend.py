@@ -456,8 +456,21 @@ class TestSloAdmission:
         assert rows["gold"]["completed"] == 0.0
         assert rows["std"]["completed"] == 2.0
         assert rows["std"]["slo_attainment"] == 1.0
+        assert rows["gold"]["slo_attainment"] == 0.0
         assert rows["std"]["goodput_tokens_per_s"] \
             == rows["std"]["throughput_tokens_per_s"]
+
+    def test_attainment_counts_offered_requests(self):
+        # gold is shed at admission; both std requests meet their
+        # (absent) targets: 2 of 3 offered, not 2 of 2 completed.
+        classes = [TenantClass("gold", ttft_target_s=0.5),
+                   TenantClass("std")]
+        reqs = [_req(0, "gold"), _req(1, "std"), _req(2, "std")]
+        stats = _run(reqs, memory=_memory_for(4), classes=classes,
+                     slo_admission=True)
+        assert len(stats.rejected) == 1 and len(stats.completed) == 2
+        assert stats.slo_attainment == pytest.approx(2 / 3)
+        assert stats.as_dict()["slo_attainment"] == stats.slo_attainment
 
     def test_readmitted_victims_never_shed(self):
         # The preemption victim (L1) re-runs admission with a blown
