@@ -15,8 +15,9 @@ granularity with a **global event heap** of request-arrival,
 device-step-complete, and device-fault events; each device's timeline
 advances independently.  Quiet decode stretches (no pending admission,
 no fault before the next completion) run as one *macro-step* whose
-cohort of decode steps is priced in one vectorized call
-(``step.decode_steps_s`` when the model provides it).
+cohort of decode steps is priced in one call
+(``step.decode_steps_s`` when the model provides it), which consults
+the cost model once per run of equal quantized context.
 
 Every decoder on a device advances one token per decode step, so a
 device keeps a **step clock** (decode steps completed) and a decoding
@@ -85,6 +86,7 @@ from repro.llm.config import LLMConfig
 from repro.llm.kvcache import kv_spare_bytes, peak_kv_bytes
 from repro.llm.workload import DEFAULT_TENANT_CLASS, InferenceRequest
 from repro.obs.context import get_metrics, get_tracer
+from repro.perf.analytical import left_sum
 from repro.units import GB
 
 #: Device-step sim-spans traced per run; long runs have tens of
@@ -97,10 +99,11 @@ class BatchStepModel(Protocol):
     """What the engine needs from a cost model: per-iteration seconds.
 
     A step model *may* additionally provide
-    ``decode_steps_s(batch, context_lens) -> ndarray`` — a vectorized
-    cohort evaluation used by the event kernel's macro-steps (see
-    :class:`repro.perf.analytical.BatchStepTimer`).  Models without it
-    fall back to one ``decode_step_s`` call per step.
+    ``decode_steps_s(batch, context_lens) -> List[float]`` — a cohort
+    evaluation used by the event kernel's macro-steps, which receives
+    the cohort's contexts as a list of ints and whose list is used as
+    is (see :func:`repro.perf.analytical.decode_cohort_s`).  Models
+    without it fall back to one ``decode_step_s`` call per step.
     """
 
     def prefill_s(self, input_len: int) -> float:
@@ -577,8 +580,8 @@ class ContinuousBatchScheduler:
         step: Per-iteration cost model (prefill and batched decode);
             :class:`repro.perf.analytical.BatchStepTimer` for the
             analytical devices, or any object with the same two
-            methods (an optional vectorized ``decode_steps_s``
-            accelerates the event kernel's macro-steps).
+            methods (an optional cohort ``decode_steps_s`` prices the
+            event kernel's macro-steps in one call).
         config: The model being served (drives KV/position budgets).
         memory_bytes: Per-device memory; parameters are resident, the
             rest is each device's KV admission budget.
@@ -768,7 +771,7 @@ class _EventKernel:
     with pending prefills runs one atomic iteration (prefill block plus
     one decode step of the previous residents); a device with only
     decoders runs a *macro-step*: every decode step up to its next
-    completion, priced in one vectorized call and cut short only by an
+    completion, priced in one cohort call and cut short only by an
     admission landing on the device or a fault falling due.
     """
 
@@ -842,8 +845,8 @@ class _EventKernel:
                 self._admit_and_start(now)  # arrival wake-up
         makespan = max(c.finish_s for c in self.completed) \
             if self.completed else 0.0
-        lost = sum(max(0.0, makespan - dev.failed_at)
-                   for dev in self.devs if dev.failed_at is not None)
+        lost = left_sum(max(0.0, makespan - dev.failed_at)
+                        for dev in self.devs if dev.failed_at is not None)
         return ContinuousBatchStats(
             completed=self.completed, makespan_s=makespan,
             num_instances=self.sched.num_devices,
@@ -861,18 +864,18 @@ class _EventKernel:
     # -- step planning -------------------------------------------------
 
     def _decode_run(self, batch: int, ctx0: int, k: int) -> List[float]:
-        """Durations of ``k`` consecutive decode steps, vectorized.
+        """Durations of ``k`` consecutive decode steps.
 
         The mean context of an unchanged batch grows by exactly one
         token per step, so the cohort is ``ctx0 .. ctx0+k-1``; step
-        models exposing ``decode_steps_s`` price it in one call.
+        models exposing ``decode_steps_s`` price it in one call, and
+        the returned list is used as is.
         """
+        contexts = list(range(ctx0, ctx0 + k))
         steps = getattr(self.step, "decode_steps_s", None)
         if steps is not None:
-            return np.asarray(steps(batch, ctx0 + np.arange(k)),
-                              dtype=float).tolist()
-        return [float(self.step.decode_step_s(batch, ctx0 + i))
-                for i in range(k)]
+            return steps(batch, contexts)
+        return [float(self.step.decode_step_s(batch, c)) for c in contexts]
 
     def _start_unit(self, dev: _Device, now: float) -> None:
         """Plan the device's next unit from its clock and aggregates."""
@@ -1223,8 +1226,8 @@ class _EventKernel:
         start = max(now, dev.stall_until, busy_until)
         skip = {e.order for e in dev.unit_prefills}  # prefills in flight
         skip.update(v.order for v in victims)
-        queued = sum(self.step.prefill_s(e.request.input_len)
-                     for e in dev.pending if e.order not in skip)
+        queued = left_sum(self.step.prefill_s(e.request.input_len)
+                          for e in dev.pending if e.order not in skip)
         own = self.step.prefill_s(item.request.input_len)
         return start + queued + own - item.arrival_s
 

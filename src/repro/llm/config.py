@@ -20,6 +20,7 @@ into the embedding count, pre-LayerNorm blocks):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
@@ -85,16 +86,20 @@ class LLMConfig:
         """Token plus learned positional embedding parameters."""
         return self.vocab_size * self.d_model + self.max_seq_len * self.d_model
 
-    @property
+    @cached_property
     def num_params(self) -> int:
-        """Total parameter count (layers + embeddings + final LayerNorm)."""
+        """Total parameter count (layers + embeddings + final LayerNorm).
+
+        Computed once per (frozen) config: admission control reads it
+        for every offered request.
+        """
         return (
             self.num_layers * self.params_per_layer
             + self.embedding_params
             + 2 * self.d_model
         )
 
-    @property
+    @cached_property
     def param_bytes(self) -> int:
         """Bytes needed to store all parameters at ``dtype_bytes``."""
         return self.num_params * self.dtype_bytes

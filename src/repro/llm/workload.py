@@ -84,6 +84,26 @@ def output_sweep(points: Sequence[int] = (1, 4, 16, 64, 128, 256, 512, 1024),
             for i, n in enumerate(points)]
 
 
+def _sampled_lengths(num_requests: int, seed: int, mean_input: int,
+                     mean_output: int, max_total: int
+                     ) -> Tuple[List[int], List[int]]:
+    """Clipped-lognormal ``(input_lens, output_lens)`` for a workload.
+
+    One ``lognormal`` call draws input, output, input, output, ... in
+    that order, the sequence one draw at a time would produce; each
+    output is clipped to the room its input leaves under ``max_total``.
+    """
+    if num_requests <= 0:
+        raise ConfigurationError("num_requests must be positive")
+    rng = np.random.default_rng(seed)
+    draws = rng.lognormal(
+        np.tile([np.log(mean_input), np.log(mean_output)], num_requests),
+        np.tile([0.5, 0.7], num_requests)).reshape(num_requests, 2)
+    inputs = np.clip(draws[:, 0], 1, max_total // 2).astype(np.int64)
+    outputs = np.clip(draws[:, 1], 1, max_total - inputs).astype(np.int64)
+    return inputs.tolist(), outputs.tolist()
+
+
 def sampled_workload(num_requests: int, seed: int = 7,
                      mean_input: int = PAPER_INPUT_TOKENS,
                      mean_output: int = 256,
@@ -94,18 +114,10 @@ def sampled_workload(num_requests: int, seed: int = 7,
     lognormal around the paper's means gives a realistic mix for the
     scheduler benchmarks without requiring proprietary traces.
     """
-    if num_requests <= 0:
-        raise ConfigurationError("num_requests must be positive")
-    rng = np.random.default_rng(seed)
-    requests = []
-    for i in range(num_requests):
-        inp = int(np.clip(rng.lognormal(np.log(mean_input), 0.5), 1,
-                          max_total // 2))
-        out = int(np.clip(rng.lognormal(np.log(mean_output), 0.7), 1,
-                          max_total - inp))
-        requests.append(InferenceRequest(input_len=inp, output_len=out,
-                                         request_id=i))
-    return requests
+    inputs, outputs = _sampled_lengths(num_requests, seed, mean_input,
+                                       mean_output, max_total)
+    return [InferenceRequest(input_len=inp, output_len=out, request_id=i)
+            for i, (inp, out) in enumerate(zip(inputs, outputs))]
 
 
 def token_stream(request: InferenceRequest) -> Iterator[int]:
@@ -267,14 +279,13 @@ def multi_tenant_workload(num_requests: int, num_tenants: int = 8,
     """
     if not class_names:
         raise ConfigurationError("class_names must be non-empty")
-    lengths = sampled_workload(num_requests, seed=seed,
-                               mean_input=mean_input,
-                               mean_output=mean_output, max_total=max_total)
+    inputs, outputs = _sampled_lengths(num_requests, seed, mean_input,
+                                       mean_output, max_total)
     tenants = zipf_tenants(num_requests, num_tenants, skew=skew, seed=seed)
     return [InferenceRequest(
-        input_len=r.input_len, output_len=r.output_len, request_id=i,
+        input_len=inp, output_len=out, request_id=i,
         tenant=t, tenant_class=class_names[t % len(class_names)])
-        for i, (r, t) in enumerate(zip(lengths, tenants))]
+        for i, (inp, out, t) in enumerate(zip(inputs, outputs, tenants))]
 
 
 # -- replayable traces ----------------------------------------------------

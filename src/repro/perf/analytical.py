@@ -20,11 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple,
+)
 
 import numpy as np
 
 from repro.accelerator.device import CXLPNMDevice
+from repro.accelerator.dma import DmaTiming
 from repro.accelerator.mpu import MpuTiming
 from repro.accelerator.vpu import VpuTiming
 from repro.errors import ConfigurationError
@@ -63,9 +66,18 @@ class DevicePerfModel(Protocol):
 
 @dataclass(frozen=True)
 class GpuPerfModel:
-    """GPU implementation of the device performance interface."""
+    """GPU implementation of the device performance interface.
+
+    The kernel and power models are built once, at construction.
+    """
 
     spec: GPUSpec
+    _kernels: GpuKernelModel = field(init=False, repr=False, compare=False)
+    _power: GpuPowerModel = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_kernels", GpuKernelModel(self.spec))
+        object.__setattr__(self, "_power", GpuPowerModel(self.spec))
 
     @property
     def name(self) -> str:
@@ -80,12 +92,16 @@ class GpuPerfModel:
         return self.spec.memory_bandwidth
 
     def op_time(self, op: OpSpec) -> float:
-        return GpuKernelModel(self.spec).op_time(op)
+        return self._kernels.op_time(op)
 
     def power_watts(self, compute_utilization: float,
                     bandwidth_utilization: float) -> float:
-        return GpuPowerModel(self.spec).power_watts(
-            compute_utilization, bandwidth_utilization)
+        return self._power.power_watts(compute_utilization,
+                                       bandwidth_utilization)
+
+
+#: VPU passes over the data per vector-op kind (others make one pass).
+_VPU_PASSES = {OpKind.SOFTMAX: 3.0, OpKind.LAYERNORM: 3.0, OpKind.GELU: 2.0}
 
 
 @dataclass(frozen=True)
@@ -94,10 +110,25 @@ class PnmPerfModel:
 
     Matmuls take ``max(compute, memory-stream)`` with tile-rounded compute
     cycles from :class:`MpuTiming`; vector ops run on the VPU; every
-    instruction pays the control unit's dispatch overhead.
+    instruction pays the control unit's dispatch overhead.  The device's
+    unit timings, clock and effective bandwidth are derived once, at
+    construction (the device is frozen).
     """
 
     device: CXLPNMDevice
+    _mpu: MpuTiming = field(init=False, repr=False, compare=False)
+    _vpu: VpuTiming = field(init=False, repr=False, compare=False)
+    _dma: DmaTiming = field(init=False, repr=False, compare=False)
+    _clock_hz: float = field(init=False, repr=False, compare=False)
+    _bandwidth: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        device, init = self.device, object.__setattr__
+        init(self, "_mpu", device.mpu_timing())
+        init(self, "_vpu", device.vpu_timing())
+        init(self, "_dma", device.dma_timing())
+        init(self, "_clock_hz", device.spec.clock_hz)
+        init(self, "_bandwidth", device.effective_memory_bandwidth)
 
     @property
     def name(self) -> str:
@@ -113,13 +144,13 @@ class PnmPerfModel:
         return self.device.peak_memory_bandwidth
 
     def _matmul_time(self, op: OpSpec) -> float:
-        mpu = self.device.mpu_timing()
-        clock = self.device.spec.clock_hz
+        mpu = self._mpu
+        clock = self._clock_hz
         # Attention ops fold heads into flops; recover the per-matmul
         # shape scale so tile rounding applies per head.
         base_flops = 2.0 * max(op.m, 1) * op.n * op.k
         head_factor = max(1.0, op.flops / base_flops)
-        bandwidth = self.device.effective_memory_bandwidth
+        bandwidth = self._bandwidth
         if op.kind is OpKind.GEMM:
             # A GEMM can run on the PE array (weights stream once; rows
             # round up to the 64-row array) or as row-by-row GEMV sweeps
@@ -145,22 +176,19 @@ class PnmPerfModel:
         return max(compute, memory) + cal.PNM_INSTRUCTION_OVERHEAD_S
 
     def _vector_time(self, op: OpSpec) -> float:
-        vpu = self.device.vpu_timing()
+        vpu = self._vpu
         elements = op.output_bytes / op.elem_bytes
-        passes = {
-            OpKind.SOFTMAX: 3.0, OpKind.LAYERNORM: 3.0, OpKind.GELU: 2.0,
-        }.get(op.kind, 1.0)
+        passes = _VPU_PASSES.get(op.kind, 1.0)
         cycles = vpu.issue_cycles + passes * elements / vpu.lanes
-        compute = cycles / self.device.spec.clock_hz
-        memory = op.total_bytes / self.device.effective_memory_bandwidth
+        compute = cycles / self._clock_hz
+        memory = op.total_bytes / self._bandwidth
         return max(compute, memory) + cal.PNM_INSTRUCTION_OVERHEAD_S
 
     def op_time(self, op: OpSpec) -> float:
         if op.kind.is_matmul:
             return self._matmul_time(op)
         if op.kind is OpKind.EMBEDDING:
-            dma = self.device.dma_timing()
-            return dma.transfer_time(op.total_bytes) \
+            return self._dma.transfer_time(op.total_bytes) \
                 + cal.PNM_INSTRUCTION_OVERHEAD_S
         return self._vector_time(op)
 
@@ -178,10 +206,23 @@ def no_comm(_batch_tokens: int) -> float:
     return 0.0
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float sum (0 when ``values`` is empty).
+
+    Python 3.12 made ``sum()`` over floats compensated (Neumaier), so
+    its result can differ in the last bit between interpreter versions;
+    simulated times summed here round the same way on every version.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def _stage_time_s(stage: Stage, model: DevicePerfModel) -> float:
     """Sum of op times over the stage's flat order; each distinct op of a
     compact stage is timed once."""
-    return sum(per_op(stage, model.op_time))
+    return left_sum(per_op(stage, model.op_time))
 
 
 def stage_result(name: str, ops: Stage, model: DevicePerfModel,
@@ -291,6 +332,48 @@ class InferenceTimer:
             energy_j=group_energy)
 
 
+def quantize_context(context_len: int, quantum: int, max_seq_len: int
+                     ) -> int:
+    """Round a context up to a multiple of ``quantum`` for step memos.
+
+    Never past the model's position budget, unless the context itself
+    already exceeds it.  Idempotent: a quantized context quantizes to
+    itself.
+    """
+    quantized = ((context_len + quantum - 1) // quantum) * quantum
+    return min(quantized, max(context_len, max_seq_len))
+
+
+def decode_cohort_s(timer, batch: int, context_lens: Sequence[int]
+                    ) -> List[float]:
+    """Seconds for a cohort of decode steps at one batch size.
+
+    The shared ``decode_steps_s`` of both step timers (``timer`` is
+    either: anything with ``context_quantum``, ``config`` and
+    ``decode_step_s``).  It walks the
+    contexts and calls ``timer.decode_step_s(batch, quantized)`` once
+    per *run* of equal quantized context, so each element is the
+    scalar call's value to the last bit.  An event-kernel cohort is the
+    consecutive contexts ``ctx0 .. ctx0+k-1``, whose runs are its
+    ascending distinct quantized contexts, each priced once.
+    """
+    if batch < 1:
+        raise ConfigurationError("batch and context must be >= 1")
+    quantum = timer.context_quantum
+    max_seq_len = timer.config.max_seq_len
+    costs: List[float] = []
+    run = cost = None
+    for context_len in context_lens:
+        quantized = quantize_context(context_len, quantum, max_seq_len)
+        if quantized != run:
+            if context_len < 1:
+                raise ConfigurationError("batch and context must be >= 1")
+            run = quantized
+            cost = timer.decode_step_s(batch, quantized)
+        costs.append(cost)
+    return costs
+
+
 @dataclass
 class BatchStepTimer:
     """Per-iteration costs for the continuous-batching scheduler.
@@ -343,18 +426,12 @@ class BatchStepTimer:
             self._prefill_cache[input_len] = cached
         return cached
 
-    def _quantize(self, context_len: int) -> int:
-        q = self.context_quantum
-        quantized = ((context_len + q - 1) // q) * q
-        # Never quantize past the model's position budget (unless the
-        # caller's context already exceeds it).
-        return min(quantized, max(context_len, self.config.max_seq_len))
-
     def decode_step_s(self, batch: int, context_len: int) -> float:
         """Seconds for one batched gen step at the given attention span."""
         if batch < 1 or context_len < 1:
             raise ConfigurationError("batch and context must be >= 1")
-        key = (batch, self._quantize(context_len))
+        key = (batch, quantize_context(context_len, self.context_quantum,
+                                       self.config.max_seq_len))
         cached = self._decode_cache.get(key)
         if cached is None:
             stage = compact_batched_gen_stage(self.config, key[1], batch,
@@ -364,25 +441,7 @@ class BatchStepTimer:
         return cached
 
     def decode_steps_s(self, batch: int,
-                       context_lens: Sequence[int]) -> np.ndarray:
-        """Seconds for a cohort of decode steps at one batch size.
-
-        Vectorized companion to :meth:`decode_step_s` for the event
-        kernel's macro-steps: quantization happens in one numpy pass,
-        the underlying cost model is consulted once per *unique*
-        quantized context (at most ``len(context_lens) //
-        context_quantum + 1`` times for a consecutive run), and each
-        returned element is bit-identical to the scalar call.
-        """
-        ctxs = np.asarray(context_lens, dtype=np.int64)
-        if ctxs.size == 0:
-            return np.empty(0, dtype=float)
-        if batch < 1 or int(ctxs.min()) < 1:
-            raise ConfigurationError("batch and context must be >= 1")
-        q = self.context_quantum
-        quantized = np.minimum(-(ctxs // -q) * q,
-                               np.maximum(ctxs, self.config.max_seq_len))
-        uniques, inverse = np.unique(quantized, return_inverse=True)
-        costs = np.array([self.decode_step_s(batch, int(u))
-                          for u in uniques], dtype=float)
-        return costs[inverse]
+                       context_lens: Sequence[int]) -> List[float]:
+        """Seconds for a cohort of decode steps at one batch size; see
+        :func:`decode_cohort_s`."""
+        return decode_cohort_s(self, batch, context_lens)

@@ -18,15 +18,14 @@ analog: tests assert agreement with the independent analytical model of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.accelerator import isa
 from repro.accelerator.device import CXLPNMDevice
 from repro.errors import ConfigurationError, SimulationError
 from repro.llm.config import LLMConfig
 from repro.obs.context import get_metrics, get_tracer
+from repro.perf.analytical import decode_cohort_s, quantize_context
 import repro.perf.calibration as cal
 
 
@@ -466,16 +465,12 @@ class SimulatedStepTimer:
             self._prefill_cache[input_len] = cached
         return cached
 
-    def _quantize(self, context_len: int) -> int:
-        q = self.context_quantum
-        quantized = ((context_len + q - 1) // q) * q
-        return min(quantized, max(context_len, self.config.max_seq_len))
-
     def decode_step_s(self, batch: int, context_len: int) -> float:
         """Seconds for one batched gen step at the given attention span."""
         if batch < 1 or context_len < 1:
             raise ConfigurationError("batch and context must be >= 1")
-        key = (batch, self._quantize(context_len))
+        key = (batch, quantize_context(context_len, self.context_quantum,
+                                       self.config.max_seq_len))
         cached = self._decode_cache.get(key)
         if cached is None:
             from repro.accelerator.compiler import batched_timing_program
@@ -487,25 +482,9 @@ class SimulatedStepTimer:
         return cached
 
     def decode_steps_s(self, batch: int,
-                       context_lens: Sequence[int]) -> np.ndarray:
-        """Seconds for a cohort of decode steps at one batch size.
-
-        Vectorized companion to :meth:`decode_step_s` for the event
-        kernel's macro-steps: contexts are quantized in one numpy
-        pass and the simulator prices each *unique* quantized context
-        once (the simulator's own ``timing_key`` duration cache makes
-        repeats across calls cheap too).  Each element is
-        bit-identical to the scalar call.
-        """
-        ctxs = np.asarray(context_lens, dtype=np.int64)
-        if ctxs.size == 0:
-            return np.empty(0, dtype=float)
-        if batch < 1 or int(ctxs.min()) < 1:
-            raise ConfigurationError("batch and context must be >= 1")
-        q = self.context_quantum
-        quantized = np.minimum(-(ctxs // -q) * q,
-                               np.maximum(ctxs, self.config.max_seq_len))
-        uniques, inverse = np.unique(quantized, return_inverse=True)
-        costs = np.array([self.decode_step_s(batch, int(u))
-                          for u in uniques], dtype=float)
-        return costs[inverse]
+                       context_lens: Sequence[int]) -> List[float]:
+        """Seconds for a cohort of decode steps at one batch size; see
+        :func:`~repro.perf.analytical.decode_cohort_s` (the simulator's
+        own ``timing_key`` result cache makes repeats across calls
+        cheap too)."""
+        return decode_cohort_s(self, batch, context_lens)

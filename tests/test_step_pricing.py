@@ -1,0 +1,374 @@
+"""Step pricing: cohort calls, device constants and workloads, pinned.
+
+* ``decode_steps_s`` on both step timers returns, element for element,
+  exactly what ``decode_step_s`` returns for each context (compared as
+  ``float.hex``), and consults ``decode_step_s`` once per run of equal
+  quantized context.
+* ``PnmPerfModel.op_time`` values on a grid of ops and devices are
+  pinned to values recorded before the model derived its device
+  constants once, at construction.
+* Serving results do not depend on how ``sum()`` rounds: with Python
+  3.12's compensated ``sum()`` emulated in the pricing and kernel
+  modules, two event-kernel parity cases keep their 3.11 digests.
+* ``sampled_workload`` and ``multi_tenant_workload`` outputs are pinned
+  to digests recorded before their lognormal draws were batched.
+"""
+
+import builtins
+import dataclasses
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from repro.accelerator.device import CXLPNMDevice
+from repro.accelerator.dfx import dfx_device
+from repro.errors import ConfigurationError
+from repro.gpu.device import A100_40G
+from repro.gpu.kernels import GpuKernelModel
+from repro.gpu.power import GpuPowerModel
+from repro.llm import OPT_1_3B, multi_tenant_workload, sampled_workload
+from repro.llm.config import tiny_config
+from repro.llm.ops import OpKind, OpSpec, matmul_op, vector_op
+from repro.perf.analytical import (
+    BatchStepTimer,
+    GpuPerfModel,
+    PnmPerfModel,
+    left_sum,
+    quantize_context,
+)
+from repro.perf.simulator import SimulatedStepTimer
+
+# Position budgets that are not multiples of the 32-token quantum, so
+# contexts near them quantize to the budget itself.
+ANALYTICAL_CFG = dataclasses.replace(OPT_1_3B, max_seq_len=2040)
+TINY = tiny_config(max_seq_len=120)
+
+
+def _analytical(quantum):
+    return BatchStepTimer(ANALYTICAL_CFG, PnmPerfModel(CXLPNMDevice()),
+                          context_quantum=quantum)
+
+
+def _simulated(quantum):
+    return SimulatedStepTimer(TINY, context_quantum=quantum)
+
+
+#: name -> (timer factory, max_seq_len, largest context it can price);
+#: the analytical timer prices contexts past the position budget, the
+#: instruction-level one cannot compile them.
+TIMERS = {
+    "analytical": (_analytical, ANALYTICAL_CFG.max_seq_len,
+                   ANALYTICAL_CFG.max_seq_len + 40),
+    "simulated": (_simulated, TINY.max_seq_len, TINY.max_seq_len),
+}
+
+
+def _cohorts(max_seq_len, top):
+    """Context lists: consecutive runs across quantum boundaries and up
+    to (or past) the position budget, non-monotone and repeated
+    contexts, and the empty list."""
+    return [
+        list(range(1, 70)),
+        list(range(max_seq_len - 60, top + 1)),
+        list(range(95, 97)),
+        [5],
+        [70, 3, 64, 65, 64, 3, 33, 33, top, max_seq_len - 1, 1],
+        [32, 32, 32, 31, 33, 33, 2, 2],
+        [],
+    ]
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("name", sorted(TIMERS))
+@pytest.mark.parametrize("quantum", [1, 32])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_cohort_matches_scalar_calls(name, quantum, batch):
+    make, max_seq_len, top = TIMERS[name]
+    for contexts in _cohorts(max_seq_len, top):
+        cohort = make(quantum).decode_steps_s(batch, contexts)
+        scalar = make(quantum)
+        expected = [scalar.decode_step_s(batch, c) for c in contexts]
+        assert isinstance(cohort, list)
+        assert _hexes(cohort) == _hexes(expected), contexts
+
+
+@pytest.mark.parametrize("name", sorted(TIMERS))
+@pytest.mark.parametrize("quantum", [1, 32])
+def test_one_call_per_run_of_equal_quantized_context(name, quantum,
+                                                     monkeypatch):
+    make, max_seq_len, top = TIMERS[name]
+    for contexts in _cohorts(max_seq_len, top):
+        timer = make(quantum)
+        scalar = timer.decode_step_s
+        calls = []
+
+        def counted(batch, context_len):
+            calls.append(context_len)
+            return scalar(batch, context_len)
+
+        monkeypatch.setattr(timer, "decode_step_s", counted)
+        timer.decode_steps_s(2, contexts)
+        quantized = [quantize_context(c, quantum, max_seq_len)
+                     for c in contexts]
+        runs = [q for i, q in enumerate(quantized)
+                if i == 0 or q != quantized[i - 1]]
+        assert calls == runs, contexts
+
+
+@pytest.mark.parametrize("name", sorted(TIMERS))
+def test_consecutive_cohort_prices_ascending_distinct_contexts(name,
+                                                               monkeypatch):
+    # An event-kernel cohort is ctx0 .. ctx0+k-1: its runs are its
+    # ascending distinct quantized contexts, each priced once.
+    make, max_seq_len, top = TIMERS[name]
+    timer = make(32)
+    scalar = timer.decode_step_s
+    calls = []
+
+    def counted(batch, context_len):
+        calls.append(context_len)
+        return scalar(batch, context_len)
+
+    monkeypatch.setattr(timer, "decode_step_s", counted)
+    contexts = list(range(max_seq_len - 70, top + 1))
+    timer.decode_steps_s(4, contexts)
+    assert calls == sorted({quantize_context(c, 32, max_seq_len)
+                            for c in contexts})
+
+
+@pytest.mark.parametrize("name", sorted(TIMERS))
+@pytest.mark.parametrize("batch, contexts", [
+    (0, [1, 2]),
+    (-1, [5]),
+    (0, []),
+    (2, [0]),
+    (2, [4, 5, 0, 6]),
+    (2, [3, -7]),
+])
+def test_cohort_rejects_bad_arguments(name, batch, contexts):
+    make = TIMERS[name][0]
+    with pytest.raises(ConfigurationError):
+        make(32).decode_steps_s(batch, contexts)
+
+
+def test_left_sum_adds_left_to_right():
+    # A compensated sum returns 2.0 here; left to right, 1.0 is lost.
+    assert left_sum([1e16, 1.0, 1.0, -1e16]) == 0.0
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum([]) == 0 and isinstance(left_sum([]), int)
+
+
+def _compensated_sum(iterable, start=0):
+    """``sum()`` as Python 3.12 computes it: Neumaier compensation when
+    every item is a float, the plain builtin otherwise."""
+    items = list(iterable)
+    if not items or not all(type(x) is float for x in items):
+        return builtins.sum(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+@pytest.mark.parametrize("case", ["faults-single", "slo-mb16"])
+def test_serving_results_do_not_depend_on_sum_algorithm(case, monkeypatch):
+    # Serving runs priced under Python 3.12's compensated sum() match the
+    # digests recorded on 3.11: the stage sums, the projected-TTFT queue
+    # and the lost device time add left to right on every version.
+    from repro.appliance import continuous
+    from repro.perf import analytical
+    from tests import test_event_kernel_parity as parity
+
+    monkeypatch.setattr(analytical, "sum", _compensated_sum, raising=False)
+    monkeypatch.setattr(continuous, "sum", _compensated_sum, raising=False)
+    stats, step = parity.serve(case)
+    assert (parity.digest(parity.canon(stats)),
+            parity.digest("\n".join(step.log))) == parity.PINNED[case]
+
+
+# -- device constants ------------------------------------------------------
+
+
+def _attention(name, m, n, k, heads):
+    op = matmul_op(name, m, n, k, 2, weights_resident=False)
+    return dataclasses.replace(op, flops=op.flops * heads)
+
+
+OPS = [
+    matmul_op("gemv", 1, 5120, 5120, 2),
+    matmul_op("gemv-int8", 1, 20480, 5120, 1),
+    matmul_op("gemm4", 4, 5120, 5120, 2),
+    matmul_op("gemm64", 64, 15360, 5120, 2),
+    matmul_op("gemm100", 100, 5120, 20480, 2),
+    _attention("attn-scores", 8, 577, 128, 40),
+    _attention("attn-gemv", 1, 128, 577, 40),
+    vector_op("softmax", OpKind.SOFTMAX, 40 * 577, 2),
+    vector_op("layernorm", OpKind.LAYERNORM, 5120 * 8, 2),
+    vector_op("gelu", OpKind.GELU, 20480, 2),
+    vector_op("residual", OpKind.ELEMENTWISE, 5120, 2, num_inputs=2),
+    vector_op("layernorm-int8", OpKind.LAYERNORM, 5120, 1),
+    OpSpec("embed", OpKind.EMBEDDING, 0.0, 5120 * 2 * 8, 64.0,
+           5120 * 2 * 8),
+    OpSpec("embed-bursts", OpKind.EMBEDDING, 0.0, 3 * 2**20, 0.0,
+           3 * 2**20 + 17),
+]
+
+
+def _replaced_spec():
+    base = CXLPNMDevice()
+    return dataclasses.replace(base, spec=dataclasses.replace(
+        base.spec, clock_hz=1.3e9, num_pes=1024, sram_io_width=8192))
+
+
+DEVICES = {
+    "paper": CXLPNMDevice,
+    "dfx": dfx_device,
+    "replaced-spec": _replaced_spec,
+}
+
+#: device -> op_time(op).hex() for OPS, in order.
+PINNED_OP_TIMES = {
+    "paper": [
+        "0x1.a35b3f3ddecb5p-15", "0x1.a274d782a5945p-14",
+        "0x1.a2191fde9df32p-13", "0x1.42294ddfba6dep-9",
+        "0x1.ad8420fb3c0fcp-8", "0x1.0a6c14a62a4bbp-16",
+        "0x1.7a7e765297a77p-18", "0x1.41b62537ea498p-22",
+        "0x1.7dc12e4ea1014p-22", "0x1.2a406192433dcp-22",
+        "0x1.fcf420bd7e94fp-23", "0x1.0936d7cfd7909p-22",
+        "0x1.0f70c8a59964ap-21", "0x1.b86909f37999dp-18",
+    ],
+    "dfx": [
+        "0x1.edee8973cafeep-14", "0x1.ed70add163af6p-13",
+        "0x1.ed4d79c42a92cp-12", "0x1.71c65b96cf15cp-6",
+        "0x1.812c90553cbe5p-5", "0x1.d1107e526b5cdp-16",
+        "0x1.e5de40bd8a64ap-18", "0x1.b4f0492a2b22ep-22",
+        "0x1.3088ca4425756p-21", "0x1.9be894af18328p-22",
+        "0x1.20aef4c7587f6p-22", "0x1.195202f97bf9cp-22",
+        "0x1.81245961246ecp-21", "0x1.ecfb96599e6b0p-17",
+    ],
+    "replaced-spec": [
+        "0x1.a35b3f3ddecb5p-15", "0x1.a274d782a5945p-14",
+        "0x1.a2191fde9df32p-13", "0x1.ef9bea3faaf65p-9",
+        "0x1.4a641d5d96295p-7", "0x1.9b6dd039cbf4bp-17",
+        "0x1.263f1e6514464p-18", "0x1.60e060a513966p-22",
+        "0x1.b7687f4f43d2cp-22", "0x1.33415ecba2ea0p-22",
+        "0x1.f2e0812419085p-23", "0x1.09f524a280a14p-22",
+        "0x1.0f70c8a59964ap-21", "0x1.b86909f37999dp-18",
+    ],
+}
+
+
+@pytest.mark.parametrize("device", sorted(DEVICES))
+def test_pnm_op_times_match_pinned_values(device):
+    model = PnmPerfModel(DEVICES[device]())
+    assert [model.op_time(op).hex() for op in OPS] \
+        == PINNED_OP_TIMES[device]
+
+
+def test_pnm_model_derives_constants_from_its_own_device():
+    paper, dfx = PnmPerfModel(CXLPNMDevice()), PnmPerfModel(dfx_device())
+    replaced = dataclasses.replace(paper, device=dfx_device())
+    assert [replaced.op_time(op) for op in OPS] \
+        == [dfx.op_time(op) for op in OPS]
+    # Derived constants take no part in equality or the repr.
+    assert PnmPerfModel(CXLPNMDevice()) == paper
+    assert "_mpu" not in repr(paper)
+
+
+def test_gpu_model_matches_fresh_kernel_and_power_models():
+    model = GpuPerfModel(A100_40G)
+    assert [model.op_time(op) for op in OPS] \
+        == [GpuKernelModel(A100_40G).op_time(op) for op in OPS]
+    assert model.power_watts(0.3, 0.8) \
+        == GpuPowerModel(A100_40G).power_watts(0.3, 0.8)
+    assert GpuPerfModel(A100_40G) == model
+
+
+# -- workloads -------------------------------------------------------------
+
+
+def _workload_digest(requests):
+    text = "\n".join(f"{r.input_len} {r.output_len} {r.request_id} "
+                     f"{r.tenant} {r.tenant_class}" for r in requests)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("num, options, pinned", [
+    (20000, {},
+     "c01a00f71ff4afcd4bdac5a74b4f86d7035adb8da1dcf6d833ea85bb787d54ef"),
+    (8000, {},
+     "759c06079fca67ec3c22334fbe86c7e9dcb7985b16ebb36f7307ca8b30ad076e"),
+    (1250, dict(seed=7007, mean_output=64),
+     "6586f14946a3f4f48aa59a6e8c27417c5ad6062ba2b4b117241b3c0071b07be4"),
+    (300, dict(seed=8000, mean_output=64, max_total=256),
+     "c0de83d11987205ad50d0674018993524bcfc4c081f2e5cabdbb1661355a2bc2"),
+    (1, {},
+     "70f0f97665668ede3b8eac0a9557f92b8604162b95feb23475b69ea38055ff14"),
+    (37, dict(seed=3, mean_input=512, mean_output=1500, max_total=2048),
+     "2845ca3d628e16dbc4460d012fb4189bf5f18b593196ee8cf4be8e64d9087ba4"),
+    (50, dict(max_total=2),
+     "e7d16a31a0e1986834de71e7cc8063288a8dbace8856418d2b287b4eb4f995ff"),
+])
+def test_sampled_workload_matches_pinned_digest(num, options, pinned):
+    requests = sampled_workload(num, **options)
+    assert all(type(r.input_len) is int and type(r.output_len) is int
+               for r in requests)
+    assert _workload_digest(requests) == pinned
+
+
+def _one_draw_at_a_time(num, seed=7, mean_input=64, mean_output=256,
+                        max_total=2048):
+    """The per-request lognormal loop the batched draw replaced."""
+    rng = np.random.default_rng(seed)
+    lengths = []
+    for _ in range(num):
+        inp = int(np.clip(rng.lognormal(np.log(mean_input), 0.5), 1,
+                          max_total // 2))
+        out = int(np.clip(rng.lognormal(np.log(mean_output), 0.7), 1,
+                          max_total - inp))
+        lengths.append((inp, out))
+    return lengths
+
+
+@pytest.mark.parametrize("num, options", [
+    (500, {}),
+    (300, dict(seed=8000, mean_output=64, max_total=256)),
+    (200, dict(seed=11, mean_input=900, mean_output=900, max_total=1024)),
+    (7, dict(seed=0, mean_input=1, mean_output=1, max_total=3)),
+])
+def test_sampled_workload_matches_one_draw_at_a_time(num, options):
+    assert [(r.input_len, r.output_len)
+            for r in sampled_workload(num, **options)] \
+        == _one_draw_at_a_time(num, **options)
+
+
+@pytest.mark.parametrize("num, options, pinned", [
+    (1250, dict(num_tenants=8, class_names=("interactive", "batch"),
+                seed=7000, mean_input=64, mean_output=64),
+     "ba1f1c2fcf3f420cff3cc35b94001655573e309b71d585595ea7b356caf72cef"),
+    (160, dict(num_tenants=4, class_names=("interactive", "batch"), seed=5,
+               mean_input=128, mean_output=48),
+     "ab8b84a86f0a4656461f60e7f02ae05b77a23aac0c04ff0f98c3b8b53d7c1b60"),
+    (1, {},
+     "33d002e5f596d2014fcecfb1c98e558eb92802091f6a20510bc7463965e02378"),
+])
+def test_multi_tenant_workload_matches_pinned_digest(num, options, pinned):
+    assert _workload_digest(multi_tenant_workload(num, **options)) == pinned
+
+
+@pytest.mark.parametrize("make", [sampled_workload, multi_tenant_workload])
+def test_workloads_reject_empty_request_counts(make):
+    with pytest.raises(ConfigurationError):
+        make(0)
