@@ -13,13 +13,7 @@ from repro.appliance.continuous import (
     simulated_step_model,
 )
 from repro.appliance.pipeline import PipelinePlan
-from repro.appliance.scheduler import (
-    RejectedRequest,
-    RequestScheduler,
-    ServiceStats,
-    poisson_arrivals,
-    timer_service,
-)
+from repro.appliance.scheduler import RejectedRequest
 from repro.appliance.comm import CxlCommModel, GpuCommModel
 from repro.appliance.parallelism import (
     ParallelismPlan,
@@ -33,12 +27,8 @@ __all__ = [
     "FailoverEvent",
     "PipelinePlan",
     "RejectedRequest",
-    "RequestScheduler",
-    "ServiceStats",
     "TenantClass",
-    "poisson_arrivals",
     "simulated_step_model",
-    "timer_service",
     "CxlCommModel",
     "GpuAppliance",
     "GpuCommModel",

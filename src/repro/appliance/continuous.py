@@ -1,14 +1,17 @@
 """Continuous batching over model replicas: event-driven serving kernel.
 
-The FCFS scheduler in :mod:`repro.appliance.scheduler` gives each
-request an exclusive instance for its whole lifetime, so every gen
-token re-streams all parameters for a single row of activations — the
-bandwidth-bound GEMV regime of paper §VII.  Serving systems instead
-re-form the batch *every iteration*: requests join the running batch as
-soon as their KV cache fits (admission control), each decode step
-processes one token from every running request against once-streamed
-weights (small-batch GEMM, the lever of the paper's ref [10]), and
-requests leave the moment their last token is produced.
+The paper measures single-stream execution: a request owns a device
+for its whole lifetime, so every gen token re-streams all parameters
+for a single row of activations — the bandwidth-bound GEMV regime of
+paper §VII.  Serving systems instead re-form the batch *every
+iteration*: requests join the running batch as soon as their KV cache
+fits (admission control), each decode step processes one token from
+every running request against once-streamed weights (small-batch GEMM,
+the lever of the paper's ref [10]), and requests leave the moment their
+last token is produced.  Both regimes are one engine:
+:class:`ContinuousBatchScheduler` at ``max_batch=1`` is the
+FCFS-exclusive baseline (``repro serve --compare-fcfs``), and without
+the cap it batches.
 
 :class:`ContinuousBatchScheduler` simulates that regime at decode-step
 granularity with a **global event heap** of request-arrival,
@@ -50,8 +53,9 @@ Scheduling semantics:
   misses their class target, with goodput reported beside throughput.
 
 Observability (per-device-step sim spans on ``scheduler.dev<i>``
-tracks, a batch-occupancy gauge, admission/rejection counters) only
-records — results are bit-identical with tracing on or off.
+tracks, batch-occupancy and queue-depth gauges, admission/rejection
+counters) only records — results are bit-identical with tracing on or
+off.
 """
 
 from __future__ import annotations
@@ -71,7 +75,6 @@ import numpy as np
 from repro.appliance.scheduler import (
     CompletedRequest,
     RejectedRequest,
-    ServiceStats,
     infeasible_error,
 )
 from repro.errors import (
@@ -206,14 +209,11 @@ class TenantClass:
     def met_by(self, completed: CompletedRequest) -> bool:
         """Did a completed request meet this class's SLO targets?
 
-        Targets that were never set are trivially met; a missing TTFT
-        measurement fails a TTFT target (the request never produced a
-        tracked first token within the run).
+        Targets that were never set are trivially met.
         """
-        if self.ttft_target_s is not None:
-            ttft = completed.ttft_s
-            if ttft is None or ttft > self.ttft_target_s:
-                return False
+        if self.ttft_target_s is not None \
+                and completed.ttft_s > self.ttft_target_s:
+            return False
         if self.tbt_target_s is not None:
             tbt = completed.mean_tbt_s
             if tbt is not None and tbt > self.tbt_target_s:
@@ -385,22 +385,30 @@ class _WaitQueue:
 
 
 @dataclass
-class ContinuousBatchStats(ServiceStats):
-    """Service statistics plus the batching-specific aggregates.
+class ContinuousBatchStats:
+    """Aggregate statistics of one serving run.
+
+    All latency aggregates report 0.0 when nothing completed — an
+    admission-controlled run that rejects everything is still a valid,
+    reportable outcome (the ``rejected`` list says why).
 
     ``num_instances`` mirrors the engine's ``num_devices`` (1 unless
-    the run models a multi-device appliance) — each device serves many
-    requests concurrently.  The failover fields are only non-trivial
-    when a fault plan scheduled device events (``repro.faults``):
-    ``failover_events`` is the survived-failure timeline,
-    ``failover_latencies_s`` holds the queue-to-readmission delay of
-    every requeued request, ``stall_s`` totals the transient device
-    stalls that elapsed in simulated time (a stall overlapping idle
-    time still counts here but delays nobody), and ``lost_device_s``
-    is the serving capacity destroyed by permanent failures — for each
-    dead device, the span from its failure to the end of the run.
+    the run models a multi-device appliance).  The failover fields are
+    only non-trivial when a fault plan scheduled device events
+    (``repro.faults``): ``failover_events`` is the survived-failure
+    timeline, ``failover_latencies_s`` holds the queue-to-readmission
+    delay of every requeued request, ``stall_s`` totals the transient
+    device stalls that elapsed in simulated time (a stall overlapping
+    idle time still counts here but delays nobody), and
+    ``lost_device_s`` is the serving capacity destroyed by permanent
+    failures — for each dead device, the span from its failure to the
+    end of the run.
     """
 
+    completed: List[CompletedRequest]
+    makespan_s: float
+    num_instances: int
+    rejected: List[RejectedRequest] = field(default_factory=list)
     num_iterations: int = 0
     max_occupancy: int = 0
     busy_s: float = 0.0
@@ -461,7 +469,7 @@ class ContinuousBatchStats(ServiceStats):
             done = [c for c in self.completed
                     if c.request.tenant_class == name]
             met = [c for c in done if self.met_slo(c)]
-            ttfts = [c.ttft_s for c in done if c.ttft_s is not None]
+            ttfts = [c.ttft_s for c in done]
             tbts = [c.mean_tbt_s for c in done
                     if c.mean_tbt_s is not None]
             rejected = sum(1 for r in self.rejected
@@ -518,21 +526,51 @@ class ContinuousBatchStats(ServiceStats):
                    self.makespan_s * self.num_instances
                    - self.lost_device_s)
 
+    def _latencies(self) -> np.ndarray:
+        return np.array([c.total_latency_s for c in self.completed])
+
+    @property
+    def mean_latency_s(self) -> float:
+        if not self.completed:
+            return 0.0
+        return float(self._latencies().mean())
+
+    @property
+    def p50_latency_s(self) -> float:
+        if not self.completed:
+            return 0.0
+        return float(np.percentile(self._latencies(), 50))
+
+    @property
+    def p95_latency_s(self) -> float:
+        if not self.completed:
+            return 0.0
+        return float(np.percentile(self._latencies(), 95))
+
+    @property
+    def mean_queue_wait_s(self) -> float:
+        if not self.completed:
+            return 0.0
+        return float(np.mean([c.queue_wait_s for c in self.completed]))
+
+    @property
+    def throughput_tokens_per_s(self) -> float:
+        tokens = sum(c.request.output_len for c in self.completed)
+        return tokens / self.makespan_s if self.makespan_s else 0.0
+
     @property
     def instance_utilization(self) -> float:
         """Busy device-seconds over *available* device-seconds.
 
-        Overrides the FCFS definition (per-request busy time summed
-        over instances), which would double-count overlapping
-        residents.  The denominator excludes capacity lost to
-        permanent device failures.
+        A device's busy time counts once however many requests share
+        its batch; the denominator excludes capacity lost to permanent
+        device failures.
         """
         capacity = self.available_device_s
         return self.busy_s / capacity if capacity else 0.0
 
     def _ttfts(self) -> np.ndarray:
-        return np.array([c.ttft_s for c in self.completed
-                         if c.ttft_s is not None])
+        return np.array([c.ttft_s for c in self.completed])
 
     @property
     def mean_ttft_s(self) -> float:
@@ -551,8 +589,18 @@ class ContinuousBatchStats(ServiceStats):
         return float(np.mean(tbts)) if tbts else 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        out = super().as_dict()
-        out.update({
+        """JSON-ready flat view, for exporters and benchmarks."""
+        return {
+            "requests": float(len(self.completed)),
+            "rejected": float(len(self.rejected)),
+            "num_instances": float(self.num_instances),
+            "makespan_s": self.makespan_s,
+            "mean_latency_s": self.mean_latency_s,
+            "p50_latency_s": self.p50_latency_s,
+            "p95_latency_s": self.p95_latency_s,
+            "mean_queue_wait_s": self.mean_queue_wait_s,
+            "throughput_tokens_per_s": self.throughput_tokens_per_s,
+            "instance_utilization": self.instance_utilization,
             "num_iterations": float(self.num_iterations),
             "max_occupancy": float(self.max_occupancy),
             "mean_occupancy": self.mean_occupancy,
@@ -567,8 +615,7 @@ class ContinuousBatchStats(ServiceStats):
             "preemptions": float(self.preemptions),
             "goodput_tokens_per_s": self.goodput_tokens_per_s,
             "slo_attainment": self.slo_attainment,
-        })
-        return out
+        }
 
 
 @dataclass
@@ -644,9 +691,10 @@ class ContinuousBatchScheduler:
         """Serve ``requests`` with continuous batching; returns stats.
 
         ``arrival_times`` defaults to all-at-once; pass
-        :func:`~repro.appliance.scheduler.poisson_arrivals` for
-        open-loop load.  FCFS is preserved: admission considers only the
-        head of the waiting queue (head-of-line blocking included).
+        :func:`~repro.llm.workload.steady_arrivals` (or another shape of
+        :func:`~repro.llm.workload.arrivals_for_shape`) for open-loop
+        load.  FCFS is preserved: admission considers only the head of
+        the waiting queue (head-of-line blocking included).
         """
         if not requests:
             raise ConfigurationError("no requests to schedule")
@@ -672,14 +720,36 @@ class ContinuousBatchScheduler:
                                  faults, events).run()
         if metrics.enabled:
             for c in stats.completed:
-                if c.ttft_s is not None:
-                    metrics.histogram("scheduler.ttft_s").observe(c.ttft_s)
+                metrics.histogram("scheduler.ttft_s").observe(c.ttft_s)
                 if c.mean_tbt_s is not None:
                     metrics.histogram("scheduler.tbt_s").observe(
                         c.mean_tbt_s)
+                metrics.histogram("scheduler.queue_wait_s").observe(
+                    c.queue_wait_s)
                 metrics.histogram("scheduler.latency_s").observe(
                     c.total_latency_s)
+            _observe_queue_depth(metrics, stats.completed)
         return stats
+
+
+def _observe_queue_depth(metrics, completed: Sequence[CompletedRequest]
+                         ) -> None:
+    """Sweep arrival/start events and gauge the waiting-queue depth.
+
+    The gauge's min/max envelope captures the deepest backlog of the
+    run — an open-loop overload shows up here before it shows up in
+    p95 latency.
+    """
+    gauge = metrics.gauge("scheduler.queue_depth")
+    # Arrivals before starts at equal timestamps, so an immediately-
+    # admitted request never drives the gauge negative.
+    events = sorted([(c.arrival_s, 1) for c in completed]
+                    + [(c.start_s, -1) for c in completed],
+                    key=lambda e: (e[0], -e[1]))
+    depth = 0
+    for _t, delta in events:
+        depth += delta
+        gauge.set(depth)
 
 
 # -- event-driven kernel ----------------------------------------------

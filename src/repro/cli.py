@@ -203,11 +203,7 @@ def _parse_tenant_class(spec: str):
 
 def _cmd_serve(args) -> int:
     from repro.accelerator import CXLPNMDevice
-    from repro.appliance import (
-        ContinuousBatchScheduler,
-        RequestScheduler,
-        timer_service,
-    )
+    from repro.appliance import ContinuousBatchScheduler
     from repro.llm import (
         DEFAULT_TENANT_CLASS,
         InferenceRequest,
@@ -216,7 +212,11 @@ def _cmd_serve(args) -> int:
         write_trace,
         zipf_tenants,
     )
-    from repro.perf.analytical import BatchStepTimer, PnmPerfModel
+    from repro.perf.analytical import (
+        BatchStepTimer,
+        InferenceTimer,
+        PnmPerfModel,
+    )
     config = get_model(args.model)
     if args.device == "pnm":
         device = CXLPNMDevice()
@@ -229,7 +229,6 @@ def _cmd_serve(args) -> int:
         memory = int(args.memory_gb * GB)
     classes = [_parse_tenant_class(spec) for spec in args.tenant_classes]
     class_names = [tc.name for tc in classes] or [DEFAULT_TENANT_CLASS]
-    service = timer_service(config, perf)
     if args.trace_file:
         requests, arrivals = read_trace(args.trace_file)
         source = f"trace {args.trace_file}"
@@ -247,18 +246,14 @@ def _cmd_serve(args) -> int:
         if rate is None:
             # Default: overload one exclusive instance 4x, the regime
             # where continuous batching pays off.
-            rate = 4.0 / service(requests[0])
+            rate = 4.0 / InferenceTimer(config, perf).run(
+                args.input_tokens, args.output_tokens).latency_s
         arrivals = arrivals_for_shape(args.arrival, len(requests), rate,
                                       seed=args.seed)
         source = f"{args.arrival} {rate:.3f} req/s"
     if args.save_trace:
         write_trace(args.save_trace, requests, arrivals)
         print(f"trace saved: {args.save_trace} ({len(requests)} records)")
-    runs = []
-    if args.compare_fcfs:
-        fcfs = RequestScheduler(service, num_instances=1, config=config,
-                                memory_bytes=memory)
-        runs.append(("fcfs-exclusive", fcfs.run(requests, arrivals)))
     quantize = "int8" if args.dtype == "int8" else None
     if args.step_model == "sim":
         if args.device != "pnm":
@@ -273,6 +268,12 @@ def _cmd_serve(args) -> int:
         # (KV caches keep their full width).
         step_config = config.with_dtype(1) if quantize else config
         step = BatchStepTimer(step_config, perf)
+    runs = []
+    if args.compare_fcfs:
+        # The FCFS-exclusive baseline: the same engine and step model,
+        # one request per device at a time (the paper's batch-1 run).
+        fcfs = ContinuousBatchScheduler(step, config, memory, max_batch=1)
+        runs.append(("fcfs-exclusive", fcfs.run(requests, arrivals)))
     engine = ContinuousBatchScheduler(
         step, config, memory, max_batch=args.max_batch,
         num_devices=args.devices, classes=classes or None,
@@ -561,7 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SLO-aware admission: shed requests whose "
                             "projected TTFT/TBT miss their class targets")
     serve.add_argument("--compare-fcfs", action="store_true",
-                       help="also run the FCFS-exclusive baseline")
+                       help="also run the FCFS-exclusive baseline: the "
+                            "same engine at max batch 1 on one device")
     serve.add_argument("--in", dest="input_tokens", type=int, default=64)
     serve.add_argument("--out", dest="output_tokens", type=int, default=64)
     serve.add_argument("--max-batch", type=int, default=None)

@@ -78,9 +78,10 @@ class AdmissionError(ReproError):
     """A request was turned away at admission control.
 
     Carries the reason a request can never be served (position budget,
-    KV footprint, or capacity lost to a device failure); schedulers
-    record these on :class:`~repro.appliance.scheduler.RejectedRequest`
-    instead of fabricating a service latency.
+    KV footprint, or capacity lost to a device failure); the serving
+    engine records these on
+    :class:`~repro.appliance.scheduler.RejectedRequest` instead of
+    fabricating a service latency.
     """
 
 

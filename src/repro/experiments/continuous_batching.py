@@ -6,7 +6,8 @@ small-batch GEMM.  This experiment measures what that is worth at the
 *service* level: the same OPT-13B request stream is offered, at an
 arrival rate past the single-stream capacity, to
 
-* the FCFS scheduler serving each request on an exclusive instance, and
+* the FCFS-exclusive baseline, each request served alone on the device
+  (the engine at ``max_batch=1``: the paper's batch-1 run), and
 * the continuous-batching engine re-forming the batch every decode step
   under KV admission control,
 
@@ -27,28 +28,27 @@ per-iteration batch spans and per-request slot timelines.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.accelerator.device import CXLPNMDevice
 from repro.appliance.continuous import (
     ContinuousBatchScheduler,
     ContinuousBatchStats,
 )
-from repro.appliance.scheduler import (
-    RequestScheduler,
-    ServiceStats,
-    poisson_arrivals,
-    timer_service,
-)
 from repro.experiments.report import ExperimentResult
 from repro.gpu import A100_40G
 from repro.llm.batching import max_batch_for_memory
 from repro.llm.config import OPT_13B
 from repro.llm.kvcache import peak_kv_bytes
-from repro.llm.workload import PAPER_INPUT_TOKENS, InferenceRequest
+from repro.llm.workload import (
+    PAPER_INPUT_TOKENS,
+    InferenceRequest,
+    steady_arrivals,
+)
 from repro.perf.analytical import (
     BatchStepTimer,
     GpuPerfModel,
+    InferenceTimer,
     PnmPerfModel,
 )
 from repro.tco.energy import daily_weight_traffic_bytes
@@ -70,18 +70,24 @@ def _workload() -> List[InferenceRequest]:
             for i in range(NUM_REQUESTS)]
 
 
-def compare_device(perf_model, memory_bytes: int,
-                   max_batch: int = None
-                   ) -> "tuple[ServiceStats, ContinuousBatchStats, float]":
-    """Run both schedulers on one device; returns (fcfs, continuous, rate)."""
+def _single_stream_rate(perf_model) -> float:
+    """Offered rate at OVERLOAD_FACTOR x one exclusive instance."""
+    latency = InferenceTimer(MODEL, perf_model).run(
+        PAPER_INPUT_TOKENS, OUTPUT_TOKENS).latency_s
+    return OVERLOAD_FACTOR / latency
+
+
+def compare_device(perf_model, memory_bytes: int, max_batch: int = None
+                   ) -> Tuple[ContinuousBatchStats, ContinuousBatchStats,
+                              float]:
+    """Serve one stream at batch 1 and batched on one device; returns
+    (fcfs, continuous, rate)."""
     requests = _workload()
-    service = timer_service(MODEL, perf_model)
-    rate = OVERLOAD_FACTOR / service(requests[0])
-    arrivals = poisson_arrivals(NUM_REQUESTS, rate, seed=ARRIVAL_SEED)
-    fcfs = RequestScheduler(service, num_instances=1, config=MODEL,
-                            memory_bytes=memory_bytes
-                            ).run(requests, arrivals)
+    rate = _single_stream_rate(perf_model)
+    arrivals = steady_arrivals(NUM_REQUESTS, rate, seed=ARRIVAL_SEED)
     step = BatchStepTimer(MODEL, perf_model)
+    fcfs = ContinuousBatchScheduler(
+        step, MODEL, memory_bytes, max_batch=1).run(requests, arrivals)
     continuous = ContinuousBatchScheduler(
         step, MODEL, memory_bytes, max_batch=max_batch
     ).run(requests, arrivals)
@@ -120,7 +126,7 @@ def run() -> ExperimentResult:
         })
         rows.append({
             "scenario": f"{name} peak occupancy / KV batch cap",
-            "fcfs": float(fcfs.num_instances),
+            "fcfs": float(fcfs.max_occupancy),
             "continuous": float(cont.max_occupancy),
             "extra": float(kv_cap),
         })
@@ -144,9 +150,8 @@ def run() -> ExperimentResult:
     # halved weight stream lifts service throughput; admission budgets
     # stay on the unquantized config (KV caches keep full width).
     requests = _workload()
-    service = timer_service(MODEL, PnmPerfModel(pnm_device))
-    rate = OVERLOAD_FACTOR / service(requests[0])
-    arrivals = poisson_arrivals(NUM_REQUESTS, 4 * rate, seed=ARRIVAL_SEED)
+    rate = _single_stream_rate(PnmPerfModel(pnm_device))
+    arrivals = steady_arrivals(NUM_REQUESTS, 4 * rate, seed=ARRIVAL_SEED)
     dtype_runs = {}
     for label, cfg in (("fp16", MODEL), ("int8", MODEL.with_dtype(1))):
         step = BatchStepTimer(cfg, PnmPerfModel(pnm_device))

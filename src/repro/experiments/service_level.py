@@ -8,8 +8,9 @@ arbiter at work), and whether the per-stage times feeding the queueing
 model agree with the instruction-level simulator.  This experiment
 stitches those three layers together:
 
-* **scheduler** — FCFS over ``DP`` model instances serving OPT-13B
-  requests (64 in / 256 out) at ~70% offered utilization;
+* **scheduler** — FCFS over ``DP`` model instances, each serving one
+  request at a time (the serving engine at ``max_batch=1``), on
+  OPT-13B requests (64 in / 256 out) at ~70% offered utilization;
 * **cxl** — the hardware-WRR vs blocking-poll arbiter serving host
   traffic concurrently with PNM tasks of the measured gen-stage length;
 * **accelerator** — the list scheduler run over a compiled OPT-13B gen
@@ -54,14 +55,10 @@ from repro.llm.workload import (
     arrivals_for_shape,
     multi_tenant_workload,
     read_trace,
+    steady_arrivals,
     write_trace,
 )
 from repro.obs.metrics import NULL_REGISTRY
-from repro.appliance.scheduler import (
-    RequestScheduler,
-    poisson_arrivals,
-    timer_service,
-)
 from repro.perf.analytical import (
     BatchStepTimer,
     InferenceTimer,
@@ -125,9 +122,10 @@ def _slo_cell(step: BatchStepTimer, memory_bytes: int, mix: Sequence[str],
         mean_input=PAPER_INPUT_TOKENS, mean_output=SLO_OUTPUT_TOKENS)
     arrivals = arrivals_for_shape(shape, SLO_NUM_REQUESTS,
                                   rate * num_devices, seed=SLO_SEED)
-    # The FCFS layer owns the ambient scheduler.* metrics contract
-    # (exactly NUM_REQUESTS requests); the sweep keeps its counters out
-    # of that registry but still traces spans onto the shared timeline.
+    # The DP scheduler layer owns the ambient scheduler.* metrics
+    # contract (exactly NUM_REQUESTS requests); the sweep keeps its
+    # counters out of that registry but still traces spans onto the
+    # shared timeline.
     scheduler = ContinuousBatchScheduler(
         step, OPT_13B, memory_bytes, num_devices=num_devices,
         classes=slo_classes(step), slo_admission=True,
@@ -138,9 +136,9 @@ def _slo_cell(step: BatchStepTimer, memory_bytes: int, mix: Sequence[str],
 def _slo_rows(step: BatchStepTimer, memory_bytes: int,
               rows: List[dict]) -> None:
     """Append the SLO sweep and the trace-replay check to ``rows``."""
-    single = timer_service(OPT_13B, step.model)
-    probe = InferenceRequest(PAPER_INPUT_TOKENS, SLO_OUTPUT_TOKENS)
-    rate = SLO_OVERLOAD / single(probe)
+    single = InferenceTimer(OPT_13B, step.model).run(
+        PAPER_INPUT_TOKENS, SLO_OUTPUT_TOKENS).latency_s
+    rate = SLO_OVERLOAD / single
 
     cells = [("even", shape, devices)
              for shape in ARRIVAL_SHAPES
@@ -200,10 +198,12 @@ def run(num_requests: int = NUM_REQUESTS,
     requests = [InferenceRequest(PAPER_INPUT_TOKENS, OUTPUT_TOKENS,
                                  request_id=i)
                 for i in range(num_requests)]
-    scheduler = RequestScheduler(timer_service(OPT_13B, pnm),
-                                 num_instances=num_instances)
+    step = BatchStepTimer(OPT_13B, pnm)
+    scheduler = ContinuousBatchScheduler(
+        step, OPT_13B, device.memory_capacity, max_batch=1,
+        num_devices=num_instances)
     stats = scheduler.run(requests,
-                          poisson_arrivals(num_requests, rate, seed=0))
+                          steady_arrivals(num_requests, rate, seed=0))
 
     # CXL layer: host bandwidth while PNM tasks of one gen-stage length
     # hammer the same memory.
@@ -249,7 +249,7 @@ def run(num_requests: int = NUM_REQUESTS,
     # SLO sweep: multi-tenant continuous batching under each arrival
     # shape, with goodput-under-SLO per tenant class and a trace-replay
     # bit-identity check.
-    _slo_rows(BatchStepTimer(OPT_13B, pnm), device.memory_capacity, rows)
+    _slo_rows(step, device.memory_capacity, rows)
     return ExperimentResult(
         experiment_id="service",
         title=f"OPT-13B service level: {num_requests} Poisson requests "

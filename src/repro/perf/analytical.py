@@ -229,8 +229,8 @@ def stage_result(name: str, ops: Stage, model: DevicePerfModel,
                  comm_s: float = 0.0) -> StageResult:
     """Time one stage (compact or flat) on a device and account energy."""
     time_s = _stage_time_s(ops, model) + comm_s
-    flops = sum(per_op(ops, attrgetter("flops")))
-    mem = sum(per_op(ops, attrgetter("total_bytes")))
+    flops = left_sum(per_op(ops, attrgetter("flops")))
+    mem = left_sum(per_op(ops, attrgetter("total_bytes")))
     cu = min(1.0, flops / (time_s * model.peak_flops)) if time_s else 0.0
     bu = min(1.0, mem / (time_s * model.peak_bandwidth)) if time_s else 0.0
     energy = model.power_watts(cu, bu) * time_s
@@ -288,11 +288,11 @@ class InferenceTimer:
             results = [self.gen_stage(int(c)) for c in contexts]
             return StageResult(
                 name="gen",
-                time_s=sum(r.time_s for r in results),
-                flops=sum(r.flops for r in results),
-                mem_bytes=sum(r.mem_bytes for r in results),
-                comm_s=sum(r.comm_s for r in results),
-                energy_j=sum(r.energy_j for r in results))
+                time_s=left_sum(r.time_s for r in results),
+                flops=left_sum(r.flops for r in results),
+                mem_bytes=left_sum(r.mem_bytes for r in results),
+                comm_s=left_sum(r.comm_s for r in results),
+                energy_j=left_sum(r.energy_j for r in results))
         samples = np.unique(np.linspace(contexts[0], contexts[-1],
                                         self.gen_samples).astype(int))
         sampled = [self.gen_stage(int(c)) for c in samples]

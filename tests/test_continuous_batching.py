@@ -3,22 +3,22 @@
 import pytest
 
 from repro.accelerator import CXLPNMDevice
-from repro.appliance import (
-    ContinuousBatchScheduler,
-    RequestScheduler,
-    poisson_arrivals,
-    timer_service,
-)
+from repro.appliance import ContinuousBatchScheduler
 from repro.errors import ConfigurationError
 from repro.llm import (
     OPT_1_3B,
     InferenceRequest,
     max_batch_for_memory,
     peak_kv_bytes,
+    steady_arrivals,
     tiny_config,
 )
 from repro.obs import MetricsRegistry, Tracer, observe
-from repro.perf.analytical import BatchStepTimer, PnmPerfModel
+from repro.perf.analytical import (
+    BatchStepTimer,
+    InferenceTimer,
+    PnmPerfModel,
+)
 
 
 class ConstStep:
@@ -86,7 +86,7 @@ class TestTimeline:
         assert late.queue_wait_s == 0.0
 
     def test_deterministic(self):
-        arrivals = poisson_arrivals(6, 1.0, seed=4)
+        arrivals = steady_arrivals(6, 1.0, seed=4)
         runs = []
         for _ in range(2):
             engine = ContinuousBatchScheduler(ConstStep(), CFG,
@@ -168,17 +168,14 @@ class TestAnalyticalService:
         perf = PnmPerfModel(device)
         requests = [InferenceRequest(16, 16, request_id=i)
                     for i in range(8)]
-        service = timer_service(OPT_1_3B, perf)
-        rate = 4.0 / service(requests[0])
-        arrivals = poisson_arrivals(len(requests), rate, seed=1)
-        fcfs = RequestScheduler(service, num_instances=1,
-                                config=OPT_1_3B,
-                                memory_bytes=device.memory_capacity
-                                ).run(requests, arrivals)
-        engine = ContinuousBatchScheduler(
-            BatchStepTimer(OPT_1_3B, perf), OPT_1_3B,
-            device.memory_capacity)
-        cont = engine.run(requests, arrivals)
+        rate = 4.0 / InferenceTimer(OPT_1_3B, perf).run(16, 16).latency_s
+        arrivals = steady_arrivals(len(requests), rate, seed=1)
+        step = BatchStepTimer(OPT_1_3B, perf)
+        fcfs = ContinuousBatchScheduler(
+            step, OPT_1_3B, device.memory_capacity, max_batch=1
+        ).run(requests, arrivals)
+        cont = ContinuousBatchScheduler(
+            step, OPT_1_3B, device.memory_capacity).run(requests, arrivals)
         assert cont.throughput_tokens_per_s \
             > fcfs.throughput_tokens_per_s
         assert len(cont.completed) == len(requests)
@@ -207,7 +204,7 @@ class TestObservability:
         engine = ContinuousBatchScheduler(
             ConstStep(), CFG, _memory_for(2), tracer=tracer,
             metrics=metrics)
-        arrivals = poisson_arrivals(6, 2.0, seed=2)
+        arrivals = steady_arrivals(6, 2.0, seed=2)
         return engine.run(_requests(6), arrivals)
 
     def test_bit_identical_with_obs_on(self):

@@ -110,3 +110,23 @@ class TestValidationExperiment:
         rows = run_experiment("validation").rows
         worst = [r for r in rows if r["model"] == "worst case"][0]
         assert worst["rel_error"] < 0.05
+
+
+def _hex_rows(rows):
+    """Rows with every float spelled as ``float.hex``."""
+    return [{key: value.hex() if isinstance(value, float) else value
+             for key, value in row.items()} for row in rows]
+
+
+class TestSumAlgorithm:
+    def test_fig10_does_not_depend_on_sum_algorithm(self, monkeypatch):
+        # fig10 priced under Python 3.12's compensated sum() matches the
+        # same rows priced left to right: every stage and gen-total sum
+        # in the analytical model goes through left_sum.
+        from repro.perf import analytical
+        from tests.test_step_pricing import _compensated_sum
+
+        plain = _hex_rows(run_experiment("fig10").rows)
+        monkeypatch.setattr(analytical, "sum", _compensated_sum,
+                            raising=False)
+        assert _hex_rows(run_experiment("fig10").rows) == plain

@@ -11,13 +11,9 @@ The two load-bearing guarantees:
 
 import pytest
 
-from repro.appliance import ContinuousBatchScheduler, RequestScheduler
+from repro.appliance import ContinuousBatchScheduler
 from repro.appliance.continuous import FailoverEvent
-from repro.appliance.scheduler import (
-    infeasible_error,
-    infeasible_reason,
-    timer_service,
-)
+from repro.appliance.scheduler import infeasible_error
 from repro.errors import (
     AdmissionError,
     DeviceLostError,
@@ -358,7 +354,6 @@ class TestTypedErrors:
         oversized = InferenceRequest(CFG.max_seq_len, 8, request_id=0)
         error = infeasible_error(CFG, None, oversized)
         assert isinstance(error, AdmissionError)
-        assert infeasible_reason(CFG, None, oversized) == str(error)
         assert infeasible_error(CFG, None, _requests(1)[0]) is None
 
     def test_schedulers_record_typed_rejections(self):
@@ -367,8 +362,8 @@ class TestTypedErrors:
             ConstStep(), CFG, _memory_for(4)).run(
                 [oversized] + _requests(2))
         assert isinstance(continuous.rejected[0].error, AdmissionError)
-        fcfs = RequestScheduler(
-            lambda request: 1.0, num_instances=1, config=CFG).run(
+        fcfs = ContinuousBatchScheduler(
+            ConstStep(), CFG, _memory_for(4), max_batch=1).run(
                 [oversized] + _requests(2))
         assert isinstance(fcfs.rejected[0].error, AdmissionError)
         import dataclasses

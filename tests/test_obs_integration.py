@@ -149,7 +149,7 @@ class TestCliTraceExport:
         _, metrics_path = service_trace
         with open(metrics_path) as handle:
             dump = json.load(handle)
-        assert dump["counters"]["scheduler.requests"]["value"] == 48
+        assert dump["counters"]["scheduler.admitted"]["value"] == 48
         assert dump["histograms"]["scheduler.latency_s"]["count"] == 48
         assert dump["gauges"]["scheduler.queue_depth"]["min"] >= 0
 

@@ -12,6 +12,7 @@ expected number is hand-computable; one class serves a flash crowd on
 the real analytical step costs.
 """
 
+import hashlib
 import sys
 
 import pytest
@@ -21,8 +22,6 @@ from repro.appliance import (
     ContinuousBatchScheduler,
     TenantClass,
     continuous,
-    poisson_arrivals,
-    timer_service,
 )
 from repro.errors import AdmissionError, ConfigurationError
 from repro.llm import (
@@ -39,7 +38,11 @@ from repro.llm import (
     write_trace,
     zipf_tenants,
 )
-from repro.perf.analytical import BatchStepTimer, PnmPerfModel
+from repro.perf.analytical import (
+    BatchStepTimer,
+    InferenceTimer,
+    PnmPerfModel,
+)
 
 CFG = tiny_config()
 
@@ -80,8 +83,17 @@ def _run(requests, arrivals=None, memory=None, classes=None, **kwargs):
 
 class TestArrivalGenerators:
     def test_steady_matches_poisson(self):
-        assert steady_arrivals(32, 5.0, seed=3) \
-            == [float(t) for t in poisson_arrivals(32, 5.0, seed=3)]
+        # The stream the retired FCFS module's Poisson generator drew
+        # for the same arguments, pinned as float.hex: every serving
+        # stream that moved to steady_arrivals is unchanged.
+        arrivals = steady_arrivals(32, 5.0, seed=3)
+        assert all(type(t) is float for t in arrivals)
+        assert arrivals[0].hex() == "0x1.687f1d205aec2p-6"
+        assert arrivals[-1].hex() == "0x1.52378a09f8d66p+2"
+        digest = hashlib.sha256(
+            " ".join(t.hex() for t in arrivals).encode()).hexdigest()
+        assert digest == ("2460d5876d826bc20c706923c698c91d"
+                          "2594c501e2a22600bdd540f90d367e2e")
 
     @pytest.mark.parametrize("shape", ["steady", "diurnal", "flash-crowd"])
     def test_shapes_deterministic_and_sorted(self, shape):
@@ -496,7 +508,7 @@ class TestAnalyticalMultiTenantStream:
             64, num_tenants=8, class_names=("interactive", "batch"),
             seed=11, mean_input=64, mean_output=64,
             max_total=OPT_13B.max_seq_len)
-        rate = 6.0 / timer_service(OPT_13B, perf)(InferenceRequest(64, 64))
+        rate = 6.0 / InferenceTimer(OPT_13B, perf).run(64, 64).latency_s
         arrivals = arrivals_for_shape("flash-crowd", 64, rate, seed=11)
         classes = None
         if multi_tenant:

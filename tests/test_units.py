@@ -125,7 +125,7 @@ def test_tokens_per_s():
 
 
 def test_tokens_per_s_idle_interval_is_zero():
-    # Zero elapsed time reports zero rate, matching ServiceStats'
+    # Zero elapsed time reports zero rate, matching ContinuousBatchStats'
     # empty-window convention, instead of raising ZeroDivisionError.
     assert units.tokens_per_s(100.0, 0.0) == 0.0
 
