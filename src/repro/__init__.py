@@ -19,7 +19,7 @@ Subpackages:
 * :mod:`repro.core` -- the platform facade (the paper's contribution).
 * :mod:`repro.llm` -- transformer configs, op graphs, golden model.
 * :mod:`repro.memory` -- DRAM technologies and CXL module composition.
-* :mod:`repro.cxl` -- CXL protocol, links, arbitration, topology.
+* :mod:`repro.cxl` -- CXL protocol, links, arbitration, memory devices.
 * :mod:`repro.accelerator` -- the LLM accelerator: ISA, executor, compiler.
 * :mod:`repro.gpu` -- the GPU baseline models.
 * :mod:`repro.perf` -- analytical and instruction-level timing engines.

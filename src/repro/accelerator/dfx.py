@@ -12,16 +12,10 @@ dominate the latency and throughput" as input length grows).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.accelerator.device import AcceleratorSpec, CXLPNMDevice
-from repro.accelerator.mpu import MpuTiming
 from repro.memory.dram import DramTechnology, StackingTech
 from repro.memory.module import MemoryModule
 from repro.memory.packaging import FormFactor
-
-#: DFX's tile dimension (the paper doubles it to 128 for CXL-PNM).
-DFX_TILE_DIM = 64
 
 #: The single HBM2 stack DFX populates: 1024 DQ pins at 3.6 Gb/s gives the
 #: ~460 GB/s the paper quotes; 8 x 8 Gb dies = 8 GB.
@@ -70,9 +64,3 @@ def dfx_device() -> CXLPNMDevice:
     """A CXL-PNM-shaped device with DFX's datapath and memory."""
     return CXLPNMDevice(spec=DFX_SPEC, module=dfx_memory(),
                         price_usd=9_000.0, idle_watts=40.0)
-
-
-def dfx_mpu_timing() -> MpuTiming:
-    """DFX's matrix timing: tree-only, 64-wide lanes, GEMM by row sweep."""
-    return MpuTiming(pe_rows=0, pe_cols=0, tree_lanes=16,
-                     tree_width=DFX_TILE_DIM, gemm_via_tree=True)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
@@ -58,11 +58,6 @@ class Unit(enum.Enum):
 
 #: Stream datatypes the memory-touching instructions understand.
 DTYPES = ("fp16", "int8")
-
-#: Modelled bytes per streamed element for each datatype.  ``fp16`` is a
-#: placeholder resolved to the simulator's configured width (default 2);
-#: ``int8`` is always one byte on the wire.
-DTYPE_BYTES = {"fp16": 2, "int8": 1}
 
 
 def _check_dtype(opcode: str, dtype: str) -> None:

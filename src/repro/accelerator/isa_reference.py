@@ -81,12 +81,3 @@ def render_isa_reference() -> str:
     from repro.experiments.report import text_table
     return text_table(isa_reference(),
                       columns=["mnemonic", "unit", "operands", "semantics"])
-
-
-def pea_instructions_present() -> bool:
-    """Sanity hook: all six paper-added mnemonics must be emittable."""
-    emitted = set()
-    for row in isa_reference():
-        for part in row["mnemonic"].split(" / "):
-            emitted.add(part.split(" ")[0])
-    return all(m in emitted for m in NEW_PEA_MNEMONICS)

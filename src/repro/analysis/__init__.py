@@ -36,7 +36,7 @@ from .dataflow import (
 )
 from .diagnostics import AnalysisReport, Diagnostic, Severity
 from .purity import lint_source, rules_for
-from .suite import PASSES, pass_counts, render_result, resolve_passes, run_suite
+from .suite import PASSES, render_result, resolve_passes, run_suite
 from .verifier import (
     DEFAULT_ADDRESS_SPACE,
     address_diagnostics,
@@ -67,7 +67,6 @@ __all__ = [
     "infer_shapes",
     "lint_source",
     "memory_windows",
-    "pass_counts",
     "pressure_diagnostics",
     "register_pressure",
     "render_result",

@@ -136,12 +136,3 @@ def render_result(result: BaselineResult) -> str:
                      f"{entry.path} ({entry.reason}) — matched "
                      f"nothing; delete it")
     return "\n".join(lines)
-
-
-def pass_counts(result: BaselineResult) -> Dict[str, int]:
-    """Unsuppressed finding count per diagnostic family (for tooling)."""
-    counts: Dict[str, int] = {}
-    for diag in result.report.diagnostics:
-        family = diag.code.rstrip("0123456789")
-        counts[family] = counts.get(family, 0) + 1
-    return counts

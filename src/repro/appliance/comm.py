@@ -4,8 +4,7 @@ Each decoding layer under tensor parallelism ends in two all-reduces of
 the activation tile (after the attention projection and after FC2).  The
 platforms implement them differently (paper §V-C):
 
-* **GPU**: NCCL ring all-reduce over NVLink (modelled in
-  :mod:`repro.gpu.multi`);
+* **GPU**: NCCL ring all-reduce over NVLink (:class:`NvlinkAllReduce`);
 * **CXL-PNM**: the paper *removed* DFX's device-to-device router; instead
   the host orchestrates transfers with each device's DMA engine through
   the unified CXL address space.  Each boundary costs a host software
@@ -19,9 +18,36 @@ from dataclasses import dataclass
 from repro.cxl.link import CXLLink, GEN5_X16
 from repro.errors import ParallelismError
 from repro.gpu.device import GPUSpec
-from repro.gpu.multi import ALLREDUCES_PER_LAYER, NvlinkAllReduce
 from repro.llm.config import LLMConfig
 import repro.perf.calibration as cal
+
+#: All-reduces per decoding layer under Megatron-style tensor parallelism.
+ALLREDUCES_PER_LAYER = 2
+
+
+@dataclass(frozen=True)
+class NvlinkAllReduce:
+    """Ring all-reduce cost model over NVLink.
+
+    Ring all-reduce moves ``2 * (n-1) / n`` of the payload through each
+    device's links; small payloads are dominated by the per-collective
+    latency.
+    """
+
+    spec: GPUSpec
+    num_devices: int
+
+    def __post_init__(self) -> None:
+        if self.num_devices < 2:
+            raise ParallelismError("all-reduce needs at least 2 devices")
+
+    def time(self, payload_bytes: float) -> float:
+        if payload_bytes < 0:
+            raise ParallelismError("negative all-reduce payload")
+        n = self.num_devices
+        wire_bytes = 2.0 * (n - 1) / n * payload_bytes
+        bandwidth = self.spec.nvlink_bandwidth * cal.NVLINK_BW_EFF
+        return cal.NVLINK_ALLREDUCE_LATENCY_S + wire_bytes / bandwidth
 
 
 @dataclass(frozen=True)

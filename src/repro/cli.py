@@ -270,9 +270,11 @@ def _cmd_serve(args) -> int:
         step = BatchStepTimer(step_config, perf)
     runs = []
     if args.compare_fcfs:
-        # The FCFS-exclusive baseline: the same engine and step model,
-        # one request per device at a time (the paper's batch-1 run).
-        fcfs = ContinuousBatchScheduler(step, config, memory, max_batch=1)
+        # The FCFS-exclusive baseline: the same engine, step model and
+        # devices, one request per device at a time (the paper's batch-1
+        # run), so the printed gain is the batching gain alone.
+        fcfs = ContinuousBatchScheduler(step, config, memory, max_batch=1,
+                                        num_devices=args.devices)
         runs.append(("fcfs-exclusive", fcfs.run(requests, arrivals)))
     engine = ContinuousBatchScheduler(
         step, config, memory, max_batch=args.max_batch,
@@ -563,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "projected TTFT/TBT miss their class targets")
     serve.add_argument("--compare-fcfs", action="store_true",
                        help="also run the FCFS-exclusive baseline: the "
-                            "same engine at max batch 1 on one device")
+                            "same engine at max batch 1 on the same "
+                            "--devices")
     serve.add_argument("--in", dest="input_tokens", type=int, default=64)
     serve.add_argument("--out", dest="output_tokens", type=int, default=64)
     serve.add_argument("--max-batch", type=int, default=None)

@@ -1,4 +1,4 @@
-"""CXL protocol substrate: transactions, links, arbitration, topology."""
+"""CXL protocol substrate: transactions, links, arbitration, memory devices."""
 
 from repro.cxl.arbiter import (
     Arbiter,
@@ -8,17 +8,14 @@ from repro.cxl.arbiter import (
     compare_policies,
 )
 from repro.cxl.memdev import AccessCounters, FunctionalCxlDevice
-from repro.cxl.device import CXLType3Device, RegisterRegion
-from repro.cxl.link import FLIT_BYTES, FLIT_PAYLOAD_BYTES, GEN4_X16, GEN5_X16, CXLLink
+from repro.cxl.link import FLIT_BYTES, FLIT_PAYLOAD_BYTES, GEN5_X16, CXLLink
 from repro.cxl.protocol import (
     CACHELINE_BYTES,
     Opcode,
     Protocol,
     Source,
     Transaction,
-    read_burst,
 )
-from repro.cxl.topology import CXLTopology, build_topology
 
 __all__ = [
     "AccessCounters",
@@ -28,19 +25,13 @@ __all__ = [
     "ArbitrationPolicy",
     "CACHELINE_BYTES",
     "CXLLink",
-    "CXLTopology",
-    "CXLType3Device",
     "FLIT_BYTES",
     "FLIT_PAYLOAD_BYTES",
-    "GEN4_X16",
     "GEN5_X16",
     "Opcode",
     "Protocol",
-    "RegisterRegion",
     "RequestStream",
     "Source",
     "Transaction",
-    "build_topology",
     "compare_policies",
-    "read_burst",
 ]

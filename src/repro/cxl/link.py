@@ -129,6 +129,3 @@ class CXLLink:
 
 #: The CXL-PNM card's port (Gen5 x16).
 GEN5_X16 = CXLLink()
-
-#: A Gen4 x16 port, for PCIe-attached GPU comparisons (16 GT/s).
-GEN4_X16 = CXLLink(gt_per_s=16.0)

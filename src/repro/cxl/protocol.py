@@ -109,19 +109,3 @@ class Transaction:
             op = Opcode.CFG_CMP
         return Transaction(opcode=op, addr=self.addr, size=self.size,
                            source=self.source, tag=self.tag)
-
-
-def read_burst(base: int, length: int,
-               source: Source = Source.HOST) -> list:
-    """Expand a byte range into cacheline MemRd transactions."""
-    if length <= 0:
-        raise ProtocolError("burst length must be positive")
-    start = base - base % CACHELINE_BYTES
-    end = base + length
-    lines = []
-    addr = start
-    while addr < end:
-        lines.append(Transaction(opcode=Opcode.MEM_RD, addr=addr,
-                                 source=source))
-        addr += CACHELINE_BYTES
-    return lines

@@ -74,12 +74,14 @@ def run() -> ExperimentResult:
                                pnm_task_s=2e-3)
     blocking = results[ArbitrationPolicy.BLOCKING_POLL.value]
     wrr = results[ArbitrationPolicy.HARDWARE_WRR.value]
+    blocked_host = blocking.served_bytes[Source.HOST]
     rows.append({
         "disadvantage": "D3 host bandwidth under PNM load (GB/s)",
-        "dimm_or_pim": blocking.served_bytes[Source.HOST] / GB,
+        "dimm_or_pim": blocked_host / GB,
         "cxl_pnm": wrr.served_bytes[Source.HOST] / GB,
-        "advantage": (wrr.served_bytes[Source.HOST]
-                      / max(blocking.served_bytes[Source.HOST], 1.0)),
+        # A host served nothing has no finite ratio to report.
+        "advantage": (wrr.served_bytes[Source.HOST] / blocked_host
+                      if blocked_host else "starved"),
     })
     rows.append({
         "disadvantage": "D3 mean host wait (us)",

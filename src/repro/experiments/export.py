@@ -61,18 +61,3 @@ def export_all(results: Iterable[ExperimentResult],
         written.append(to_csv(result,
                               directory / f"{result.experiment_id}.csv"))
     return written
-
-
-def load_json(path: PathLike) -> ExperimentResult:
-    """Re-hydrate an exported JSON result (for diffing across runs)."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"no export at {path}")
-    payload = json.loads(path.read_text())
-    return ExperimentResult(
-        experiment_id=payload["experiment_id"],
-        title=payload["title"],
-        rows=payload["rows"],
-        anchors=payload.get("anchors", {}),
-        notes=payload.get("notes", []),
-    )

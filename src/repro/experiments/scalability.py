@@ -12,10 +12,13 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.appliance.cluster import devices_required
-from repro.appliance.comm import CxlCommModel
+from repro.appliance.comm import (
+    ALLREDUCES_PER_LAYER,
+    CxlCommModel,
+    GpuCommModel,
+)
 from repro.experiments.report import ExperimentResult
 from repro.gpu.device import A100_80G, GPUSpec
-from repro.gpu.multi import ALLREDUCES_PER_LAYER, NvlinkAllReduce
 from repro.llm.config import GPT3_175B
 from repro.llm.graph import gen_stage_ops
 from repro.llm.workload import PAPER_INPUT_TOKENS
@@ -37,11 +40,10 @@ INTERNODE_ALLREDUCE_LATENCY_S = 35e-6
 
 def gpu_comm_fraction(config, num_devices: int, spec: GPUSpec) -> float:
     """Fraction of gen-stage time spent in all-reduces at TP=N."""
-    payload = config.d_model * config.dtype_bytes
-    base = NvlinkAllReduce(spec, num_devices).time(payload)
+    comm = GpuCommModel(spec, config, num_devices)(1)
     if num_devices > 8:
-        base += INTERNODE_ALLREDUCE_LATENCY_S
-    comm = config.num_layers * ALLREDUCES_PER_LAYER * base
+        comm += (config.num_layers * ALLREDUCES_PER_LAYER
+                 * INTERNODE_ALLREDUCE_LATENCY_S)
     timer = InferenceTimer(config, GpuPerfModel(spec),
                            tensor_parallel=num_devices)
     stage = timer.gen_stage(PAPER_INPUT_TOKENS + 512).time_s

@@ -1,24 +1,15 @@
-"""GPU baseline models: devices, kernels, offloading, multi-GPU, power."""
+"""GPU baseline models: devices, kernels, offloading, power."""
 
-from repro.gpu.device import A100_40G, A100_80G, H100_SXM, GPUSpec
+from repro.gpu.device import A100_40G, A100_80G, GPUSpec
 from repro.gpu.kernels import GpuKernelModel
-from repro.gpu.multi import (
-    ALLREDUCES_PER_LAYER,
-    NvlinkAllReduce,
-    TensorParallelGpu,
-)
 from repro.gpu.offload import OffloadModel
 from repro.gpu.power import GpuPowerModel
 
 __all__ = [
     "A100_40G",
     "A100_80G",
-    "ALLREDUCES_PER_LAYER",
     "GPUSpec",
     "GpuKernelModel",
     "GpuPowerModel",
-    "H100_SXM",
-    "NvlinkAllReduce",
     "OffloadModel",
-    "TensorParallelGpu",
 ]

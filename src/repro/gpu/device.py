@@ -73,14 +73,3 @@ A100_80G = GPUSpec(
     tdp_watts=400.0,
     price_usd=15_000.0,
 )
-
-H100_SXM = GPUSpec(
-    name="H100-SXM",
-    memory_bytes=80 * GiB,
-    memory_bandwidth=3.35 * TB,
-    fp16_tensor_flops=989e12,
-    nvlink_bandwidth=900 * GB,
-    pcie_bandwidth=64 * GB,      # PCIe 5.0 x16
-    tdp_watts=700.0,
-    price_usd=30_000.0,
-)

@@ -140,13 +140,6 @@ def batched_gen_stage_ops(config: LLMConfig, context_len: int, batch: int,
                                      tensor_parallel).ops()
 
 
-def batch_kv_bytes(config: LLMConfig, context_len: int, batch: int) -> int:
-    """KV-cache footprint of ``batch`` concurrent requests."""
-    if batch < 1 or context_len < 1:
-        raise ConfigurationError("batch and context must be >= 1")
-    return batch * context_len * config.kv_bytes_per_token()
-
-
 def max_batch_for_memory(config: LLMConfig, memory_bytes: int,
                          context_len: int) -> int:
     """Largest concurrent batch whose params + KV fit in a device."""

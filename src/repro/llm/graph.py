@@ -236,12 +236,3 @@ def gen_stage_ops(config: LLMConfig, context_len: int,
     """All operators of one generation stage at attention span
     ``context_len`` (see :func:`compact_gen_stage`)."""
     return compact_gen_stage(config, context_len, tensor_parallel).ops()
-
-
-def inference_op_count(config: LLMConfig, input_len: int,
-                       output_len: int) -> int:
-    """Number of operator instances in a full inference, for sanity checks."""
-    count = len(sum_stage_ops(config, input_len))
-    for step in range(output_len - 1):
-        count += len(gen_stage_ops(config, input_len + step + 1))
-    return count

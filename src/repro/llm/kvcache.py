@@ -9,47 +9,8 @@ of token generation on top of the model parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import CapacityError, ConfigurationError
 from repro.llm.config import LLMConfig
-
-
-@dataclass
-class KVCache:
-    """Tracks the aggregated KV matrices for one inference request."""
-
-    config: LLMConfig
-    tokens: int = 0
-
-    def __post_init__(self) -> None:
-        if self.tokens < 0:
-            raise ConfigurationError(f"negative KV token count {self.tokens}")
-
-    @property
-    def bytes_per_token(self) -> int:
-        """Cache bytes appended per token across all layers (2 vectors/layer)."""
-        return self.config.kv_bytes_per_token()
-
-    @property
-    def total_bytes(self) -> int:
-        """Current cache footprint."""
-        return self.tokens * self.bytes_per_token
-
-    def append(self, num_tokens: int = 1) -> None:
-        """Append KV vectors for ``num_tokens`` new tokens."""
-        if num_tokens < 0:
-            raise ConfigurationError(f"cannot append {num_tokens} tokens")
-        if self.tokens + num_tokens > self.config.max_seq_len:
-            raise CapacityError(
-                f"KV cache for {self.config.name} would exceed max_seq_len="
-                f"{self.config.max_seq_len} ({self.tokens}+{num_tokens})"
-            )
-        self.tokens += num_tokens
-
-    def read_bytes_for_gen(self) -> int:
-        """Bytes the next gen stage streams from the cache (reads it all)."""
-        return self.total_bytes
 
 
 def peak_kv_bytes(config: LLMConfig, input_len: int, output_len: int) -> int:

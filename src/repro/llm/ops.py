@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable
 
 
 class OpKind(enum.Enum):
@@ -132,8 +132,3 @@ def total_flops(ops: Iterable[OpSpec]) -> float:
 def total_weight_bytes(ops: Iterable[OpSpec]) -> float:
     """Sum of streamed parameter/KV bytes over an operator list."""
     return sum(op.weight_bytes for op in ops)
-
-
-def matmul_ops(ops: Iterable[OpSpec]) -> List[OpSpec]:
-    """Filter to GEMM/GEMV operators."""
-    return [op for op in ops if op.kind.is_matmul]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from repro.errors import ConfigurationError
 
 #: The paper's evaluation point (§VII).
 PAPER_INPUT_TOKENS = 64
-PAPER_MAX_OUTPUT_TOKENS = 1024
 
 #: Tenant class used when a request does not name one.
 DEFAULT_TENANT_CLASS = "default"
@@ -68,22 +67,6 @@ class InferenceRequest:
         return self.input_len + self.output_len
 
 
-def paper_request(output_len: int = PAPER_MAX_OUTPUT_TOKENS
-                  ) -> InferenceRequest:
-    """The paper's canonical request: 64 input tokens, ``output_len`` out."""
-    return InferenceRequest(input_len=PAPER_INPUT_TOKENS,
-                            output_len=output_len)
-
-
-def output_sweep(points: Sequence[int] = (1, 4, 16, 64, 128, 256, 512, 1024),
-                 input_len: int = PAPER_INPUT_TOKENS
-                 ) -> List[InferenceRequest]:
-    """The Fig. 10 sweep: fixed input length, growing output length."""
-    return [InferenceRequest(input_len=input_len, output_len=n,
-                             request_id=i)
-            for i, n in enumerate(points)]
-
-
 def _sampled_lengths(num_requests: int, seed: int, mean_input: int,
                      mean_output: int, max_total: int
                      ) -> Tuple[List[int], List[int]]:
@@ -118,16 +101,6 @@ def sampled_workload(num_requests: int, seed: int = 7,
                                        mean_output, max_total)
     return [InferenceRequest(input_len=inp, output_len=out, request_id=i)
             for i, (inp, out) in enumerate(zip(inputs, outputs))]
-
-
-def token_stream(request: InferenceRequest) -> Iterator[int]:
-    """Yield the context length ``L`` seen by each gen stage of a request.
-
-    The first generated token comes from the sum stage; each subsequent
-    token ``t`` runs a gen stage with context ``input_len + t``.
-    """
-    for t in range(1, request.output_len):
-        yield request.input_len + t
 
 
 # -- arrival processes ----------------------------------------------------

@@ -51,8 +51,6 @@ from repro.memory.packaging import (
 )
 from repro.memory.power import REFERENCE_UTILIZATION, ModulePowerModel
 from repro.memory.timing import (
-    KV_CACHE_PATTERN,
-    RANDOM_CACHELINE,
     SEQUENTIAL_STREAM,
     AccessPattern,
     ChannelTimingModel,
@@ -83,13 +81,11 @@ __all__ = [
     "HHHL",
     "HOST_INTERLEAVE",
     "InterleaveScheme",
-    "KV_CACHE_PATTERN",
     "LPDDR5X",
     "MODULE_LOCAL_INTERLEAVE",
     "MODULE_POWER_BUDGET_WATTS",
     "MemoryModule",
     "ModulePowerModel",
-    "RANDOM_CACHELINE",
     "REFERENCE_UTILIZATION",
     "SEQUENTIAL_STREAM",
     "StackingTech",

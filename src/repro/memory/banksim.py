@@ -6,11 +6,11 @@ parameters from first principles: feed it an address trace, and it plays
 the trace against per-bank row buffers (open-page policy) to measure the
 actual row-hit rate and a cycle-accounted efficiency.
 
-It is how we validate that the streaming patterns the accelerator
-generates (sequential weight reads, strided KV gathers, host cacheline
-traffic) really produce the hit rates the analytical model assumes —
-closing the loop on the (D4) interleaving claims: module-local
-interleaving keeps streams page-friendly in every bank.
+It is how we validate that the accelerator's sequential weight reads
+really produce the row-hit rate ``SEQUENTIAL_STREAM`` assumes, the rate
+behind every modelled PNM bandwidth — closing the loop on the (D4)
+interleaving claims: module-local interleaving keeps streams
+page-friendly in every bank.
 """
 
 from __future__ import annotations

@@ -45,20 +45,13 @@ class AccessPattern:
 
 
 #: Streaming weight reads: long bursts, almost all row hits.  The bank
-#: simulator measures ~0.97 for sequential streams over the module-local
-#: interleave (2 KiB rows inside 4 KiB granules).
+#: simulator measures 31 hits per 32 accesses (0.96875) for sequential
+#: streams over the module-local interleave (2 KiB rows inside 4 KiB
+#: granules); ``test_sequential_stream_is_page_friendly`` in
+#: ``tests/test_memory_banksim.py`` pins this constant to that
+#: measurement within 0.005.
 SEQUENTIAL_STREAM = AccessPattern(avg_burst_bytes=4096, row_hit_rate=0.97,
                                   read_fraction=1.0)
-
-#: KV-cache gather/append traffic: shorter runs, more misses, mixed R/W.
-KV_CACHE_PATTERN = AccessPattern(avg_burst_bytes=512, row_hit_rate=0.85,
-                                 read_fraction=0.9)
-
-#: Host CPU random access (cacheline-sized), the worst case for D3/D4
-#: arbitration studies.
-RANDOM_CACHELINE = AccessPattern(avg_burst_bytes=64, row_hit_rate=0.5,
-                                 read_fraction=0.7)
-
 
 @dataclass(frozen=True)
 class ChannelTimingModel:

@@ -15,7 +15,6 @@ from repro.obs.export import (
     chrome_trace_events,
     load_chrome_trace,
     render_summary,
-    summarize_spans,
     summarize_trace_file,
     to_chrome_trace,
     write_chrome_trace,
@@ -59,7 +58,6 @@ __all__ = [
     "load_chrome_trace",
     "observe",
     "render_summary",
-    "summarize_spans",
     "summarize_trace_file",
     "to_chrome_trace",
     "write_chrome_trace",

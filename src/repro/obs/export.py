@@ -27,7 +27,6 @@ from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry
 from repro.obs.tracer import (
     NullTracer,
     SIM_CLOCK,
-    SpanRecord,
     Tracer,
 )
 
@@ -107,19 +106,6 @@ def write_metrics_json(metrics: Union[MetricsRegistry, NullMetricsRegistry],
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(metrics.as_dict(), handle, indent=2, sort_keys=True)
     return path
-
-
-def summarize_spans(spans: Iterable[SpanRecord],
-                    top_n: int = 20) -> List[Dict[str, Any]]:
-    """Aggregate spans by name: the top-N by cumulative simulated time.
-
-    Wall-only names are ranked after simulated ones (by wall time), so a
-    purely functional run still yields a useful table.
-    """
-    rows = _aggregate(
-        ((s.name, s.category, s.clock == SIM_CLOCK, s.dur_ns)
-         for s in spans))
-    return rows[:top_n]
 
 
 def summarize_trace_file(path: str, top_n: int = 20

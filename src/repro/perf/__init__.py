@@ -13,7 +13,7 @@ _ANALYTICAL = ("DevicePerfModel", "GpuPerfModel", "InferenceTimer",
 _METRICS = ("ApplianceResult", "InferenceResult", "StageResult",
             "relative_delta")
 _SIMULATOR = ("AcceleratorSimulator", "SimulationResult")
-_ROOFLINE = ("Roofline", "device_roofline", "op_scatter", "roofline_report",
+_ROOFLINE = ("Roofline", "device_roofline", "roofline_report",
              "stage_intensity")
 
 __all__ = sorted(("calibration",) + _ANALYTICAL + _METRICS + _SIMULATOR

@@ -99,9 +99,6 @@ PNM_INSTRUCTION_OVERHEAD_S = 0.2e-6
 #: appliance despite 128 boundary transfers per token.
 CXL_D2D_SW_OVERHEAD_S = 10e-6
 
-#: Device power when idle (CXL IPs + DRAM standby), Table II context.
-PNM_IDLE_WATTS = 20.0
-
 # --------------------------------------------------------------------------
 # Derived traffic quantities
 # --------------------------------------------------------------------------

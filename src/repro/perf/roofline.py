@@ -4,8 +4,8 @@ The paper's whole argument is a roofline argument: gen-stage GEMVs sit at
 ~1 FLOP/byte, far below any device's ridge point, so achieved performance
 is bandwidth x intensity and the right machine maximizes *memory
 bandwidth per dollar/watt*, not FLOPS.  This module produces
-plot-ready roofline data: device ceilings, ridge points, and operator
-scatter for a model's sum and gen stages on any device model.
+plot-ready roofline data: device ceilings, ridge points, and where a
+model's sum and gen stages land on any device model.
 """
 
 from __future__ import annotations
@@ -13,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.llm.config import LLMConfig
 from repro.llm.graph import gen_stage_ops, sum_stage_ops
-from repro.llm.ops import OpSpec
 from repro.perf.analytical import DevicePerfModel
 from repro.units import TERA
 
@@ -62,22 +59,6 @@ def device_roofline(model: DevicePerfModel) -> Roofline:
                     peak_bandwidth=model.peak_bandwidth)
 
 
-def op_scatter(ops: Sequence[OpSpec], roofline: Roofline
-               ) -> List[Dict[str, float]]:
-    """Where each operator lands under a roofline (plot-ready rows)."""
-    rows = []
-    for op in ops:
-        intensity = op.arithmetic_intensity
-        rows.append({
-            "op": op.name,
-            "kind": op.kind.value,
-            "intensity": intensity,
-            "attainable_tflops": roofline.attainable_flops(intensity) / TERA,
-            "bound": roofline.bound_of(intensity),
-        })
-    return rows
-
-
 def stage_intensity(config: LLMConfig, context_len: int,
                     sum_stage: bool = False,
                     input_len: int = 64) -> float:
@@ -116,11 +97,3 @@ def roofline_report(config: LLMConfig, models: Sequence[DevicePerfModel],
                 roof.attainable_flops(sum_i) / TERA,
         })
     return rows
-
-
-def log_intensity_grid(lo: float = 0.125, hi: float = 1024.0,
-                       points: int = 27) -> List[float]:
-    """A log-spaced intensity axis for roofline plots."""
-    if lo <= 0 or hi <= lo or points < 2:
-        raise ConfigurationError("bad intensity grid")
-    return [float(v) for v in np.geomspace(lo, hi, points)]

@@ -113,13 +113,13 @@ class TestLintTree:
     def test_no_baseline_exposes_known_exceptions(self):
         code, out = _run(["lint", "--no-baseline"])
         assert code == EXIT_DIAGNOSTICS == 2
-        for expected in ("UNIT403", "DET501", "CON603"):
+        for expected in ("DET501", "CON603"):
             assert expected in out, out
 
     def test_select_limits_passes(self):
-        code, out = _run(["lint", "--select", "units", "--no-baseline"])
+        code, out = _run(["lint", "--select", "det", "--no-baseline"])
         assert code == 2
-        assert "UNIT403" in out and "DET501" not in out
+        assert "DET501" in out and "CON603" not in out
 
     def test_select_with_default_baseline_stays_clean(self):
         # The checked-in baseline carries DET/CON entries; a
@@ -145,7 +145,7 @@ class TestLintTree:
         assert report["stale_baseline"] == []
         assert 0 < len(report["suppressed"]) <= 10
         codes = {d["code"] for d in report["suppressed"]}
-        assert codes == {"UNIT403", "DET501", "CON603"}
+        assert codes == {"DET501", "CON603"}
 
     def test_explicit_root_without_baseline(self, tmp_path):
         pkg = tmp_path / "perf"

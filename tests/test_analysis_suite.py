@@ -17,7 +17,6 @@ import pytest
 from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.suite import (
     PASSES,
-    pass_counts,
     render_result,
     resolve_passes,
     run_suite,
@@ -82,10 +81,6 @@ class TestRunSuite:
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(ConfigurationError):
             run_suite(tmp_path / "nowhere")
-
-    def test_pass_counts_by_family(self, tmp_path):
-        result = run_suite(_write_dirty(tmp_path))
-        assert pass_counts(result) == {"DET": 1, "UNIT": 1}
 
 
 class TestOneTreeWalk:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.appliance.pipeline import PipelinePlan
 from repro.errors import ParallelismError
-from repro.gpu import A100_40G, NvlinkAllReduce
+from repro.gpu import A100_40G
 from repro.llm import OPT_66B
 from repro.perf.analytical import GpuPerfModel
 

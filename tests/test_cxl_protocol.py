@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.cxl import (
-    CACHELINE_BYTES,
-    Opcode,
-    Protocol,
-    Source,
-    Transaction,
-    read_burst,
-)
+from repro.cxl import Opcode, Protocol, Transaction
 from repro.errors import ProtocolError
 
 
@@ -73,23 +66,3 @@ class TestResponses:
         resp = Transaction(opcode=Opcode.MEM_RD, addr=0).response()
         with pytest.raises(ProtocolError):
             resp.response()
-
-
-class TestReadBurst:
-    def test_burst_covers_range(self):
-        lines = read_burst(base=100, length=200)
-        assert lines[0].addr == 64
-        assert lines[-1].addr == 256
-        assert len(lines) == 4
-
-    def test_burst_aligned_single_line(self):
-        lines = read_burst(base=0, length=CACHELINE_BYTES)
-        assert len(lines) == 1
-
-    def test_source_propagates(self):
-        lines = read_burst(0, 64, source=Source.PNM)
-        assert lines[0].source is Source.PNM
-
-    def test_empty_burst_rejected(self):
-        with pytest.raises(ProtocolError):
-            read_burst(0, 0)

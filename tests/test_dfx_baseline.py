@@ -8,7 +8,6 @@ from repro.accelerator.dfx import (
     HBM2_DFX,
     dfx_device,
     dfx_memory,
-    dfx_mpu_timing,
 )
 from repro.llm import OPT_6_7B
 from repro.perf.analytical import InferenceTimer, PnmPerfModel
@@ -30,7 +29,7 @@ class TestDfxConfiguration:
             CXLPNMDevice().spec.peak_gemv_flops / 2)
 
     def test_timing_uses_tree_for_gemm(self):
-        timing = dfx_mpu_timing()
+        timing = dfx_device().mpu_timing()
         assert timing.gemm_via_tree
         # A GEMM costs ~m GEMV sweeps.
         one = timing.gemv_cycles(1024, 1024)

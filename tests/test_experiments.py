@@ -1,9 +1,16 @@
 """Experiment harnesses: registry, rendering, per-experiment sanity."""
 
+import math
+
 import pytest
 
+from repro.accelerator import CXLPNMDevice
 from repro.errors import ConfigurationError
 from repro.experiments import run_experiment
+from repro.experiments.continuous_batching import MODEL
+from repro.gpu import A100_40G
+from repro.llm import PAPER_INPUT_TOKENS
+from repro.perf.analytical import GpuPerfModel, InferenceTimer, PnmPerfModel
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import ExperimentResult, text_table
 
@@ -110,6 +117,22 @@ class TestValidationExperiment:
         rows = run_experiment("validation").rows
         worst = [r for r in rows if r["model"] == "worst case"][0]
         assert worst["rel_error"] < 0.05
+
+
+class TestContinuousBatchingExperiment:
+    def test_fcfs_ttft_finite_and_at_least_prefill(self):
+        """The batch-1 baseline records every first token, so its TTFT
+        is a number, and no request sees its first token before its own
+        prefill has run."""
+        rows = {r["scenario"]: r
+                for r in run_experiment("continuous-batching").rows}
+        for name, perf in (("CXL-PNM", PnmPerfModel(CXLPNMDevice())),
+                           ("A100-40G", GpuPerfModel(A100_40G))):
+            ttft = rows[f"{name} TTFT (s), fcfs vs continuous / TBT"]["fcfs"]
+            prefill = InferenceTimer(MODEL, perf).sum_stage(
+                PAPER_INPUT_TOKENS).time_s
+            assert math.isfinite(ttft)
+            assert ttft >= prefill
 
 
 def _hex_rows(rows):

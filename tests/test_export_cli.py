@@ -8,7 +8,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.experiments import run_experiment
-from repro.experiments.export import export_all, load_json, to_csv, to_json
+from repro.experiments.export import export_all, to_csv, to_json
 from repro.experiments.report import ExperimentResult
 
 
@@ -20,9 +20,9 @@ def table1():
 class TestExport:
     def test_json_roundtrip(self, table1, tmp_path):
         path = to_json(table1, tmp_path / "t1.json")
-        loaded = load_json(path)
-        assert loaded.experiment_id == table1.experiment_id
-        assert loaded.rows == json.loads(json.dumps(table1.rows))
+        loaded = json.loads(path.read_text())
+        assert loaded["experiment_id"] == table1.experiment_id
+        assert loaded["rows"] == json.loads(json.dumps(table1.rows))
 
     def test_csv_columns(self, table1, tmp_path):
         path = to_csv(table1, tmp_path / "t1.csv")
@@ -49,10 +49,6 @@ class TestExport:
         written = export_all([table1], tmp_path / "out")
         assert len(written) == 2
         assert all(p.exists() for p in written)
-
-    def test_load_missing(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            load_json(tmp_path / "none.json")
 
 
 class TestCli:
@@ -87,6 +83,15 @@ class TestCli:
         assert main(["generate", "--num-tokens", "3",
                      "--prompt", "1", "2"]) == 0
         assert "->" in capsys.readouterr().out
+
+    def test_serve_compare_fcfs_runs_on_the_same_devices(self, capsys):
+        assert main(["serve", "OPT-13B", "--requests", "32",
+                     "--compare-fcfs", "--devices", "2"]) == 0
+        out = capsys.readouterr().out
+        instances = [line.split()[1] for line in out.splitlines()
+                     if line.split()[:1] == ["num_instances"]]
+        assert instances == ["2.0000", "2.0000"]
+        assert "[fcfs-exclusive]" in out and "[continuous x2]" in out
 
     def test_models_table(self, capsys):
         assert main(["models"]) == 0

@@ -1,17 +1,16 @@
-"""GPU baseline: device specs, kernel model, offload, multi-GPU, power."""
+"""GPU baseline: device specs, kernel model, offload, NVLink all-reduce, power."""
 
 import pytest
 
+from repro.appliance import GpuCommModel, ParallelismPlan, params_per_device
+from repro.appliance.comm import NvlinkAllReduce
 from repro.errors import ParallelismError, SimulationError
 from repro.gpu import (
     A100_40G,
     A100_80G,
     GpuKernelModel,
     GpuPowerModel,
-    H100_SXM,
-    NvlinkAllReduce,
     OffloadModel,
-    TensorParallelGpu,
 )
 from repro.llm import OPT_13B, OPT_30B, OPT_66B, OPT_6_7B
 from repro.llm.graph import gen_stage_ops, sum_stage_ops
@@ -125,19 +124,19 @@ class TestMultiGpu:
             NvlinkAllReduce(A100_40G, 1)
 
     def test_opt66b_fits_only_split_8_ways(self):
-        assert not TensorParallelGpu(A100_40G, 2, OPT_66B).fits()
-        assert TensorParallelGpu(A100_40G, 8, OPT_66B).fits()
+        assert not A100_40G.fits(params_per_device(OPT_66B, 2))
+        assert A100_40G.fits(params_per_device(OPT_66B, 8))
 
     def test_tp_must_divide_heads(self):
-        with pytest.raises(ParallelismError):
-            TensorParallelGpu(A100_40G, 5, OPT_66B)
+        with pytest.raises(ParallelismError, match="heads"):
+            ParallelismPlan(1, 5).validate_for(OPT_66B, 5,
+                                               A100_40G.memory_bytes)
 
     def test_comm_time_zero_for_single_device(self):
-        tp = TensorParallelGpu(A100_40G, 1, OPT_6_7B)
-        assert tp.comm_time_per_stage(64) == 0.0
+        assert GpuCommModel(A100_40G, OPT_6_7B, 1)(64) == 0.0
 
     def test_comm_time_proportional_to_layers(self):
-        t8 = TensorParallelGpu(A100_40G, 8, OPT_66B).comm_time_per_stage(1)
+        t8 = GpuCommModel(A100_40G, OPT_66B, 8)(1)
         per_layer = NvlinkAllReduce(A100_40G, 8).time(
             OPT_66B.d_model * OPT_66B.dtype_bytes)
         assert t8 == pytest.approx(OPT_66B.num_layers * 2 * per_layer)
@@ -152,10 +151,6 @@ class TestPower:
     def test_capped_at_tdp(self):
         assert GpuPowerModel(A100_40G).power_watts(1.0, 1.0) \
             <= A100_40G.tdp_watts
-
-    def test_h100_has_higher_cap(self):
-        assert GpuPowerModel(H100_SXM).power_watts(1.0, 1.0) \
-            <= H100_SXM.tdp_watts
 
     def test_bad_utilization_rejected(self):
         from repro.errors import ConfigurationError

@@ -4,7 +4,6 @@ from repro.accelerator import isa, timing_program
 from repro.accelerator.isa_reference import (
     NEW_PEA_MNEMONICS,
     isa_reference,
-    pea_instructions_present,
     render_isa_reference,
 )
 from repro.cli import main
@@ -19,7 +18,6 @@ class TestReferenceTable:
             assert row["semantics"], f"{row['class']} lacks a docstring"
 
     def test_all_six_pea_instructions_listed(self):
-        assert pea_instructions_present()
         rendered = render_isa_reference()
         for mnemonic in NEW_PEA_MNEMONICS:
             assert mnemonic in rendered

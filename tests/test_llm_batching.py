@@ -1,12 +1,10 @@
 """Batched generation op graphs and capacity math."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, ParallelismError
-from repro.llm import OPT_13B, tiny_config
+from repro.llm import OPT_13B
 from repro.llm.batching import (
-    batch_kv_bytes,
     batched_gen_stage_ops,
     max_batch_for_memory,
 )
@@ -76,11 +74,6 @@ class TestBatchedOps:
 
 
 class TestCapacity:
-    def test_kv_bytes(self):
-        cfg = tiny_config()
-        assert batch_kv_bytes(cfg, 10, 4) == \
-            4 * 10 * cfg.kv_bytes_per_token()
-
     def test_max_batch_zero_when_params_overflow(self):
         assert max_batch_for_memory(OPT_13B, int(10e9), 1024) == 0
 
@@ -93,10 +86,3 @@ class TestCapacity:
         gpu_batch = max_batch_for_memory(OPT_13B, int(40e9), 1088)
         pnm_batch = max_batch_for_memory(OPT_13B, 512 * GB, 1088)
         assert pnm_batch > 10 * gpu_batch
-
-    @settings(max_examples=20, deadline=None)
-    @given(batch=st.integers(1, 32), ctx=st.integers(1, 64))
-    def test_kv_bytes_monotone(self, batch, ctx):
-        cfg = tiny_config()
-        assert batch_kv_bytes(cfg, ctx, batch) \
-            <= batch_kv_bytes(cfg, ctx + 1, batch + 1)

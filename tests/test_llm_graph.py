@@ -1,14 +1,12 @@
 """Stage op graphs: structure, totals, tensor-parallel scaling."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, ParallelismError
 from repro.llm import OPT_13B, StageShape, tiny_config
 from repro.llm.graph import (
     decoder_layer_ops,
     gen_stage_ops,
-    inference_op_count,
     lm_head_ops,
     sum_stage_ops,
 )
@@ -116,12 +114,3 @@ class TestOpNaming:
         assert logits.m == 1
         assert logits.n == cfg.vocab_size
 
-
-@settings(max_examples=20, deadline=None)
-@given(input_len=st.integers(1, 8), output_len=st.integers(1, 6))
-def test_inference_op_count_linear_in_output(input_len, output_len):
-    cfg = tiny_config()
-    count = inference_op_count(cfg, input_len, output_len)
-    per_stage = len(gen_stage_ops(cfg, input_len + 1))
-    assert count == len(sum_stage_ops(cfg, input_len)) \
-        + (output_len - 1) * per_stage

@@ -1,42 +1,11 @@
-"""KV-cache sizing, growth, and capacity checks."""
+"""KV-cache sizing and capacity checks."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.llm import KVCache, OPT_13B, peak_kv_bytes, request_fits, tiny_config
-from repro.llm.batching import batch_kv_bytes
+from repro.llm import OPT_13B, peak_kv_bytes, request_fits, tiny_config
 from repro.llm.kvcache import kv_spare_bytes
-
-
-class TestKVCache:
-    def test_empty_cache_has_no_bytes(self):
-        cache = KVCache(tiny_config())
-        assert cache.total_bytes == 0
-
-    def test_append_grows_linearly(self):
-        cfg = tiny_config()
-        cache = KVCache(cfg)
-        cache.append(5)
-        assert cache.total_bytes == 5 * cfg.kv_bytes_per_token()
-
-    def test_append_beyond_max_seq_rejected(self):
-        cfg = tiny_config(max_seq_len=8)
-        cache = KVCache(cfg, tokens=8)
-        with pytest.raises(CapacityError):
-            cache.append(1)
-
-    def test_negative_append_rejected(self):
-        with pytest.raises(ConfigurationError):
-            KVCache(tiny_config()).append(-1)
-
-    def test_negative_initial_tokens_rejected(self):
-        with pytest.raises(ConfigurationError):
-            KVCache(tiny_config(), tokens=-3)
-
-    def test_gen_reads_whole_cache(self):
-        cache = KVCache(tiny_config(), tokens=7)
-        assert cache.read_bytes_for_gen() == cache.total_bytes
 
 
 class TestPeakAndFit:
@@ -66,25 +35,6 @@ class TestPeakAndFit:
         cfg = tiny_config()
         assert peak_kv_bytes(cfg, inp, out) \
             <= peak_kv_bytes(cfg, inp, out + 1)
-
-
-class TestConsistency:
-    """The capacity planners and the incremental cache must agree."""
-
-    @given(prompt=st.integers(1, 32), gen=st.integers(0, 31))
-    def test_batch_one_matches_cache_append_math(self, prompt, gen):
-        cfg = tiny_config()
-        cache = KVCache(cfg, tokens=prompt)
-        for _ in range(min(gen, cfg.max_seq_len - prompt)):
-            cache.append(1)
-        ctx = cache.tokens
-        assert batch_kv_bytes(cfg, ctx, 1) == cache.total_bytes
-
-    def test_peak_equals_cache_at_final_context(self):
-        cfg = tiny_config()
-        cache = KVCache(cfg, tokens=10)
-        cache.append(6)
-        assert peak_kv_bytes(cfg, 10, 6) == cache.total_bytes
 
 
 class TestSpareBytes:

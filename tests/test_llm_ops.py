@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.llm.ops import (
     OpKind,
     matmul_op,
-    matmul_ops,
     total_flops,
     total_weight_bytes,
     vector_op,
@@ -71,10 +70,6 @@ class TestAggregates:
         ops = [matmul_op("a", 2, 4, 8, 2), vector_op("b", OpKind.GELU, 16, 2)]
         assert total_flops(ops) == ops[0].flops + ops[1].flops
         assert total_weight_bytes(ops) == ops[0].weight_bytes
-
-    def test_matmul_filter(self):
-        ops = [matmul_op("a", 2, 4, 8, 2), vector_op("b", OpKind.GELU, 16, 2)]
-        assert matmul_ops(ops) == [ops[0]]
 
     def test_matmul_kind_property(self):
         assert OpKind.GEMM.is_matmul and OpKind.GEMV.is_matmul

@@ -5,12 +5,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.llm import (
     InferenceRequest,
-    PAPER_INPUT_TOKENS,
-    output_sweep,
-    paper_request,
     sampled_workload,
 )
-from repro.llm.workload import token_stream
 
 
 class TestInferenceRequest:
@@ -25,17 +21,6 @@ class TestInferenceRequest:
 
 
 class TestGenerators:
-    def test_paper_request_defaults(self):
-        req = paper_request()
-        assert req.input_len == PAPER_INPUT_TOKENS == 64
-        assert req.output_len == 1024
-
-    def test_output_sweep_covers_fig10_points(self):
-        sweep = output_sweep()
-        assert [r.output_len for r in sweep][:3] == [1, 4, 16]
-        assert sweep[-1].output_len == 1024
-        assert all(r.input_len == 64 for r in sweep)
-
     def test_sampled_workload_deterministic(self):
         a = sampled_workload(20, seed=3)
         b = sampled_workload(20, seed=3)
@@ -49,12 +34,3 @@ class TestGenerators:
         with pytest.raises(ConfigurationError):
             sampled_workload(0)
 
-
-class TestTokenStream:
-    def test_context_lengths(self):
-        req = InferenceRequest(input_len=10, output_len=4)
-        assert list(token_stream(req)) == [11, 12, 13]
-
-    def test_single_token_request_has_no_gen_stage(self):
-        req = InferenceRequest(input_len=10, output_len=1)
-        assert list(token_stream(req)) == []

@@ -51,11 +51,14 @@ class TestTraces:
 
 class TestStreamingBehaviour:
     def test_sequential_stream_is_page_friendly(self, sim):
-        """Validates the analytical SEQUENTIAL_STREAM assumption: a long
-        weight stream should hit the row buffer ~98% of the time."""
+        """Derives the analytical SEQUENTIAL_STREAM row-hit rate: a long
+        weight stream hits the row buffer 31 times in 32 (one activate
+        per 2 KiB row of 64 B accesses), 0.96875, which the constant's
+        0.97 must match within 0.005 either way."""
         trace = sequential_trace(0, 8 << 20)
         result = sim.run(trace)
-        assert result.row_hit_rate >= SEQUENTIAL_STREAM.row_hit_rate - 0.01
+        assert abs(result.row_hit_rate - SEQUENTIAL_STREAM.row_hit_rate) \
+            <= 0.005
 
     def test_sequential_stream_balances_channels(self, sim):
         result = sim.run(sequential_trace(0, 16 << 20))

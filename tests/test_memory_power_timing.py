@@ -7,8 +7,6 @@ from repro.errors import ConfigurationError
 from repro.memory import (
     AccessPattern,
     ChannelTimingModel,
-    KV_CACHE_PATTERN,
-    RANDOM_CACHELINE,
     SEQUENTIAL_STREAM,
     build_module,
     lpddr5x_module,
@@ -60,11 +58,15 @@ class TestTimingModel:
         assert 0.90 < eff <= 1.0
 
     def test_pattern_ordering(self):
+        """Shorter bursts, more row misses and mixed reads/writes each
+        cost efficiency."""
         timing = ChannelTimingModel(lpddr5x_module())
         seq = timing.efficiency(SEQUENTIAL_STREAM)
-        kv = timing.efficiency(KV_CACHE_PATTERN)
-        rand = timing.efficiency(RANDOM_CACHELINE)
-        assert seq > kv > rand > 0.0
+        gather = timing.efficiency(AccessPattern(
+            avg_burst_bytes=512, row_hit_rate=0.85, read_fraction=0.9))
+        rand = timing.efficiency(AccessPattern(
+            avg_burst_bytes=64, row_hit_rate=0.5, read_fraction=0.7))
+        assert seq > gather > rand > 0.0
 
     def test_transfer_time_inverse_of_bandwidth(self):
         timing = ChannelTimingModel(lpddr5x_module())

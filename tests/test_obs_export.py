@@ -10,7 +10,6 @@ from repro.obs import (
     Tracer,
     load_chrome_trace,
     render_summary,
-    summarize_spans,
     summarize_trace_file,
     to_chrome_trace,
     write_chrome_trace,
@@ -80,17 +79,6 @@ class TestRoundTrip:
         events = load_chrome_trace(path)
         assert [e for e in events if e["ph"] == "X"]
 
-    def test_summary_matches_in_memory_aggregation(self, tracer,
-                                                   tmp_path):
-        path = write_chrome_trace(tracer, str(tmp_path / "trace.json"))
-        from_file = summarize_trace_file(path, top_n=10)
-        in_memory = summarize_spans(tracer.spans, top_n=10)
-        sim_file = [(r["span"], r["count"], r["sim_ms"])
-                    for r in from_file]
-        sim_mem = [(r["span"], r["count"], r["sim_ms"])
-                   for r in in_memory]
-        assert sim_file == sim_mem
-
     def test_bare_array_variant_loads(self, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text(json.dumps(
@@ -106,18 +94,24 @@ class TestRoundTrip:
 
 
 class TestSummaries:
-    def test_ranked_by_cumulative_sim_time(self, tracer):
-        rows = summarize_spans(tracer.spans, top_n=10)
-        assert rows[0]["span"] == "MPU_MM"
-        assert rows[1]["span"] == "VPU_ADD"
+    @pytest.fixture()
+    def trace_file(self, tracer, tmp_path):
+        return write_chrome_trace(tracer, str(tmp_path / "trace.json"))
+
+    def test_ranked_by_cumulative_sim_time(self, trace_file):
+        rows = summarize_trace_file(trace_file, top_n=10)
+        assert [(r["span"], r["count"]) for r in rows[:2]] \
+            == [("MPU_MM", 1), ("VPU_ADD", 1)]
+        assert rows[0]["sim_ms"] == pytest.approx(1e-3)
+        assert rows[1]["sim_ms"] == pytest.approx(5e-4)
         sim_totals = [r["sim_ms"] for r in rows]
         assert sim_totals == sorted(sim_totals, reverse=True)
 
-    def test_top_n_truncates(self, tracer):
-        assert len(summarize_spans(tracer.spans, top_n=1)) == 1
+    def test_top_n_truncates(self, trace_file):
+        assert len(summarize_trace_file(trace_file, top_n=1)) == 1
 
-    def test_render(self, tracer):
-        text = render_summary(summarize_spans(tracer.spans), title="top")
+    def test_render(self, trace_file):
+        text = render_summary(summarize_trace_file(trace_file), title="top")
         assert "MPU_MM" in text
         assert "sim_ms" in text
         assert text.startswith("== top ==")

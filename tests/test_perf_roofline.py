@@ -12,8 +12,6 @@ from repro.perf.analytical import GpuPerfModel, PnmPerfModel
 from repro.perf.roofline import (
     Roofline,
     device_roofline,
-    log_intensity_grid,
-    op_scatter,
     roofline_report,
     stage_intensity,
 )
@@ -47,15 +45,13 @@ class TestRoofline:
         assert pnm_roof.bound_of(100.0) == "compute"
 
     def test_curve_monotone(self, pnm_roof):
-        curve = pnm_roof.curve(log_intensity_grid())
+        curve = pnm_roof.curve([0.125, 1.0, 7.5, 64.0, 1024.0])
         values = [p["attainable_tflops"] for p in curve]
         assert values == sorted(values)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             Roofline(name="x", peak_flops=0, peak_bandwidth=1)
-        with pytest.raises(ConfigurationError):
-            log_intensity_grid(lo=0)
 
     @given(st.floats(0.0, 1e6))
     def test_attainable_never_exceeds_peak(self, intensity):
@@ -90,10 +86,9 @@ class TestStagePlacement:
             / by_device["CXL-PNM"]["gen_attainable_tflops"]
         assert ratio == pytest.approx(1.555 / 1.088, rel=0.02)
 
-    def test_op_scatter_classifies_all_ops(self):
-        roof = device_roofline(PnmPerfModel(CXLPNMDevice()))
-        rows = op_scatter(gen_stage_ops(OPT_13B, 576), roof)
-        assert len(rows) == len(gen_stage_ops(OPT_13B, 576))
-        assert all(row["bound"] in ("memory", "compute") for row in rows)
-        matmuls = [r for r in rows if r["kind"] in ("gemv", "gemm")]
-        assert all(r["bound"] == "memory" for r in matmuls)
+    def test_every_gen_matmul_is_memory_bound(self, pnm_roof):
+        matmuls = [op for op in gen_stage_ops(OPT_13B, 576)
+                   if op.kind.is_matmul]
+        assert matmuls
+        assert all(pnm_roof.bound_of(op.arithmetic_intensity) == "memory"
+                   for op in matmuls)
