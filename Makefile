@@ -13,9 +13,9 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Static analysis: the source-tree lint suite (purity + units +
-# determinism + contracts, honoring tools/static_analysis_baseline.json;
-# always), the ISA program-verifier smoke over the service decode
-# geometry (always), and ruff's pyflakes-error rules (when installed).
+# determinism, honoring tools/static_analysis_baseline.json; always),
+# the ISA program-verifier smoke over the service decode geometry
+# (always), and ruff's pyflakes-error rules (when installed).
 lint:
 	$(PYTHON) -m repro lint
 	$(PYTHON) -m repro lint-program OPT-13B --batch-tokens 1

@@ -7,15 +7,14 @@ Two prongs, one diagnostic model:
   (hazards, use-before-def, dead writes), register-file pressure
   against the Table II budgets, and device address-space checks
   (bounds, alignment, DMA overlap, layout-aware region rules).
-* the source-tree lint suite (:mod:`repro.analysis.suite`) — four AST
-  passes over ``src/repro``: simulation purity
+* the source-tree lint suite (:mod:`repro.analysis.suite`) — three
+  AST passes over ``src/repro``: simulation purity
   (:mod:`repro.analysis.purity`, PUR3xx), dimensional/unit discipline
   inferred from naming conventions (:mod:`repro.analysis.units_lint`,
-  UNIT4xx), determinism against order-sensitivity bug classes
-  (:mod:`repro.analysis.determinism`, DET5xx), and the cross-model
-  step-timer contract checker (:mod:`repro.analysis.contracts`,
-  CON6xx), with deliberate exceptions recorded in a checked-in
-  suppression baseline (:mod:`repro.analysis.baseline`).
+  UNIT4xx) and determinism against order-sensitivity bug classes
+  (:mod:`repro.analysis.determinism`, DET5xx), with deliberate
+  exceptions recorded in a checked-in suppression baseline
+  (:mod:`repro.analysis.baseline`).
 
 Both report :class:`repro.analysis.diagnostics.Diagnostic` values in an
 :class:`repro.analysis.diagnostics.AnalysisReport`; ``report.ok`` means

@@ -1,17 +1,16 @@
 """The full source-tree static-analysis suite, as one entry point.
 
-Composes the four tree passes — simulation purity (PUR3xx), unit
-discipline (UNIT4xx), determinism (DET5xx), and the cross-model
-contract checker (CON6xx) — into a single report, then applies the
-checked-in suppression baseline (:mod:`repro.analysis.baseline`).
+Composes the three tree passes — simulation purity (PUR3xx), unit
+discipline (UNIT4xx) and determinism (DET5xx) — into a single report,
+then applies the checked-in suppression baseline
+(:mod:`repro.analysis.baseline`).
 This is what ``repro lint``, ``make lint``, and the blocking CI job
 all run, so "clean" means the same thing at every surface.
 
 The suite owns the tree walk: each file is read and parsed once, and
 the tree goes to every selected pass that has rules for the file
 (``check_module``); a file that does not parse gets each such pass's
-own syntax-error code instead.  The contract checker's cross-file
-step-timer pairing runs once per tree, after the walk.
+own syntax-error code instead.
 
 Passes are named for selection (``--select units,det``):
 :data:`PASSES` maps name -> pass module.  The ISA *program* verifier
@@ -23,11 +22,11 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 
-from . import contracts, determinism, purity, units_lint
+from . import determinism, purity, units_lint
 from .baseline import Baseline, BaselineResult
 from .diagnostics import AnalysisReport, Diagnostic, syntax_error
 
@@ -38,7 +37,6 @@ PASSES = {
     "purity": purity,
     "units": units_lint,
     "determinism": determinism,
-    "contracts": contracts,
 }
 
 #: Short aliases accepted by ``--select``.
@@ -46,12 +44,7 @@ PASS_ALIASES = {
     "pur": "purity",
     "unit": "units",
     "det": "determinism",
-    "con": "contracts",
-    "contract": "contracts",
 }
-
-#: Files the contract checker's step-timer pairing reads.
-_PAIRED_PATHS = frozenset(path for path, _ in contracts.STEP_TIMER_CONTRACT)
 
 
 def resolve_passes(names: Optional[Iterable[str]] = None
@@ -86,14 +79,13 @@ def run_suite(root: Path, passes: Optional[Iterable[str]] = None,
         raise ConfigurationError(f"no such directory: {root}")
     selected = resolve_passes(passes)
     found: Dict[str, List[Diagnostic]] = {name: [] for name in selected}
-    paired: Dict[str, contracts.Parsed] = {}
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
         applicable = [name for name in selected
                       if PASSES[name].rules_for(rel)]
         if not applicable:
             continue
-        parsed: contracts.Parsed
+        parsed: Union[ast.Module, SyntaxError]
         try:
             parsed = ast.parse(path.read_text(encoding="utf-8"))
         except SyntaxError as exc:
@@ -105,10 +97,6 @@ def run_suite(root: Path, passes: Optional[Iterable[str]] = None,
                     syntax_error(module.SYNTAX_CODE, parsed, rel))
             else:
                 found[name].extend(module.check_module(parsed, rel))
-        if rel in _PAIRED_PATHS:
-            paired[rel] = parsed
-    if "contracts" in found:
-        found["contracts"][:0] = contracts.check_pairing(paired)
     merged = AnalysisReport.collect(
         (diag for name in selected for diag in found[name]),
         subject=str(root))

@@ -105,7 +105,7 @@ class BatchStepModel(Protocol):
     ``decode_steps_s(batch, context_lens) -> List[float]`` — a cohort
     evaluation used by the event kernel's macro-steps, which receives
     the cohort's contexts as a list of ints and whose list is used as
-    is (see :func:`repro.perf.analytical.decode_cohort_s`).  Models
+    is (see :meth:`repro.perf.analytical.StepTimer.decode_steps_s`).  Models
     without it fall back to one ``decode_step_s`` call per step.
     """
 

@@ -30,12 +30,11 @@ Commands:
   uncorrected / retried / failed-over counts.  With no fault flags it
   runs the default §IX schedule.
 * ``isa`` — the accelerator's generated ISA reference.
-* ``lint [--root DIR] [--select purity,units,det,con] [--baseline F |
+* ``lint [--root DIR] [--select purity,units,det] [--baseline F |
   --no-baseline] [--json] [--errors-only]`` — run the source-tree
   static-analysis suite (:mod:`repro.analysis.suite`): simulation
-  purity (PUR3xx), unit discipline (UNIT4xx), determinism (DET5xx),
-  and the cross-model contract checker (CON6xx), honoring the
-  checked-in suppression baseline.  Exit codes match
+  purity (PUR3xx), unit discipline (UNIT4xx) and determinism
+  (DET5xx), honoring the checked-in suppression baseline.  Exit codes match
   ``lint-program``: 0 clean, 2 diagnostics (or stale baseline
   entries), 1 tool failure.
 * ``lint-program <model>|tiny [--batch-tokens N] [--ctx-prev N]
@@ -630,17 +629,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     tree_lint = sub.add_parser(
         "lint",
-        help="source-tree static analysis (purity/units/determinism/"
-             "contracts)")
+        help="source-tree static analysis (purity/units/determinism)")
     tree_lint.add_argument("--root", default=None,
                            help="tree to lint (default: the installed "
                                 "repro package)")
     tree_lint.add_argument("--select", action="append", default=[],
                            metavar="PASSES",
                            help="comma-separated passes to run "
-                                "(purity, units, determinism, "
-                                "contracts; aliases pur/unit/det/con); "
-                                "default: all")
+                                "(purity, units, determinism; aliases "
+                                "pur/unit/det); default: all")
     tree_lint.add_argument("--baseline", default=None,
                            help="suppression baseline JSON (default: "
                                 "tools/static_analysis_baseline.json "

@@ -32,7 +32,6 @@ from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
     SIM_CLOCK,
-    Span,
     SpanRecord,
     Tracer,
     WALL_CLOCK,
@@ -48,7 +47,6 @@ __all__ = [
     "NullMetricsRegistry",
     "NullTracer",
     "SIM_CLOCK",
-    "Span",
     "SpanRecord",
     "Tracer",
     "WALL_CLOCK",

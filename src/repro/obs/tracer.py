@@ -158,10 +158,6 @@ class _SpanHandle:
         return False
 
 
-#: Public name for the live span handle ``Tracer.span`` returns.
-Span = _SpanHandle
-
-
 class Tracer:
     """Collects spans from every instrumented layer of the stack.
 

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import (
-    Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -344,38 +342,88 @@ def quantize_context(context_len: int, quantum: int, max_seq_len: int
     return min(quantized, max(context_len, max_seq_len))
 
 
-def decode_cohort_s(timer, batch: int, context_lens: Sequence[int]
-                    ) -> List[float]:
-    """Seconds for a cohort of decode steps at one batch size.
+@dataclass
+class StepTimer:
+    """The memoizing front end both continuous-batching step timers share.
 
-    The shared ``decode_steps_s`` of both step timers (``timer`` is
-    either: anything with ``context_quantum``, ``config`` and
-    ``decode_step_s``).  It walks the
-    contexts and calls ``timer.decode_step_s(batch, quantized)`` once
-    per *run* of equal quantized context, so each element is the
-    scalar call's value to the last bit.  An event-kernel cohort is the
-    consecutive contexts ``ctx0 .. ctx0+k-1``, whose runs are its
-    ascending distinct quantized contexts, each priced once.
+    ``prefill_s``, ``decode_step_s`` and ``decode_steps_s`` validate
+    their arguments, quantize a decode context up to
+    ``context_quantum`` and look the cost up in a memo; only a miss
+    reaches the subclass's pricing hook (``_price_prefill_s`` or
+    ``_price_decode_s``).  Subclasses declare ``config`` and
+    ``context_quantum`` as fields.
     """
-    if batch < 1:
-        raise ConfigurationError("batch and context must be >= 1")
-    quantum = timer.context_quantum
-    max_seq_len = timer.config.max_seq_len
-    costs: List[float] = []
-    run = cost = None
-    for context_len in context_lens:
-        quantized = quantize_context(context_len, quantum, max_seq_len)
-        if quantized != run:
-            if context_len < 1:
-                raise ConfigurationError("batch and context must be >= 1")
-            run = quantized
-            cost = timer.decode_step_s(batch, quantized)
-        costs.append(cost)
-    return costs
+
+    _prefill_cache: Dict[int, float] = field(
+        default_factory=dict, repr=False, kw_only=True)
+    _decode_cache: Dict[Tuple[int, int], float] = field(
+        default_factory=dict, repr=False, kw_only=True)
+
+    def __post_init__(self) -> None:
+        if self.context_quantum < 1:
+            raise ConfigurationError("context_quantum must be >= 1")
+
+    def prefill_s(self, input_len: int) -> float:
+        """Seconds to run one request's sum stage (emits its first token)."""
+        if input_len < 1:
+            raise ConfigurationError("input_len must be >= 1")
+        cached = self._prefill_cache.get(input_len)
+        if cached is None:
+            cached = self._price_prefill_s(input_len)
+            self._prefill_cache[input_len] = cached
+        return cached
+
+    def decode_step_s(self, batch: int, context_len: int) -> float:
+        """Seconds for one batched gen step at the given attention span."""
+        if batch < 1 or context_len < 1:
+            raise ConfigurationError("batch and context must be >= 1")
+        key = (batch, quantize_context(context_len, self.context_quantum,
+                                       self.config.max_seq_len))
+        cached = self._decode_cache.get(key)
+        if cached is None:
+            cached = self._price_decode_s(*key)
+            self._decode_cache[key] = cached
+        return cached
+
+    def decode_steps_s(self, batch: int,
+                       context_lens: Sequence[int]) -> List[float]:
+        """Seconds for a cohort of decode steps at one batch size.
+
+        Walks the contexts and calls ``self.decode_step_s(batch,
+        quantized)`` once per *run* of equal quantized context, so each
+        element is the scalar call's value to the last bit.  An
+        event-kernel cohort is the consecutive contexts ``ctx0 ..
+        ctx0+k-1``, whose runs are its ascending distinct quantized
+        contexts, each priced once.
+        """
+        if batch < 1:
+            raise ConfigurationError("batch and context must be >= 1")
+        quantum = self.context_quantum
+        max_seq_len = self.config.max_seq_len
+        costs: List[float] = []
+        run = cost = None
+        for context_len in context_lens:
+            quantized = quantize_context(context_len, quantum, max_seq_len)
+            if quantized != run:
+                if context_len < 1:
+                    raise ConfigurationError(
+                        "batch and context must be >= 1")
+                run = quantized
+                cost = self.decode_step_s(batch, quantized)
+            costs.append(cost)
+        return costs
+
+    def _price_prefill_s(self, input_len: int) -> float:
+        """A prefill memo miss: price the sum stage of ``input_len``."""
+        raise NotImplementedError
+
+    def _price_decode_s(self, batch: int, context_len: int) -> float:
+        """A decode memo miss: price one step at a quantized context."""
+        raise NotImplementedError
 
 
 @dataclass
-class BatchStepTimer:
+class BatchStepTimer(StepTimer):
     """Per-iteration costs for the continuous-batching scheduler.
 
     One *decode step* runs a batched gen stage — each running request
@@ -403,45 +451,18 @@ class BatchStepTimer:
     tensor_parallel: int = 1
     comm: CommModel = no_comm
     context_quantum: int = 32
-    _prefill_cache: Dict[int, float] = field(
-        default_factory=dict, repr=False)
-    _decode_cache: Dict[Tuple[int, int], float] = field(
-        default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.tensor_parallel < 1:
             raise ConfigurationError("tensor_parallel must be >= 1")
-        if self.context_quantum < 1:
-            raise ConfigurationError("context_quantum must be >= 1")
+        super().__post_init__()
 
-    def prefill_s(self, input_len: int) -> float:
-        """Seconds to run one request's sum stage (emits its first token)."""
-        if input_len < 1:
-            raise ConfigurationError("input_len must be >= 1")
-        cached = self._prefill_cache.get(input_len)
-        if cached is None:
-            stage = compact_sum_stage(self.config, input_len,
-                                      self.tensor_parallel)
-            cached = _stage_time_s(stage, self.model) + self.comm(input_len)
-            self._prefill_cache[input_len] = cached
-        return cached
+    def _price_prefill_s(self, input_len: int) -> float:
+        stage = compact_sum_stage(self.config, input_len,
+                                  self.tensor_parallel)
+        return _stage_time_s(stage, self.model) + self.comm(input_len)
 
-    def decode_step_s(self, batch: int, context_len: int) -> float:
-        """Seconds for one batched gen step at the given attention span."""
-        if batch < 1 or context_len < 1:
-            raise ConfigurationError("batch and context must be >= 1")
-        key = (batch, quantize_context(context_len, self.context_quantum,
-                                       self.config.max_seq_len))
-        cached = self._decode_cache.get(key)
-        if cached is None:
-            stage = compact_batched_gen_stage(self.config, key[1], batch,
-                                              self.tensor_parallel)
-            cached = _stage_time_s(stage, self.model) + self.comm(batch)
-            self._decode_cache[key] = cached
-        return cached
-
-    def decode_steps_s(self, batch: int,
-                       context_lens: Sequence[int]) -> List[float]:
-        """Seconds for a cohort of decode steps at one batch size; see
-        :func:`decode_cohort_s`."""
-        return decode_cohort_s(self, batch, context_lens)
+    def _price_decode_s(self, batch: int, context_len: int) -> float:
+        stage = compact_batched_gen_stage(self.config, context_len, batch,
+                                          self.tensor_parallel)
+        return _stage_time_s(stage, self.model) + self.comm(batch)

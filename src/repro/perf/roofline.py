@@ -3,9 +3,9 @@
 The paper's whole argument is a roofline argument: gen-stage GEMVs sit at
 ~1 FLOP/byte, far below any device's ridge point, so achieved performance
 is bandwidth x intensity and the right machine maximizes *memory
-bandwidth per dollar/watt*, not FLOPS.  This module produces
-plot-ready roofline data: device ceilings, ridge points, and where a
-model's sum and gen stages land on any device model.
+bandwidth per dollar/watt*, not FLOPS.  This module gives
+device ceilings, ridge points, and where a model's sum and gen stages
+land on any device model.
 """
 
 from __future__ import annotations
@@ -45,12 +45,6 @@ class Roofline:
 
     def bound_of(self, intensity: float) -> str:
         return "compute" if intensity >= self.ridge_intensity else "memory"
-
-    def curve(self, intensities: Sequence[float]) -> List[Dict[str, float]]:
-        """Plot-ready (intensity, attainable) pairs."""
-        return [{"intensity": float(i),
-                 "attainable_tflops": self.attainable_flops(i) / TERA}
-                for i in intensities]
 
 
 def device_roofline(model: DevicePerfModel) -> Roofline:

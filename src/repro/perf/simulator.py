@@ -18,14 +18,14 @@ analog: tests assert agreement with the independent analytical model of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.accelerator import isa
 from repro.accelerator.device import CXLPNMDevice
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.llm.config import LLMConfig
 from repro.obs.context import get_metrics, get_tracer
-from repro.perf.analytical import decode_cohort_s, quantize_context
+from repro.perf.analytical import StepTimer
 import repro.perf.calibration as cal
 
 
@@ -414,7 +414,7 @@ class AcceleratorSimulator:
 
 
 @dataclass
-class SimulatedStepTimer:
+class SimulatedStepTimer(StepTimer):
     """Continuous-batching step costs from the instruction-level simulator.
 
     A drop-in :class:`~repro.appliance.continuous.BatchStepModel`: where
@@ -423,9 +423,10 @@ class SimulatedStepTimer:
     :func:`~repro.accelerator.compiler.timing_program` for prefill and
     :func:`~repro.accelerator.compiler.batched_timing_program` for a
     batched decode step — so unit overlap and the shared memory channel
-    are modelled exactly as in stage simulations.  Contexts are
-    quantized up to ``context_quantum`` before memoization, mirroring
-    the analytical timer.  Single device only (no tensor parallelism).
+    are modelled exactly as in stage simulations.  Validation, context
+    quantization and memos are the shared
+    :class:`~repro.perf.analytical.StepTimer` front end.  Single device
+    only (no tensor parallelism).
 
     Attributes:
         config: The model.
@@ -441,50 +442,21 @@ class SimulatedStepTimer:
     simulator: Optional[AcceleratorSimulator] = None
     context_quantum: int = 32
     quantize: Optional[str] = None
-    _prefill_cache: Dict[int, float] = field(
-        default_factory=dict, repr=False)
-    _decode_cache: Dict[Tuple[int, int], float] = field(
-        default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if self.context_quantum < 1:
-            raise ConfigurationError("context_quantum must be >= 1")
+        super().__post_init__()
         if self.simulator is None:
             self.simulator = AcceleratorSimulator()
 
-    def prefill_s(self, input_len: int) -> float:
-        """Seconds to run one request's sum stage (emits its first token)."""
-        if input_len < 1:
-            raise ConfigurationError("input_len must be >= 1")
-        cached = self._prefill_cache.get(input_len)
-        if cached is None:
-            from repro.accelerator.compiler import timing_program
-            program = timing_program(self.config, input_len, ctx_prev=0,
-                                     quantize=self.quantize)
-            cached = self.simulator.run(program).total_time_s
-            self._prefill_cache[input_len] = cached
-        return cached
+    def _price_prefill_s(self, input_len: int) -> float:
+        from repro.accelerator.compiler import timing_program
+        program = timing_program(self.config, input_len, ctx_prev=0,
+                                 quantize=self.quantize)
+        return self.simulator.run(program).total_time_s
 
-    def decode_step_s(self, batch: int, context_len: int) -> float:
-        """Seconds for one batched gen step at the given attention span."""
-        if batch < 1 or context_len < 1:
-            raise ConfigurationError("batch and context must be >= 1")
-        key = (batch, quantize_context(context_len, self.context_quantum,
-                                       self.config.max_seq_len))
-        cached = self._decode_cache.get(key)
-        if cached is None:
-            from repro.accelerator.compiler import batched_timing_program
-            program = batched_timing_program(self.config, batch,
-                                             ctx_prev=key[1] - 1,
-                                             quantize=self.quantize)
-            cached = self.simulator.run(program).total_time_s
-            self._decode_cache[key] = cached
-        return cached
-
-    def decode_steps_s(self, batch: int,
-                       context_lens: Sequence[int]) -> List[float]:
-        """Seconds for a cohort of decode steps at one batch size; see
-        :func:`~repro.perf.analytical.decode_cohort_s` (the simulator's
-        own ``timing_key`` result cache makes repeats across calls
-        cheap too)."""
-        return decode_cohort_s(self, batch, context_lens)
+    def _price_decode_s(self, batch: int, context_len: int) -> float:
+        from repro.accelerator.compiler import batched_timing_program
+        program = batched_timing_program(self.config, batch,
+                                         ctx_prev=context_len - 1,
+                                         quantize=self.quantize)
+        return self.simulator.run(program).total_time_s

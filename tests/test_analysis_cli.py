@@ -113,16 +113,16 @@ class TestLintTree:
     def test_no_baseline_exposes_known_exceptions(self):
         code, out = _run(["lint", "--no-baseline"])
         assert code == EXIT_DIAGNOSTICS == 2
-        for expected in ("DET501", "CON603"):
-            assert expected in out, out
+        assert "DET501" in out, out
+        assert "CON6" not in out, out
 
     def test_select_limits_passes(self):
-        code, out = _run(["lint", "--select", "det", "--no-baseline"])
-        assert code == 2
-        assert "DET501" in out and "CON603" not in out
+        code, out = _run(["lint", "--select", "units", "--no-baseline"])
+        assert code == 0, out
+        assert "clean" in out and "DET501" not in out
 
     def test_select_with_default_baseline_stays_clean(self):
-        # The checked-in baseline carries DET/CON entries; a
+        # The checked-in baseline carries DET entries only; a
         # units-only run must scope them out rather than call them
         # stale (regression: this used to exit 2).
         code, out = _run(["lint", "--select", "units"])
@@ -130,12 +130,12 @@ class TestLintTree:
         assert "stale" not in out
 
     def test_select_alias_and_json(self):
-        code, out = _run(["lint", "--select", "det,con",
+        code, out = _run(["lint", "--select", "det,unit",
                           "--no-baseline", "--json"])
         assert code == 2
         report = json.loads(out)
         codes = {d["code"] for d in report["diagnostics"]}
-        assert codes == {"DET501", "CON603"}, codes
+        assert codes == {"DET501"}, codes
 
     def test_json_reports_baseline_accounting(self):
         code, out = _run(["lint", "--json"])
@@ -143,9 +143,9 @@ class TestLintTree:
         report = json.loads(out)
         assert report["ok"] is True and report["clean"] is True
         assert report["stale_baseline"] == []
-        assert 0 < len(report["suppressed"]) <= 10
+        assert len(report["suppressed"]) == 2
         codes = {d["code"] for d in report["suppressed"]}
-        assert codes == {"DET501", "CON603"}
+        assert codes == {"DET501"}
 
     def test_explicit_root_without_baseline(self, tmp_path):
         pkg = tmp_path / "perf"

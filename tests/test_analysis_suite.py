@@ -54,9 +54,11 @@ class TestResolvePasses:
         assert resolve_passes([]) == tuple(PASSES)
 
     def test_aliases(self):
-        assert resolve_passes(["det", "con"]) \
-            == ("determinism", "contracts")
+        assert resolve_passes(["det", "unit"]) \
+            == ("determinism", "units")
         assert resolve_passes(["unit", "pur"]) == ("units", "purity")
+        with pytest.raises(ConfigurationError):
+            resolve_passes(["con"])
 
     def test_duplicates_collapse(self):
         assert resolve_passes(["units", "unit"]) == ("units",)

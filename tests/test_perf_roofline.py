@@ -45,9 +45,10 @@ class TestRoofline:
         assert pnm_roof.bound_of(100.0) == "compute"
 
     def test_curve_monotone(self, pnm_roof):
-        curve = pnm_roof.curve([0.125, 1.0, 7.5, 64.0, 1024.0])
-        values = [p["attainable_tflops"] for p in curve]
+        values = [pnm_roof.attainable_flops(i)
+                  for i in (0.125, 1.0, 7.5, 64.0, 1024.0)]
         assert values == sorted(values)
+        assert values[-1] == pnm_roof.peak_flops
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

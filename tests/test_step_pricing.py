@@ -12,10 +12,44 @@
   modules, two event-kernel parity cases keep their 3.11 digests.
 * ``sampled_workload`` and ``multi_tenant_workload`` outputs are pinned
   to digests recorded before their lognormal draws were batched.
+* The two step timers agree on value.  ``SimulatedStepTimer`` is
+  compared with ``BatchStepTimer`` on a ``PnmPerfModel``, paired as
+  ``repro serve`` pairs them (int8: ``quantize="int8"`` against the
+  ``with_dtype(1)`` config), at ``context_quantum=1``, over OPT-1.3B
+  and OPT-13B, fp16 and int8, prefill at input 1/64/512 and decode at
+  batch 1/2/4/8/16/64 and context 64/576.  The tolerance is
+  |sim/analytical - 1| <= 5%, above the 3.7% worst case of
+  ``benchmarks/results/validation.txt``.  The cells outside it are
+  strict xfails citing ROADMAP item 1 (the compiler runs every m > 1
+  matmul on the PE array; the analytical model takes the faster of the
+  PE array and tree GEMV sweeps).  Their measured sim/analytical
+  ratios ("-" marks a cell within 5%)::
+
+      model     dtype  step             ctx 64   ctx 576
+      OPT-1.3B  fp16   decode batch 2    7.974    7.895
+      OPT-1.3B  fp16   decode batch 4    4.093    4.069
+      OPT-1.3B  fp16   decode batch 8    2.059    2.066
+      OPT-1.3B  fp16   decode batch 16   -        1.059
+      OPT-1.3B  fp16   decode batch 64   0.844    0.921
+      OPT-1.3B  int8   prefill input 1   0.918
+      OPT-1.3B  int8   decode batch 1    0.918    -
+      OPT-1.3B  int8   decode batch 2   14.851   14.522
+      OPT-1.3B  int8   decode batch 4    7.522    7.387
+      OPT-1.3B  int8   decode batch 8    3.794    3.760
+      OPT-1.3B  int8   decode batch 16   1.914    1.931
+      OPT-1.3B  int8   decode batch 64   0.844    0.921
+      OPT-13B   fp16   decode batch 2    8.188    8.161
+      OPT-13B   fp16   decode batch 4    4.120    4.114
+      OPT-13B   fp16   decode batch 8    2.063    2.068
+      OPT-13B   int8   decode batch 2   16.119   16.016
+      OPT-13B   int8   decode batch 4    8.080    8.044
+      OPT-13B   int8   decode batch 8    4.047    4.045
+      OPT-13B   int8   decode batch 16   2.028    2.043
 """
 
 import builtins
 import dataclasses
+import functools
 import hashlib
 import math
 
@@ -28,7 +62,12 @@ from repro.errors import ConfigurationError
 from repro.gpu.device import A100_40G
 from repro.gpu.kernels import GpuKernelModel
 from repro.gpu.power import GpuPowerModel
-from repro.llm import OPT_1_3B, multi_tenant_workload, sampled_workload
+from repro.llm import (
+    OPT_13B,
+    OPT_1_3B,
+    multi_tenant_workload,
+    sampled_workload,
+)
 from repro.llm.config import tiny_config
 from repro.llm.ops import OpKind, OpSpec, matmul_op, vector_op
 from repro.perf.analytical import (
@@ -372,3 +411,123 @@ def test_multi_tenant_workload_matches_pinned_digest(num, options, pinned):
 def test_workloads_reject_empty_request_counts(make):
     with pytest.raises(ConfigurationError):
         make(0)
+
+
+# -- the two step timers, by value -----------------------------------------
+
+#: Largest accepted |sim/analytical - 1|.
+TOLERANCE = 0.05
+
+VALUE_MODELS = {"OPT-1.3B": OPT_1_3B, "OPT-13B": OPT_13B}
+
+#: (model, dtype, step, arguments) -> sim/analytical ratio, for each cell
+#: outside TOLERANCE (the table in the module docstring).
+OUTSIDE_TOLERANCE = {
+    ("OPT-1.3B", "fp16", "decode", (2, 64)): 7.974,
+    ("OPT-1.3B", "fp16", "decode", (2, 576)): 7.895,
+    ("OPT-1.3B", "fp16", "decode", (4, 64)): 4.093,
+    ("OPT-1.3B", "fp16", "decode", (4, 576)): 4.069,
+    ("OPT-1.3B", "fp16", "decode", (8, 64)): 2.059,
+    ("OPT-1.3B", "fp16", "decode", (8, 576)): 2.066,
+    ("OPT-1.3B", "fp16", "decode", (16, 576)): 1.059,
+    ("OPT-1.3B", "fp16", "decode", (64, 64)): 0.844,
+    ("OPT-1.3B", "fp16", "decode", (64, 576)): 0.921,
+    ("OPT-1.3B", "int8", "prefill", (1,)): 0.918,
+    ("OPT-1.3B", "int8", "decode", (1, 64)): 0.918,
+    ("OPT-1.3B", "int8", "decode", (2, 64)): 14.851,
+    ("OPT-1.3B", "int8", "decode", (2, 576)): 14.522,
+    ("OPT-1.3B", "int8", "decode", (4, 64)): 7.522,
+    ("OPT-1.3B", "int8", "decode", (4, 576)): 7.387,
+    ("OPT-1.3B", "int8", "decode", (8, 64)): 3.794,
+    ("OPT-1.3B", "int8", "decode", (8, 576)): 3.760,
+    ("OPT-1.3B", "int8", "decode", (16, 64)): 1.914,
+    ("OPT-1.3B", "int8", "decode", (16, 576)): 1.931,
+    ("OPT-1.3B", "int8", "decode", (64, 64)): 0.844,
+    ("OPT-1.3B", "int8", "decode", (64, 576)): 0.921,
+    ("OPT-13B", "fp16", "decode", (2, 64)): 8.188,
+    ("OPT-13B", "fp16", "decode", (2, 576)): 8.161,
+    ("OPT-13B", "fp16", "decode", (4, 64)): 4.120,
+    ("OPT-13B", "fp16", "decode", (4, 576)): 4.114,
+    ("OPT-13B", "fp16", "decode", (8, 64)): 2.063,
+    ("OPT-13B", "fp16", "decode", (8, 576)): 2.068,
+    ("OPT-13B", "int8", "decode", (2, 64)): 16.119,
+    ("OPT-13B", "int8", "decode", (2, 576)): 16.016,
+    ("OPT-13B", "int8", "decode", (4, 64)): 8.080,
+    ("OPT-13B", "int8", "decode", (4, 576)): 8.044,
+    ("OPT-13B", "int8", "decode", (8, 64)): 4.047,
+    ("OPT-13B", "int8", "decode", (8, 576)): 4.045,
+    ("OPT-13B", "int8", "decode", (16, 64)): 2.028,
+    ("OPT-13B", "int8", "decode", (16, 576)): 2.043,
+}
+
+
+def _value_cells():
+    steps = [("prefill", (n,)) for n in (1, 64, 512)] \
+        + [("decode", (batch, ctx)) for batch in (1, 2, 4, 8, 16, 64)
+           for ctx in (64, 576)]
+    for model in VALUE_MODELS:
+        for dtype in ("fp16", "int8"):
+            for step, args in steps:
+                cell = (model, dtype, step, args)
+                ratio = OUTSIDE_TOLERANCE.get(cell)
+                marks = () if ratio is None else pytest.mark.xfail(
+                    strict=True,
+                    reason=f"ROADMAP item 1: the two perf models disagree "
+                           f"here (sim/analytical {ratio})")
+                yield pytest.param(
+                    *cell, marks=marks,
+                    id=f"{model}-{dtype}-{step}-"
+                       + "x".join(map(str, args)))
+
+
+@functools.lru_cache(maxsize=None)
+def _timer_pair(model, dtype):
+    """(simulated, analytical) step timers, paired as ``repro serve``
+    pairs them."""
+    config = VALUE_MODELS[model]
+    quantize = "int8" if dtype == "int8" else None
+    simulated = SimulatedStepTimer(config, context_quantum=1,
+                                   quantize=quantize)
+    analytical = BatchStepTimer(
+        config.with_dtype(1) if quantize else config,
+        PnmPerfModel(CXLPNMDevice()), context_quantum=1)
+    return simulated, analytical
+
+
+@pytest.mark.parametrize("model, dtype, step, args", _value_cells())
+def test_step_timers_agree_on_value(model, dtype, step, args):
+    method = "prefill_s" if step == "prefill" else "decode_step_s"
+    simulated, analytical = _timer_pair(model, dtype)
+    ratio = getattr(simulated, method)(*args) \
+        / getattr(analytical, method)(*args)
+    assert abs(ratio - 1.0) <= TOLERANCE, ratio
+
+
+# -- exported key sets -----------------------------------------------------
+
+
+def test_continuous_batch_stats_keys_in_order():
+    from repro.appliance.continuous import ContinuousBatchStats
+    stats = ContinuousBatchStats(completed=[], makespan_s=0.0,
+                                 num_instances=1)
+    assert list(stats.as_dict()) == [
+        "requests", "rejected", "num_instances", "makespan_s",
+        "mean_latency_s", "p50_latency_s", "p95_latency_s",
+        "mean_queue_wait_s", "throughput_tokens_per_s",
+        "instance_utilization", "num_iterations", "max_occupancy",
+        "mean_occupancy", "mean_ttft_s", "p95_ttft_s", "mean_tbt_s",
+        "stall_s", "devices_failed", "lost_device_s", "failovers",
+        "mean_failover_latency_s", "preemptions", "goodput_tokens_per_s",
+        "slo_attainment",
+    ]
+
+
+def test_simulation_result_keys_in_order():
+    from repro.accelerator import isa
+    from repro.perf.simulator import SimulationResult
+    result = SimulationResult(total_time_s=1.0, instructions=3,
+                              unit_busy_s={}, mem_bytes=0.0, flops=0.0)
+    per_unit = [f"{kind}.{unit.name}" for unit in isa.Unit
+                for kind in ("busy_s", "utilization")]
+    assert list(result.as_dict()) \
+        == ["total_time_s", "instructions", "mem_bytes", "flops"] + per_unit
