@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint docs verify-programs all
+.PHONY: test lint docs verify-programs bench-pairs all
 
 all: lint test docs
 
@@ -37,3 +37,10 @@ verify-programs:
 	$(PYTHON) -m repro lint-program tiny --batched 4 --errors-only
 	$(PYTHON) -m repro lint-program OPT-1.3B --batched 8 --errors-only
 	$(PYTHON) -m repro lint-program OPT-1.3B --batch-tokens 256 --ctx-prev 0
+
+# Ten alternating benchmark pairs of HEAD and the working tree over all
+# five workloads, held against each other by benchmarks/e2e/compare.py;
+# CLAIM="serve-steady:wall_s ..." passes each claim on.
+bench-pairs:
+	$(PYTHON) tools/bench_pairs.py --parent HEAD --pairs 10 \
+		$(foreach claim,$(CLAIM),--claim $(claim))

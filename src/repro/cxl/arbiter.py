@@ -20,15 +20,20 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.cxl.link import DRAM_ACCESS_NS
 from repro.cxl.protocol import CACHELINE_BYTES, Source
 from repro.errors import ConfigurationError
 from repro.obs.context import get_metrics, get_tracer
-from repro.units import bytes_to_gb, s_to_us
+from repro.units import NANOSECOND, bytes_to_gb, s_to_us
 
 #: Blocking-poll task windows traced per ``simulate`` call; long
 #: intervals contain thousands of identical windows, so the trace keeps
 #: the first few and notes the truncation in the span args.
 MAX_TRACED_TASK_WINDOWS = 128
+
+#: DRAM access every host request pays once it is served, under both
+#: policies: the device-side access of ``CXLLink.read_latency_s``.
+HOST_ACCESS_S = DRAM_ACCESS_NS * NANOSECOND
 
 
 class ArbitrationPolicy(enum.Enum):
@@ -211,6 +216,7 @@ class Arbiter:
                 service = CACHELINE_BYTES / self.memory_bandwidth
                 stats.mean_wait_s[source] = service * (
                     1.0 + rho / (2.0 * (1.0 - rho)))
+            stats.mean_wait_s[Source.HOST] += HOST_ACCESS_S
             stats.host_blocked_s = 0.0
             self._observe(policy, stats, pnm_task_s, interval_s)
             return stats
@@ -227,10 +233,11 @@ class Arbiter:
             host.bandwidth * interval_s, self.memory_bandwidth * host_time)
         stats.host_blocked_s = min(blocked, interval_s)
         # Host requests arriving during a task wait half a task on average
-        # plus half a poll interval before service resumes.
+        # plus half a poll interval before service resumes, then pay
+        # their DRAM access.
         frac_blocked = stats.host_blocked_s / interval_s
         stats.mean_wait_s[Source.HOST] = frac_blocked * (
-            pnm_task_s / 2.0 + self.poll_interval_s / 2.0)
+            pnm_task_s / 2.0 + self.poll_interval_s / 2.0) + HOST_ACCESS_S
         stats.mean_wait_s[Source.PNM] = (
             CACHELINE_BYTES / self.memory_bandwidth)
         self._observe(policy, stats, pnm_task_s, interval_s)

@@ -26,6 +26,9 @@ FLIT_PAYLOAD_BYTES = 64
 #: PCIe encoding overhead at Gen5 (128b/130b).
 PCIE_ENCODING_EFFICIENCY = 128.0 / 130.0
 
+#: Device-side DRAM access latency of one loaded read, in ns.
+DRAM_ACCESS_NS = 90.0
+
 #: Fraction of flit slots carrying data payload for streaming CXL.mem
 #: (the remainder carries request/response headers and credits).
 SLOT_PAYLOAD_EFFICIENCY = 0.85
@@ -45,7 +48,7 @@ class CXLLink:
     lanes: int = 16
     gt_per_s: float = 32.0
     port_latency_ns: float = 35.0
-    dram_access_ns: float = 90.0
+    dram_access_ns: float = DRAM_ACCESS_NS
 
     def __post_init__(self) -> None:
         if self.lanes not in (1, 2, 4, 8, 16):

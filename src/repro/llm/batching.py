@@ -28,6 +28,63 @@ from repro.llm.kvcache import kv_spare_bytes
 from repro.llm.ops import OpKind, OpSpec, matmul_op, vector_op
 
 
+def _local_heads(config: LLMConfig, context_len: int, batch: int,
+                 tensor_parallel: int) -> int:
+    """Attention heads per tensor-parallel shard, after checking the
+    step's shape."""
+    if batch < 1:
+        raise ConfigurationError(f"batch={batch} must be >= 1")
+    if context_len < 1:
+        raise ConfigurationError("context_len must be >= 1")
+    if tensor_parallel < 1:
+        raise ParallelismError("tensor_parallel must be >= 1")
+    if config.num_heads % tensor_parallel or config.d_ff % tensor_parallel:
+        raise ParallelismError(
+            f"{config.name} does not split {tensor_parallel} ways")
+    return config.num_heads // tensor_parallel
+
+
+def batched_attention_ops(config: LLMConfig, context_len: int, batch: int,
+                          tensor_parallel: int = 1,
+                          layer_name: str = LAYER_NAME) -> List[OpSpec]:
+    """The three ops of a batched gen layer whose shapes depend on the
+    context: ``attn_score``, ``softmax`` and ``attn_ctx``.
+
+    Each request attends over its own KV cache, per head
+    ``[1 x hd] @ [hd x ctx]``, so every quantity scales with
+    ``heads * batch``.  Every other op of the layer depends on the batch
+    size alone.
+    """
+    heads = _local_heads(config, context_len, batch, tensor_parallel)
+    dtype = config.dtype_bytes
+    hd = config.head_dim
+    score = matmul_op(f"{layer_name}.attn_score", m=1, n=context_len, k=hd,
+                      dtype_bytes=dtype)
+    ctx_op = matmul_op(f"{layer_name}.attn_ctx", m=1, n=hd, k=context_len,
+                       dtype_bytes=dtype)
+    return [
+        OpSpec(name=score.name, kind=OpKind.GEMV,
+               flops=score.flops * heads * batch,
+               weight_bytes=score.weight_bytes * heads * batch,
+               input_bytes=score.input_bytes * heads * batch,
+               output_bytes=score.output_bytes * heads * batch,
+               m=1, n=context_len, k=hd),
+        vector_op(f"{layer_name}.softmax", OpKind.SOFTMAX,
+                  elements=batch * context_len * heads, dtype_bytes=dtype),
+        OpSpec(name=ctx_op.name, kind=OpKind.GEMV,
+               flops=ctx_op.flops * heads * batch,
+               weight_bytes=ctx_op.weight_bytes * heads * batch,
+               input_bytes=ctx_op.input_bytes * heads * batch,
+               output_bytes=ctx_op.output_bytes * heads * batch,
+               m=1, n=hd, k=context_len),
+    ]
+
+
+#: Where :func:`batched_attention_ops` sit in a batched gen layer: after
+#: ``ln1`` and ``qkv``, before ``proj`` .. ``residual2``.
+ATTENTION_OPS = slice(2, 5)
+
+
 def batched_gen_layer_ops(config: LLMConfig, context_len: int, batch: int,
                           tensor_parallel: int = 1,
                           layer_name: str = LAYER_NAME) -> List[OpSpec]:
@@ -35,68 +92,40 @@ def batched_gen_layer_ops(config: LLMConfig, context_len: int, batch: int,
     concurrent requests, all at attention span ``context_len``.
 
     Weight matmuls are ``[batch x k] @ [k x n]`` GEMMs (weights stream
-    once); attention ops scale linearly with the batch because each
+    once); the attention ops (:func:`batched_attention_ops`, at
+    :data:`ATTENTION_OPS`) scale linearly with the batch because each
     request owns its KV cache.
     """
-    if batch < 1:
-        raise ConfigurationError(f"batch={batch} must be >= 1")
-    if context_len < 1:
-        raise ConfigurationError("context_len must be >= 1")
-    if tensor_parallel < 1:
-        raise ParallelismError("tensor_parallel must be >= 1")
+    attention = batched_attention_ops(config, context_len, batch,
+                                      tensor_parallel, layer_name)
     d = config.d_model
-    if config.num_heads % tensor_parallel or config.d_ff % tensor_parallel:
-        raise ParallelismError(
-            f"{config.name} does not split {tensor_parallel} ways")
-    heads = config.num_heads // tensor_parallel
-    d_local = heads * config.head_dim
+    d_local = config.num_heads // tensor_parallel * config.head_dim
     dff_local = config.d_ff // tensor_parallel
     dtype = config.dtype_bytes
-    hd = config.head_dim
     m = batch
-
-    ops: List[OpSpec] = []
-    ops.append(vector_op(f"{layer_name}.ln1", OpKind.LAYERNORM,
-                         elements=m * d, dtype_bytes=dtype))
-    ops.append(matmul_op(f"{layer_name}.qkv", m=m, n=3 * d_local, k=d,
-                         dtype_bytes=dtype))
-    # Attention: per request, per head [1 x hd] @ [hd x ctx].
-    score = matmul_op(f"{layer_name}.attn_score", m=1, n=context_len, k=hd,
-                      dtype_bytes=dtype)
-    ops.append(OpSpec(name=score.name, kind=OpKind.GEMV,
-                      flops=score.flops * heads * batch,
-                      weight_bytes=score.weight_bytes * heads * batch,
-                      input_bytes=score.input_bytes * heads * batch,
-                      output_bytes=score.output_bytes * heads * batch,
-                      m=1, n=context_len, k=hd))
-    ops.append(vector_op(f"{layer_name}.softmax", OpKind.SOFTMAX,
-                         elements=batch * context_len * heads,
-                         dtype_bytes=dtype))
-    ctx_op = matmul_op(f"{layer_name}.attn_ctx", m=1, n=hd, k=context_len,
-                       dtype_bytes=dtype)
-    ops.append(OpSpec(name=ctx_op.name, kind=OpKind.GEMV,
-                      flops=ctx_op.flops * heads * batch,
-                      weight_bytes=ctx_op.weight_bytes * heads * batch,
-                      input_bytes=ctx_op.input_bytes * heads * batch,
-                      output_bytes=ctx_op.output_bytes * heads * batch,
-                      m=1, n=hd, k=context_len))
-    ops.append(matmul_op(f"{layer_name}.proj", m=m, n=d, k=d_local,
-                         dtype_bytes=dtype))
-    ops.append(vector_op(f"{layer_name}.residual1", OpKind.ELEMENTWISE,
-                         elements=m * d, dtype_bytes=dtype,
-                         flops_per_element=1.0, num_inputs=2))
-    ops.append(vector_op(f"{layer_name}.ln2", OpKind.LAYERNORM,
-                         elements=m * d, dtype_bytes=dtype))
-    ops.append(matmul_op(f"{layer_name}.fc1", m=m, n=dff_local, k=d,
-                         dtype_bytes=dtype))
-    ops.append(vector_op(f"{layer_name}.gelu", OpKind.GELU,
-                         elements=m * dff_local, dtype_bytes=dtype))
-    ops.append(matmul_op(f"{layer_name}.fc2", m=m, n=d, k=dff_local,
-                         dtype_bytes=dtype))
-    ops.append(vector_op(f"{layer_name}.residual2", OpKind.ELEMENTWISE,
-                         elements=m * d, dtype_bytes=dtype,
-                         flops_per_element=1.0, num_inputs=2))
-    return ops
+    return [
+        vector_op(f"{layer_name}.ln1", OpKind.LAYERNORM,
+                  elements=m * d, dtype_bytes=dtype),
+        matmul_op(f"{layer_name}.qkv", m=m, n=3 * d_local, k=d,
+                  dtype_bytes=dtype),
+        *attention,
+        matmul_op(f"{layer_name}.proj", m=m, n=d, k=d_local,
+                  dtype_bytes=dtype),
+        vector_op(f"{layer_name}.residual1", OpKind.ELEMENTWISE,
+                  elements=m * d, dtype_bytes=dtype,
+                  flops_per_element=1.0, num_inputs=2),
+        vector_op(f"{layer_name}.ln2", OpKind.LAYERNORM,
+                  elements=m * d, dtype_bytes=dtype),
+        matmul_op(f"{layer_name}.fc1", m=m, n=dff_local, k=d,
+                  dtype_bytes=dtype),
+        vector_op(f"{layer_name}.gelu", OpKind.GELU,
+                  elements=m * dff_local, dtype_bytes=dtype),
+        matmul_op(f"{layer_name}.fc2", m=m, n=d, k=dff_local,
+                  dtype_bytes=dtype),
+        vector_op(f"{layer_name}.residual2", OpKind.ELEMENTWISE,
+                  elements=m * d, dtype_bytes=dtype,
+                  flops_per_element=1.0, num_inputs=2),
+    ]
 
 
 def compact_batched_gen_stage(config: LLMConfig, context_len: int,

@@ -19,8 +19,18 @@ simulator (§VII); the instruction-level simulator in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Protocol, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -32,9 +42,14 @@ from repro.errors import ConfigurationError
 from repro.gpu.device import GPUSpec
 from repro.gpu.kernels import GpuKernelModel
 from repro.gpu.power import GpuPowerModel
-from repro.llm.batching import compact_batched_gen_stage
+from repro.llm.batching import (
+    ATTENTION_OPS,
+    batched_attention_ops,
+    compact_batched_gen_stage,
+)
 from repro.llm.config import LLMConfig
 from repro.llm.graph import (
+    CompactStage,
     Stage,
     compact_gen_stage,
     compact_sum_stage,
@@ -217,10 +232,24 @@ def left_sum(values: Iterable[float]) -> float:
     return total
 
 
+def _flat_sum(head: Sequence[float], layer: Sequence[float],
+              num_layers: int, tail: Sequence[float]) -> float:
+    """:func:`left_sum` of ``head + layer * num_layers + tail``: per-op
+    values of a compact stage added in flat-list order, without building
+    the flat list."""
+    return left_sum(chain(head, *repeat(layer, num_layers), tail))
+
+
 def _stage_time_s(stage: Stage, model: DevicePerfModel) -> float:
     """Sum of op times over the stage's flat order; each distinct op of a
     compact stage is timed once."""
-    return left_sum(per_op(stage, model.op_time))
+    op_time = model.op_time
+    if isinstance(stage, CompactStage):
+        return _flat_sum([op_time(op) for op in stage.head],
+                         [op_time(op) for op in stage.layer],
+                         stage.num_layers,
+                         [op_time(op) for op in stage.tail])
+    return left_sum(map(op_time, stage))
 
 
 def stage_result(name: str, ops: Stage, model: DevicePerfModel,
@@ -394,22 +423,26 @@ class StepTimer:
         element is the scalar call's value to the last bit.  An
         event-kernel cohort is the consecutive contexts ``ctx0 ..
         ctx0+k-1``, whose runs are its ascending distinct quantized
-        contexts, each priced once.
+        contexts, each priced once.  Quantization is monotone and
+        idempotent, so a context between the run's first context and
+        the run's quantized context is in the run without quantizing.
         """
         if batch < 1:
             raise ConfigurationError("batch and context must be >= 1")
         quantum = self.context_quantum
         max_seq_len = self.config.max_seq_len
         costs: List[float] = []
-        run = cost = None
+        first, run, cost = 1, 0, None
         for context_len in context_lens:
-            quantized = quantize_context(context_len, quantum, max_seq_len)
-            if quantized != run:
+            if not first <= context_len <= run:
                 if context_len < 1:
                     raise ConfigurationError(
                         "batch and context must be >= 1")
-                run = quantized
-                cost = self.decode_step_s(batch, quantized)
+                quantized = quantize_context(context_len, quantum,
+                                             max_seq_len)
+                if quantized != run:
+                    first, run = context_len, quantized
+                    cost = self.decode_step_s(batch, quantized)
             costs.append(cost)
         return costs
 
@@ -420,6 +453,18 @@ class StepTimer:
     def _price_decode_s(self, batch: int, context_len: int) -> float:
         """A decode memo miss: price one step at a quantized context."""
         raise NotImplementedError
+
+
+class _WeightTimes(NamedTuple):
+    """One batch size's context-independent part of a decode step: op
+    times of the head, of the layer ops before and after the attention
+    ops, and of the tail, plus the step's communication time."""
+
+    head: List[float]
+    pre: List[float]
+    post: List[float]
+    tail: List[float]
+    comm_s: float
 
 
 @dataclass
@@ -437,6 +482,17 @@ class BatchStepTimer(StepTimer):
     quantizing the context up to ``context_quantum`` (set it to 1 for
     exact per-context costing).
 
+    At one batch size only the three attention ops
+    (:func:`~repro.llm.batching.batched_attention_ops`) depend on the
+    context.  The first decode memo miss at a batch size prices the
+    whole compact stage and keeps, per batch size, the op times of the
+    head, of the layer ops before and after the attention ops, of the
+    tail, and ``comm(batch)``.  Every later miss at that batch size
+    prices the three attention ops only and adds all op times in
+    flat-list order, so each step cost equals pricing the whole stage
+    to the last bit.  The memo belongs to the instance: a fresh timer
+    pays its own fills.
+
     Attributes:
         config: The model.
         model: Device performance model (one device or one tensor-
@@ -451,6 +507,8 @@ class BatchStepTimer(StepTimer):
     tensor_parallel: int = 1
     comm: CommModel = no_comm
     context_quantum: int = 32
+    _weight_times: Dict[int, _WeightTimes] = field(
+        default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.tensor_parallel < 1:
@@ -463,6 +521,22 @@ class BatchStepTimer(StepTimer):
         return _stage_time_s(stage, self.model) + self.comm(input_len)
 
     def _price_decode_s(self, batch: int, context_len: int) -> float:
-        stage = compact_batched_gen_stage(self.config, context_len, batch,
-                                          self.tensor_parallel)
-        return _stage_time_s(stage, self.model) + self.comm(batch)
+        op_time = self.model.op_time
+        weights = self._weight_times.get(batch)
+        if weights is None:
+            stage = compact_batched_gen_stage(
+                self.config, context_len, batch, self.tensor_parallel)
+            layer = [op_time(op) for op in stage.layer]
+            weights = _WeightTimes(
+                head=[op_time(op) for op in stage.head],
+                pre=layer[:ATTENTION_OPS.start],
+                post=layer[ATTENTION_OPS.stop:],
+                tail=[op_time(op) for op in stage.tail],
+                comm_s=self.comm(batch))
+            self._weight_times[batch] = weights
+        else:
+            attention = [op_time(op) for op in batched_attention_ops(
+                self.config, context_len, batch, self.tensor_parallel)]
+            layer = weights.pre + attention + weights.post
+        return _flat_sum(weights.head, layer, self.config.num_layers,
+                         weights.tail) + weights.comm_s

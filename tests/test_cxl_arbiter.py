@@ -9,6 +9,7 @@ from repro.cxl import (
     Source,
     compare_policies,
 )
+from repro.cxl.link import DRAM_ACCESS_NS
 from repro.errors import ConfigurationError
 
 BW = 100e9  # 100 GB/s memory for round numbers
@@ -109,6 +110,20 @@ class TestD3Comparison:
             > 2 * blocking.served_bytes[Source.HOST]
         assert wrr.mean_wait_s[Source.HOST] \
             < blocking.mean_wait_s[Source.HOST] / 10
+
+    @pytest.mark.parametrize("host_gb, pnm_gb", [(1, 1), (40, 40),
+                                                 (200, 200)])
+    def test_host_wait_is_at_least_one_dram_access(self, host_gb, pnm_gb):
+        """Every served host request pays its DRAM access, so the
+        hardware arbiter's host wait never falls below it (a queueing
+        term alone is sub-nanosecond) under either policy."""
+        results = compare_policies(memory_bandwidth=BW,
+                                   host_rate=host_gb * 1e9 / 64,
+                                   pnm_rate=pnm_gb * 1e9 / 64,
+                                   pnm_task_s=1e-3)
+        for stats in results.values():
+            assert stats.mean_wait_s[Source.HOST] \
+                >= DRAM_ACCESS_NS * 1e-9
 
 
 class TestValidation:

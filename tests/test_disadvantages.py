@@ -32,6 +32,13 @@ class TestDisadvantages:
         assert wait["dimm_or_pim"] > 100.0   # polling-bound, ~ms
         assert wait["cxl_pnm"] < 1.0          # hardware arbiter, ~ns
 
+    def test_d3_host_wait_includes_a_dram_access(self, rows):
+        # 90 ns of DRAM access: the ratio is over a real access time,
+        # not a sub-nanosecond queueing term.
+        wait = rows["D3 mean host wait (us)"]
+        assert wait["cxl_pnm"] >= 0.09
+        assert wait["advantage"] < 1e5
+
     def test_d4_full_region_visibility(self, rows):
         row = rows["D4 accessible fraction of a 1 GiB region"]
         assert row["cxl_pnm"] > 0.99

@@ -3,7 +3,12 @@
 * ``decode_steps_s`` on both step timers returns, element for element,
   exactly what ``decode_step_s`` returns for each context (compared as
   ``float.hex``), and consults ``decode_step_s`` once per run of equal
-  quantized context.
+  quantized context, also over arbitrary hypothesis-drawn context
+  lists.
+* A ``BatchStepTimer`` decode memo miss after the first at a batch size
+  prices the three attention ops only, yet every step equals pricing
+  the whole compact stage (``float.hex``), whatever the order of the
+  misses, on the PNM, A100 and DFX models, fp16 and int8, TP 1 and 2.
 * ``PnmPerfModel.op_time`` values on a grid of ops and devices are
   pinned to values recorded before the model derived its device
   constants once, at construction.
@@ -55,9 +60,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.accelerator.device import CXLPNMDevice
 from repro.accelerator.dfx import dfx_device
+from repro.appliance.comm import CxlCommModel
 from repro.errors import ConfigurationError
 from repro.gpu.device import A100_40G
 from repro.gpu.kernels import GpuKernelModel
@@ -68,13 +75,16 @@ from repro.llm import (
     multi_tenant_workload,
     sampled_workload,
 )
+from repro.llm.batching import compact_batched_gen_stage
 from repro.llm.config import tiny_config
 from repro.llm.ops import OpKind, OpSpec, matmul_op, vector_op
 from repro.perf.analytical import (
     BatchStepTimer,
     GpuPerfModel,
     PnmPerfModel,
+    _stage_time_s,
     left_sum,
+    no_comm,
     quantize_context,
 )
 from repro.perf.simulator import SimulatedStepTimer
@@ -195,6 +205,45 @@ def test_cohort_rejects_bad_arguments(name, batch, contexts):
         make(32).decode_steps_s(batch, contexts)
 
 
+_BUDGET = ANALYTICAL_CFG.max_seq_len
+
+
+@settings(max_examples=60, deadline=None)
+@given(quantum=st.sampled_from([1, 7, 32]),
+       contexts=st.lists(st.one_of(st.integers(-2, 100),
+                                   st.integers(_BUDGET - 50, _BUDGET + 80)),
+                         max_size=40))
+def test_cohort_walk_matches_per_context_quantization(quantum, contexts):
+    # Arbitrary, non-monotone contexts, some past the position budget:
+    # the walk consults decode_step_s once per run of equal quantized
+    # context, exactly as quantizing every context would, and stops with
+    # an error at the first context below 1.
+    bad = next((i for i, c in enumerate(contexts) if c < 1), None)
+    valid = contexts if bad is None else contexts[:bad]
+    quantized = [quantize_context(c, quantum, _BUDGET) for c in valid]
+    runs = [q for i, q in enumerate(quantized)
+            if i == 0 or q != quantized[i - 1]]
+    timer = _analytical(quantum)
+    scalar = timer.decode_step_s
+    calls = []
+
+    def counted(batch, context_len):
+        calls.append(context_len)
+        return scalar(batch, context_len)
+
+    timer.decode_step_s = counted
+    if bad is not None:
+        with pytest.raises(ConfigurationError):
+            timer.decode_steps_s(2, contexts)
+        assert calls == runs
+        return
+    costs = timer.decode_steps_s(2, contexts)
+    assert calls == runs
+    fresh = _analytical(quantum)
+    assert _hexes(costs) == _hexes([fresh.decode_step_s(2, c)
+                                    for c in contexts])
+
+
 def test_left_sum_adds_left_to_right():
     # A compensated sum returns 2.0 here; left to right, 1.0 is lost.
     assert left_sum([1e16, 1.0, 1.0, -1e16]) == 0.0
@@ -235,6 +284,94 @@ def test_serving_results_do_not_depend_on_sum_algorithm(case, monkeypatch):
     stats, step = parity.serve(case)
     assert (parity.digest(parity.canon(stats)),
             parity.digest("\n".join(step.log))) == parity.PINNED[case]
+
+
+# -- incremental decode pricing --------------------------------------------
+
+INCREMENTAL_MODELS = {"OPT-1.3B": OPT_1_3B, "OPT-13B": OPT_13B}
+PERF_MODELS = {
+    "pnm": lambda: PnmPerfModel(CXLPNMDevice()),
+    "gpu": lambda: GpuPerfModel(A100_40G),
+    "dfx": lambda: PnmPerfModel(dfx_device()),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _perf_model(name):
+    return PERF_MODELS[name]()
+
+
+def _whole_stage_s(timer, batch, context_len):
+    """One decode step priced from its whole compact stage."""
+    stage = compact_batched_gen_stage(timer.config, context_len, batch,
+                                      timer.tensor_parallel)
+    return _stage_time_s(stage, timer.model) + timer.comm(batch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(sorted(INCREMENTAL_MODELS)),
+       dtype_bytes=st.sampled_from([2, 1]),
+       device=st.sampled_from(sorted(PERF_MODELS)),
+       tensor_parallel=st.sampled_from([1, 2]),
+       quantum=st.sampled_from([1, 32]),
+       batches=st.lists(st.integers(1, 64), min_size=1, max_size=3,
+                        unique=True),
+       contexts=st.lists(st.integers(1, 2300), min_size=1, max_size=8),
+       order=st.randoms(use_true_random=False))
+def test_incremental_decode_matches_whole_stage(model, dtype_bytes, device,
+                                                tensor_parallel, quantum,
+                                                batches, contexts, order):
+    # Misses in random order fill each batch's memo at a different
+    # context; every step must still equal the whole stage to the last
+    # bit, past the position budget (2048) too.
+    config = INCREMENTAL_MODELS[model]
+    if dtype_bytes == 1:
+        config = config.with_dtype(1)
+    comm = (CxlCommModel(config, tensor_parallel) if tensor_parallel > 1
+            else no_comm)
+    timer = BatchStepTimer(config, _perf_model(device),
+                           tensor_parallel=tensor_parallel, comm=comm,
+                           context_quantum=quantum)
+    misses = [(b, c) for b in batches for c in contexts]
+    order.shuffle(misses)
+    for batch, context_len in misses:
+        quantized = quantize_context(context_len, quantum,
+                                     config.max_seq_len)
+        assert timer.decode_step_s(batch, context_len).hex() \
+            == _whole_stage_s(timer, batch, quantized).hex(), \
+            (batch, context_len)
+
+
+def test_decode_miss_after_the_first_prices_three_ops(monkeypatch):
+    # Patched on the class, as the benchmark's op_time span patches it.
+    priced = []
+    op_time = PnmPerfModel.op_time
+
+    def counted(self, op):
+        priced.append(op.name)
+        return op_time(self, op)
+
+    monkeypatch.setattr(PnmPerfModel, "op_time", counted)
+    model = PnmPerfModel(CXLPNMDevice())
+    stage = compact_batched_gen_stage(OPT_13B, 64, 8)
+    distinct = len(stage.head) + len(stage.layer) + len(stage.tail)
+    timer = BatchStepTimer(OPT_13B, model, context_quantum=1)
+    attention = ["layer.attn_score", "layer.softmax", "layer.attn_ctx"]
+
+    def calls(batch, context_len, on=timer):
+        del priced[:]
+        on.decode_step_s(batch, context_len)
+        return list(priced)
+
+    assert len(calls(8, 64)) == distinct       # fills batch 8's memo
+    assert calls(8, 700) == attention          # later misses: attention
+    assert calls(8, 2100) == attention
+    assert calls(8, 700) == []                 # memo hit
+    assert len(calls(4, 700)) == distinct      # a new batch size fills
+    assert calls(4, 64) == attention
+    # A fresh timer pays its own fill.
+    fresh = BatchStepTimer(OPT_13B, model, context_quantum=1)
+    assert len(calls(8, 700, on=fresh)) == distinct
 
 
 # -- device constants ------------------------------------------------------
