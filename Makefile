@@ -35,6 +35,7 @@ verify-programs:
 	$(PYTHON) -m repro lint-program OPT-13B --batch-tokens 1
 	$(PYTHON) -m repro lint-program OPT-13B --batch-tokens 64 --ctx-prev 0
 	$(PYTHON) -m repro lint-program tiny --batched 4 --errors-only
+	$(PYTHON) -m repro lint-program OPT-1.3B --batched 1
 	$(PYTHON) -m repro lint-program OPT-1.3B --batched 8 --errors-only
 	$(PYTHON) -m repro lint-program OPT-1.3B --batch-tokens 256 --ctx-prev 0
 

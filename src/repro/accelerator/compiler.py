@@ -208,11 +208,19 @@ class StageCompiler:
                                     bias_addr=self.layout.addr(bias), n=n))
 
     def _layer(self, x: str, layer_idx: int, m: int, ctx_prev: int,
-               regs: RegisterAllocator, code: List[isa.Instruction]) -> str:
+               regs: RegisterAllocator, code: List[isa.Instruction],
+               requests: int = 1) -> str:
+        """One decoder layer over ``m`` rows shared by ``requests``.
+
+        The matmuls and vector ops run once over all rows; the KV
+        appends and masked attention run once per request over its
+        ``m // requests`` rows, reusing one set of registers.
+        """
         cfg = self.config
         d, dff = cfg.d_model, cfg.d_ff
         heads, hd = cfg.num_heads, cfg.head_dim
-        ctx = ctx_prev + m
+        rows = m // requests
+        ctx = ctx_prev + rows
         prefix = f"layer{layer_idx}."
         addr = self.layout.addr
 
@@ -229,25 +237,29 @@ class StageCompiler:
         code.append(isa.VpuSlice(dst=k_new, src=qkv, start=d, stop=2 * d))
         code.append(isa.VpuSlice(dst=v_new, src=qkv, start=2 * d,
                                  stop=3 * d))
-        # Append this stage's K/V rows to the aggregated cache (§II-B).
-        row_bytes = d * 4
-        code.append(isa.DmaStore(
-            src=k_new, addr=addr(prefix + "kcache") + ctx_prev * row_bytes,
-            shape=(m, d)))
-        code.append(isa.DmaStore(
-            src=v_new, addr=addr(prefix + "vcache") + ctx_prev * row_bytes,
-            shape=(m, d)))
         scores, rowmax = regs.matrix(), regs.vector()
-        code.append(isa.MpuMaskedMm(
-            dst=scores, q=q, k_addr=addr(prefix + "kcache"), heads=heads,
-            head_dim=hd, ctx=ctx, m=m, scale=1.0 / math.sqrt(hd),
-            mask_offset=ctx_prev, rowmax_dst=rowmax))
-        probs = regs.matrix()
-        code.append(isa.VpuSoftmax(dst=probs, src=scores, rowmax=rowmax))
-        attn = regs.matrix()
-        code.append(isa.MpuAttnContext(
-            dst=attn, probs=probs, v_addr=addr(prefix + "vcache"),
-            heads=heads, head_dim=hd, ctx=ctx, m=m))
+        probs, attn = regs.matrix(), regs.matrix()
+        row_bytes = d * 4
+        for _ in range(requests):
+            # Append this stage's K/V rows to the aggregated cache (§II-B).
+            code.append(isa.DmaStore(
+                src=k_new,
+                addr=addr(prefix + "kcache") + ctx_prev * row_bytes,
+                shape=(rows, d)))
+            code.append(isa.DmaStore(
+                src=v_new,
+                addr=addr(prefix + "vcache") + ctx_prev * row_bytes,
+                shape=(rows, d)))
+            code.append(isa.MpuMaskedMm(
+                dst=scores, q=q, k_addr=addr(prefix + "kcache"),
+                heads=heads, head_dim=hd, ctx=ctx, m=rows,
+                scale=1.0 / math.sqrt(hd), mask_offset=ctx_prev,
+                rowmax_dst=rowmax))
+            code.append(isa.VpuSoftmax(dst=probs, src=scores,
+                                       rowmax=rowmax))
+            code.append(isa.MpuAttnContext(
+                dst=attn, probs=probs, v_addr=addr(prefix + "vcache"),
+                heads=heads, head_dim=hd, ctx=ctx, m=rows))
         proj = regs.matrix()
         self._matmul(proj, attn, prefix + "w_proj", m, d, d, code,
                      bias=prefix + "b_proj")
@@ -275,8 +287,13 @@ class StageCompiler:
         return x3
 
     def _head(self, tokens: Sequence[int], ctx_prev: int,
-              regs: RegisterAllocator, code: List[isa.Instruction]) -> str:
-        """Embed ``tokens``; returns the register the first layer reads."""
+              regs: RegisterAllocator, code: List[isa.Instruction],
+              requests: int = 1) -> str:
+        """Embed ``tokens``; returns the register the first layer reads.
+
+        A single request's position rows start at ``ctx_prev``; a batch
+        loads its rows from row 0.
+        """
         cfg = self.config
         addr = self.layout.addr
         tok = regs.matrix()
@@ -285,9 +302,10 @@ class StageCompiler:
                                   row_elems=cfg.d_model,
                                   indices=tuple(int(t) for t in tokens)))
         pos = regs.matrix()
+        first_row = ctx_prev if requests == 1 else 0
         code.append(isa.DmaLoad(
             dst=pos,
-            addr=addr("position_embedding") + ctx_prev * cfg.d_model * 4,
+            addr=addr("position_embedding") + first_row * cfg.d_model * 4,
             shape=(len(tokens), cfg.d_model)))
         x = regs.matrix()
         code.append(isa.VpuAdd(dst=x, a=tok, b=pos))
@@ -295,26 +313,31 @@ class StageCompiler:
         return x
 
     def _tail(self, x: str, regs: RegisterAllocator,
-              code: List[isa.Instruction]) -> None:
-        """Final LayerNorm, LM head and greedy argmax of the last row."""
+              code: List[isa.Instruction], requests: int = 1) -> None:
+        """Final LayerNorm, LM head and greedy argmax: of the last row
+        for a single request, of every row (one per request) for a
+        batch."""
         cfg = self.config
         addr = self.layout.addr
-        last = regs.matrix()
-        code.append(isa.VpuRow(dst=last, src=x, row=-1))
+        src, picked = x, ()
+        if requests == 1:
+            src = regs.matrix()
+            picked = (src,)
+            code.append(isa.VpuRow(dst=src, src=x, row=-1))
         final = regs.matrix()
-        code.append(isa.VpuLayerNorm(dst=final, src=last,
+        code.append(isa.VpuLayerNorm(dst=final, src=src,
                                      gamma_addr=addr("ln_f_gamma"),
                                      beta_addr=addr("ln_f_beta"),
                                      n=cfg.d_model, eps=LN_EPS))
         logits = regs.matrix()
-        self._matmul(logits, final, "lm_head", 1, cfg.d_model,
+        self._matmul(logits, final, "lm_head", requests, cfg.d_model,
                      cfg.vocab_size, code)
         token_reg = regs.scalar()
         code.append(isa.VpuArgmax(dst=token_reg, src=logits))
         code.append(isa.DmaStore(src=token_reg,
                                  addr=self.layout.output_region.addr,
-                                 shape=(1,)))
-        code.append(isa.Free(regs=(x, last, final, logits, token_reg)))
+                                 shape=(requests,)))
+        code.append(isa.Free(regs=(x, *picked, final, logits, token_reg)))
         code.append(isa.Barrier())
 
     def _check_stage(self, m: int, ctx_prev: int) -> None:
@@ -344,17 +367,25 @@ class StageCompiler:
         self._tail(x, regs, code)
         return tuple(code)
 
-    def compile_compact(self, tokens: Sequence[int], ctx_prev: int
-                        ) -> isa.CompactProgram:
+    def compile_compact(self, tokens: Sequence[int], ctx_prev: int,
+                        requests: int = 1) -> isa.CompactProgram:
         """:meth:`compile_stage` as a compact program: the same code,
-        with only decoder layer 0 emitted."""
+        with only decoder layer 0 emitted.
+
+        ``requests > 1`` splits ``tokens`` into that many requests of
+        ``len(tokens) // requests`` rows each (``requests`` must divide
+        it), all ``ctx_prev`` deep: a batched decode step at one row per
+        request.
+        """
         m = len(tokens)
-        self._check_stage(m, ctx_prev)
+        self._check_stage(m // requests, ctx_prev)
         return _compact(
             self.layout,
-            lambda regs, code: self._head(tokens, ctx_prev, regs, code),
-            lambda x, regs, code: self._layer(x, 0, m, ctx_prev, regs, code),
-            self._tail)
+            lambda regs, code: self._head(tokens, ctx_prev, regs, code,
+                                          requests),
+            lambda x, regs, code: self._layer(x, 0, m, ctx_prev, regs,
+                                              code, requests),
+            lambda x, regs, code: self._tail(x, regs, code, requests))
 
     def compile_sum_stage(self, prompt: Sequence[int]
                           ) -> Tuple[isa.Instruction, ...]:
@@ -668,13 +699,19 @@ def batched_timing_program(config: LLMConfig, batch: int, ctx_prev: int,
     """One batched decode step for timing: a gen token from each of
     ``batch`` concurrent requests, all at attention span ``ctx_prev + 1``.
 
-    Mirrors :func:`repro.llm.batching.batched_gen_stage_ops`: the weight
+    The stage compiler's program for ``batch`` requests of one row each
+    (:meth:`StageCompiler.compile_compact`), the instruction-level twin
+    of :func:`repro.llm.batching.compact_batched_gen_stage`: the weight
     matmuls run once as ``[batch x k] @ [k x n]`` GEMMs (weights stream
-    once per step), while KV appends and masked attention run per request
-    at ``m=1`` on the adder trees, each against its own cache.  Timing
-    only — addresses come from a fake layout and the program is never
-    executed functionally (register shapes would not line up).  The
-    program is compact, like :func:`timing_program`'s.
+    once per step), while KV appends and masked attention run per
+    request at ``m=1`` on the adder trees.  At ``batch=1`` it is
+    :func:`timing_program` of one token.  Timing only, on a fake
+    layout: at ``batch > 1`` two things still block executing it.
+    Every request appends to and attends over the same KV cache rows
+    (no per-request KV addresses), and each request's store and
+    attention read the whole ``[batch x d]`` register where they mean
+    the request's own row (no per-request row shapes).  The program is
+    compact, like :func:`timing_program`'s.
     """
     if batch < 1:
         raise ConfigurationError(f"batch={batch} must be >= 1")
@@ -683,104 +720,5 @@ def batched_timing_program(config: LLMConfig, batch: int, ctx_prev: int,
             f"context {ctx_prev + 1} beyond max_seq_len="
             f"{config.max_seq_len}")
     layout = _fake_layout(config, quantize=quantize)
-    sc = StageCompiler(layout)
-    cfg = config
-    d, dff = cfg.d_model, cfg.d_ff
-    heads, hd = cfg.num_heads, cfg.head_dim
-    ctx = ctx_prev + 1
-    addr = layout.addr
-
-    def head(regs: RegisterAllocator, code: List[isa.Instruction]) -> str:
-        tok = regs.matrix()
-        code.append(isa.DmaGather(dst=tok,
-                                  table_addr=addr("token_embedding"),
-                                  row_elems=d, indices=(0,) * batch))
-        pos = regs.matrix()
-        code.append(isa.DmaLoad(dst=pos, addr=addr("position_embedding"),
-                                shape=(batch, d)))
-        x = regs.matrix()
-        code.append(isa.VpuAdd(dst=x, a=tok, b=pos))
-        code.append(isa.Free(regs=(tok, pos)))
-        return x
-
-    def layer(x: str, regs: RegisterAllocator,
-              code: List[isa.Instruction]) -> str:
-        p = "layer0."
-        h = regs.matrix()
-        code.append(isa.VpuLayerNorm(dst=h, src=x,
-                                     gamma_addr=addr(p + "ln1_gamma"),
-                                     beta_addr=addr(p + "ln1_beta"),
-                                     n=d, eps=LN_EPS))
-        qkv = regs.matrix()
-        sc._matmul(qkv, h, p + "w_qkv", batch, d, 3 * d, code,
-                   bias=p + "b_qkv")
-        q, k_new, v_new = regs.matrix(), regs.matrix(), regs.matrix()
-        code.append(isa.VpuSlice(dst=q, src=qkv, start=0, stop=d))
-        code.append(isa.VpuSlice(dst=k_new, src=qkv, start=d, stop=2 * d))
-        code.append(isa.VpuSlice(dst=v_new, src=qkv, start=2 * d,
-                                 stop=3 * d))
-        scores, rowmax = regs.matrix(), regs.vector()
-        probs, attn = regs.matrix(), regs.matrix()
-        row_bytes = d * 4
-        for _ in range(batch):
-            code.append(isa.DmaStore(
-                src=k_new,
-                addr=addr(p + "kcache") + ctx_prev * row_bytes,
-                shape=(1, d)))
-            code.append(isa.DmaStore(
-                src=v_new,
-                addr=addr(p + "vcache") + ctx_prev * row_bytes,
-                shape=(1, d)))
-            code.append(isa.MpuMaskedMm(
-                dst=scores, q=q, k_addr=addr(p + "kcache"), heads=heads,
-                head_dim=hd, ctx=ctx, m=1, scale=1.0 / math.sqrt(hd),
-                mask_offset=ctx_prev, rowmax_dst=rowmax))
-            code.append(isa.VpuSoftmax(dst=probs, src=scores,
-                                       rowmax=rowmax))
-            code.append(isa.MpuAttnContext(
-                dst=attn, probs=probs, v_addr=addr(p + "vcache"),
-                heads=heads, head_dim=hd, ctx=ctx, m=1))
-        proj = regs.matrix()
-        sc._matmul(proj, attn, p + "w_proj", batch, d, d, code,
-                   bias=p + "b_proj")
-        x2 = regs.matrix()
-        code.append(isa.VpuAdd(dst=x2, a=x, b=proj))
-        code.append(isa.Free(regs=(h, qkv, q, k_new, v_new, scores, rowmax,
-                                   probs, attn, proj, x)))
-        h2 = regs.matrix()
-        code.append(isa.VpuLayerNorm(dst=h2, src=x2,
-                                     gamma_addr=addr(p + "ln2_gamma"),
-                                     beta_addr=addr(p + "ln2_beta"),
-                                     n=d, eps=LN_EPS))
-        f1 = regs.matrix()
-        sc._matmul(f1, h2, p + "w_fc1", batch, d, dff, code,
-                   bias=p + "b_fc1")
-        g = regs.matrix()
-        code.append(isa.VpuGelu(dst=g, src=f1))
-        f2 = regs.matrix()
-        sc._matmul(f2, g, p + "w_fc2", batch, dff, d, code,
-                   bias=p + "b_fc2")
-        x3 = regs.matrix()
-        code.append(isa.VpuAdd(dst=x3, a=x2, b=f2))
-        code.append(isa.Free(regs=(h2, f1, g, f2, x2)))
-        return x3
-
-    def tail(x: str, regs: RegisterAllocator,
-             code: List[isa.Instruction]) -> None:
-        final = regs.matrix()
-        code.append(isa.VpuLayerNorm(dst=final, src=x,
-                                     gamma_addr=addr("ln_f_gamma"),
-                                     beta_addr=addr("ln_f_beta"),
-                                     n=d, eps=LN_EPS))
-        logits = regs.matrix()
-        sc._matmul(logits, final, "lm_head", batch, d, cfg.vocab_size,
-                   code)
-        token_reg = regs.scalar()
-        code.append(isa.VpuArgmax(dst=token_reg, src=logits))
-        code.append(isa.DmaStore(src=token_reg,
-                                 addr=layout.output_region.addr,
-                                 shape=(batch,)))
-        code.append(isa.Free(regs=(x, final, logits, token_reg)))
-        code.append(isa.Barrier())
-
-    return _compact(layout, head, layer, tail)
+    return StageCompiler(layout).compile_compact([0] * batch, ctx_prev,
+                                                 requests=batch)

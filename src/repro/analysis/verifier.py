@@ -23,9 +23,11 @@ Combines three analyses into one :class:`AnalysisReport`:
 
 A program **verifies clean** when the report has no ERRORs
 (``report.ok``).  Warnings flag legal-but-suspicious constructs that
-shipped timing templates intentionally contain — e.g.
+shipped timing templates intentionally contain — e.g. at batch >= 2
 ``batched_timing_program`` re-stores each request's KV row at the same
-fake address, which is exactly what PNM204 describes.
+fake address, which is exactly what PNM204 describes.  That program is
+timed, not executed: running it needs per-request KV addresses and row
+shapes.
 """
 
 from __future__ import annotations

@@ -6,11 +6,14 @@ each dominated by GEMV over all model parameters plus the growing KV cache.
 
 Every stage is built first in compact form (:class:`CompactStage`: head
 ops, one decoder layer's ops, the layer count, tail ops), since all
-decoder layers are identical.  The flat :class:`~repro.llm.ops.OpSpec`
-lists, with their ``layer{i}.*`` names, are derived from it; the
-performance models price the compact form (one pricing per distinct op)
-while the roofline and the accelerator compiler use the same shapes, so
-functional and timing paths share one source of truth for shapes.
+decoder layers are identical, by one builder (:func:`compact_stage`)
+from a :class:`StageShape`.  A batched decode step is a shape too: one
+row from each of several requests (:mod:`repro.llm.batching`).  The
+flat :class:`~repro.llm.ops.OpSpec` lists, with their ``layer{i}.*``
+names, are derived from it; the performance models price the compact
+form (one pricing per distinct op) while the roofline and the
+accelerator compiler use the same shapes, so functional and timing
+paths share one source of truth for shapes.
 
 Tensor-parallel execution is modelled by ``tensor_parallel`` ways: attention
 heads and FFN columns are split across devices (Megatron-style), shrinking
@@ -39,21 +42,34 @@ class StageShape:
     """Token geometry of one stage.
 
     ``batch_tokens`` is the number of token rows processed at once (``L_in``
-    for the sum stage, 1 for a gen stage); ``context_len`` is the attention
-    span ``L`` (input tokens plus tokens generated so far).
+    for the sum stage, 1 for a gen stage, one row per request for a
+    batched gen step); ``context_len`` is the attention span ``L`` (input
+    tokens plus tokens generated so far) of every request; ``requests``
+    is how many requests the rows belong to, in equal shares.  Weight
+    matmuls see all ``batch_tokens`` rows at once; each request attends
+    over its own KV cache with its own rows.
     """
 
     batch_tokens: int
     context_len: int
+    requests: int = 1
 
     def __post_init__(self) -> None:
-        if self.batch_tokens <= 0 or self.context_len <= 0:
+        if min(self.batch_tokens, self.context_len, self.requests) <= 0:
             raise ConfigurationError("stage shape must be positive")
-        if self.batch_tokens > self.context_len:
+        if self.batch_tokens % self.requests:
             raise ConfigurationError(
-                f"batch_tokens={self.batch_tokens} exceeds "
+                f"batch_tokens={self.batch_tokens} do not split evenly "
+                f"across requests={self.requests}")
+        if self.rows_per_request > self.context_len:
+            raise ConfigurationError(
+                f"{self.rows_per_request} rows per request exceed "
                 f"context_len={self.context_len}"
             )
+
+    @property
+    def rows_per_request(self) -> int:
+        return self.batch_tokens // self.requests
 
 
 @dataclass(frozen=True)
@@ -101,11 +117,57 @@ def per_op(stage: Stage, fn: Callable[[OpSpec], T]) -> List[T]:
 
 
 def _split(value: int, ways: int, what: str) -> int:
+    if ways < 1:
+        raise ParallelismError(f"tensor_parallel={ways} < 1")
     if value % ways != 0:
         raise ParallelismError(
             f"cannot split {what}={value} across {ways} tensor-parallel ways"
         )
     return value // ways
+
+
+def attention_ops(config: LLMConfig, shape: StageShape,
+                  tensor_parallel: int = 1,
+                  layer_name: str = LAYER_NAME) -> List[OpSpec]:
+    """The three ops of a decoder layer whose shapes depend on the
+    context: ``attn_score``, ``softmax`` and ``attn_ctx``.
+
+    Each request attends over its own KV cache, per head
+    ``[rows x hd] @ [hd x ctx]`` with its ``shape.rows_per_request``
+    rows, so every quantity scales with ``heads * requests``.  The
+    per-head matmuls are aggregated into one op with the summed
+    quantities (heads and requests are independent and identical); the
+    KV operands count as streamed weights.
+    """
+    heads = _split(config.num_heads, tensor_parallel, "num_heads")
+    dtype = config.dtype_bytes
+    hd = config.head_dim
+    m = shape.rows_per_request
+    ctx = shape.context_len
+    requests = shape.requests
+
+    def aggregated(op: OpSpec) -> OpSpec:
+        return OpSpec(name=op.name, kind=op.kind,
+                      flops=op.flops * heads * requests,
+                      weight_bytes=op.weight_bytes * heads * requests,
+                      input_bytes=op.input_bytes * heads * requests,
+                      output_bytes=op.output_bytes * heads * requests,
+                      m=op.m, n=op.n, k=op.k)
+
+    return [
+        aggregated(matmul_op(f"{layer_name}.attn_score", m=m, n=ctx, k=hd,
+                             dtype_bytes=dtype)),
+        vector_op(f"{layer_name}.softmax", OpKind.SOFTMAX,
+                  elements=shape.batch_tokens * ctx * heads,
+                  dtype_bytes=dtype),
+        aggregated(matmul_op(f"{layer_name}.attn_ctx", m=m, n=hd, k=ctx,
+                             dtype_bytes=dtype)),
+    ]
+
+
+#: Where :func:`attention_ops` sit in :func:`decoder_layer_ops`: after
+#: ``ln1`` and ``qkv``, before ``proj`` .. ``residual2``.
+ATTENTION_OPS = slice(2, 5)
 
 
 def decoder_layer_ops(config: LLMConfig, shape: StageShape,
@@ -114,77 +176,60 @@ def decoder_layer_ops(config: LLMConfig, shape: StageShape,
     """Operator list for one decoding layer at the given stage shape.
 
     Follows the paper's decomposition: LayerNorm, QKV generation, attention
-    (scores, softmax, context), projection, residual, LayerNorm, FC1, GELU,
-    FC2, residual.  Per-head attention matmuls are aggregated into one op
-    with the summed dimensions (heads are independent and identical).
+    (scores, softmax, context; :func:`attention_ops`, at
+    :data:`ATTENTION_OPS`), projection, residual, LayerNorm, FC1, GELU,
+    FC2, residual.  The weight matmuls are ``[batch_tokens x k] @
+    [k x n]`` over every row of every request: the weights stream once.
     """
-    if tensor_parallel < 1:
-        raise ParallelismError(f"tensor_parallel={tensor_parallel} < 1")
     d = config.d_model
     dtype = config.dtype_bytes
-    heads = _split(config.num_heads, tensor_parallel, "num_heads")
-    d_local = heads * config.head_dim
+    d_local = _split(config.num_heads, tensor_parallel, "num_heads") \
+        * config.head_dim
     dff_local = _split(config.d_ff, tensor_parallel, "d_ff")
     m = shape.batch_tokens
-    ctx = shape.context_len
-    hd = config.head_dim
-
-    ops: List[OpSpec] = []
-    ops.append(vector_op(f"{layer_name}.ln1", OpKind.LAYERNORM,
-                         elements=m * d, dtype_bytes=dtype))
-    ops.append(matmul_op(f"{layer_name}.qkv", m=m, n=3 * d_local, k=d,
-                         dtype_bytes=dtype))
-    # Attention scores: per head [m x hd] @ [hd x ctx]; KV streams from
-    # device memory (weights_resident=True models KV-cache traffic).
-    score = matmul_op(f"{layer_name}.attn_score", m=m, n=ctx, k=hd,
-                      dtype_bytes=dtype)
-    ops.append(OpSpec(name=score.name, kind=score.kind,
-                      flops=score.flops * heads,
-                      weight_bytes=score.weight_bytes * heads,
-                      input_bytes=score.input_bytes * heads,
-                      output_bytes=score.output_bytes * heads,
-                      m=m, n=ctx, k=hd))
-    ops.append(vector_op(f"{layer_name}.softmax", OpKind.SOFTMAX,
-                         elements=m * ctx * heads, dtype_bytes=dtype))
-    context = matmul_op(f"{layer_name}.attn_ctx", m=m, n=hd, k=ctx,
-                        dtype_bytes=dtype)
-    ops.append(OpSpec(name=context.name, kind=context.kind,
-                      flops=context.flops * heads,
-                      weight_bytes=context.weight_bytes * heads,
-                      input_bytes=context.input_bytes * heads,
-                      output_bytes=context.output_bytes * heads,
-                      m=m, n=hd, k=ctx))
-    ops.append(matmul_op(f"{layer_name}.proj", m=m, n=d, k=d_local,
-                         dtype_bytes=dtype))
-    ops.append(vector_op(f"{layer_name}.residual1", OpKind.ELEMENTWISE,
-                         elements=m * d, dtype_bytes=dtype,
-                         flops_per_element=1.0, num_inputs=2))
-    ops.append(vector_op(f"{layer_name}.ln2", OpKind.LAYERNORM,
-                         elements=m * d, dtype_bytes=dtype))
-    ops.append(matmul_op(f"{layer_name}.fc1", m=m, n=dff_local, k=d,
-                         dtype_bytes=dtype))
-    ops.append(vector_op(f"{layer_name}.gelu", OpKind.GELU,
-                         elements=m * dff_local, dtype_bytes=dtype))
-    ops.append(matmul_op(f"{layer_name}.fc2", m=m, n=d, k=dff_local,
-                         dtype_bytes=dtype))
-    ops.append(vector_op(f"{layer_name}.residual2", OpKind.ELEMENTWISE,
-                         elements=m * d, dtype_bytes=dtype,
-                         flops_per_element=1.0, num_inputs=2))
-    return ops
+    return [
+        vector_op(f"{layer_name}.ln1", OpKind.LAYERNORM,
+                  elements=m * d, dtype_bytes=dtype),
+        matmul_op(f"{layer_name}.qkv", m=m, n=3 * d_local, k=d,
+                  dtype_bytes=dtype),
+        *attention_ops(config, shape, tensor_parallel, layer_name),
+        matmul_op(f"{layer_name}.proj", m=m, n=d, k=d_local,
+                  dtype_bytes=dtype),
+        vector_op(f"{layer_name}.residual1", OpKind.ELEMENTWISE,
+                  elements=m * d, dtype_bytes=dtype,
+                  flops_per_element=1.0, num_inputs=2),
+        vector_op(f"{layer_name}.ln2", OpKind.LAYERNORM,
+                  elements=m * d, dtype_bytes=dtype),
+        matmul_op(f"{layer_name}.fc1", m=m, n=dff_local, k=d,
+                  dtype_bytes=dtype),
+        vector_op(f"{layer_name}.gelu", OpKind.GELU,
+                  elements=m * dff_local, dtype_bytes=dtype),
+        matmul_op(f"{layer_name}.fc2", m=m, n=d, k=dff_local,
+                  dtype_bytes=dtype),
+        vector_op(f"{layer_name}.residual2", OpKind.ELEMENTWISE,
+                  elements=m * d, dtype_bytes=dtype,
+                  flops_per_element=1.0, num_inputs=2),
+    ]
 
 
 def lm_head_ops(config: LLMConfig, shape: StageShape) -> List[OpSpec]:
     """Final LayerNorm plus the LM-head projection to vocabulary logits.
 
-    Only the last token's logits are needed, so ``m`` is 1 regardless of the
-    stage (the sum stage also emits exactly one next token).
+    Only each request's last token needs logits, so the projection is
+    one GEMV per request (``m`` is 1 whatever the stage; the sum stage
+    also emits exactly one next token) with the weights streamed once.
     """
-    ops = [vector_op("lm_head.ln_f", OpKind.LAYERNORM,
-                     elements=shape.batch_tokens * config.d_model,
-                     dtype_bytes=config.dtype_bytes)]
-    ops.append(matmul_op("lm_head.logits", m=1, n=config.vocab_size,
-                         k=config.d_model, dtype_bytes=config.dtype_bytes))
-    return ops
+    logits = matmul_op("lm_head.logits", m=1, n=config.vocab_size,
+                       k=config.d_model, dtype_bytes=config.dtype_bytes)
+    requests = shape.requests
+    return [
+        vector_op("lm_head.ln_f", OpKind.LAYERNORM,
+                  elements=shape.batch_tokens * config.d_model,
+                  dtype_bytes=config.dtype_bytes),
+        replace(logits, flops=logits.flops * requests,
+                input_bytes=logits.input_bytes * requests,
+                output_bytes=logits.output_bytes * requests),
+    ]
 
 
 def embedding_ops(config: LLMConfig, shape: StageShape) -> List[OpSpec]:
@@ -196,8 +241,9 @@ def embedding_ops(config: LLMConfig, shape: StageShape) -> List[OpSpec]:
                    output_bytes=float(elems * config.dtype_bytes))]
 
 
-def _compact(config: LLMConfig, shape: StageShape,
-             tensor_parallel: int) -> CompactStage:
+def compact_stage(config: LLMConfig, shape: StageShape,
+                  tensor_parallel: int = 1) -> CompactStage:
+    """Any stage of the given shape, compact form."""
     return CompactStage(
         head=tuple(embedding_ops(config, shape)),
         layer=tuple(decoder_layer_ops(config, shape, tensor_parallel)),
@@ -209,7 +255,7 @@ def compact_sum_stage(config: LLMConfig, input_len: int,
                       tensor_parallel: int = 1) -> CompactStage:
     """The summarization stage over ``input_len`` tokens, compact form."""
     shape = StageShape(batch_tokens=input_len, context_len=input_len)
-    return _compact(config, shape, tensor_parallel)
+    return compact_stage(config, shape, tensor_parallel)
 
 
 def compact_gen_stage(config: LLMConfig, context_len: int,
@@ -222,7 +268,7 @@ def compact_gen_stage(config: LLMConfig, context_len: int,
     ``L``).
     """
     shape = StageShape(batch_tokens=1, context_len=context_len)
-    return _compact(config, shape, tensor_parallel)
+    return compact_stage(config, shape, tensor_parallel)
 
 
 def sum_stage_ops(config: LLMConfig, input_len: int,

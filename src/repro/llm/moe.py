@@ -19,7 +19,12 @@ from typing import List
 
 from repro.errors import ConfigurationError
 from repro.llm.config import LLMConfig
-from repro.llm.graph import StageShape, embedding_ops, lm_head_ops
+from repro.llm.graph import (
+    StageShape,
+    attention_ops,
+    embedding_ops,
+    lm_head_ops,
+)
 from repro.llm.ops import OpKind, OpSpec, matmul_op, vector_op
 
 
@@ -93,7 +98,6 @@ def moe_gen_stage_ops(config: MoEConfig, context_len: int) -> List[OpSpec]:
     base = config.base
     shape = StageShape(batch_tokens=1, context_len=context_len)
     d, dff, dtype = base.d_model, base.d_ff, base.dtype_bytes
-    heads, hd = base.num_heads, base.head_dim
     ops = embedding_ops(base, shape)
     for i in range(base.num_layers):
         prefix = f"layer{i}"
@@ -101,25 +105,7 @@ def moe_gen_stage_ops(config: MoEConfig, context_len: int) -> List[OpSpec]:
                              elements=d, dtype_bytes=dtype))
         ops.append(matmul_op(f"{prefix}.qkv", m=1, n=3 * d, k=d,
                              dtype_bytes=dtype))
-        score = matmul_op(f"{prefix}.attn_score", m=1, n=context_len, k=hd,
-                          dtype_bytes=dtype)
-        ops.append(OpSpec(name=score.name, kind=OpKind.GEMV,
-                          flops=score.flops * heads,
-                          weight_bytes=score.weight_bytes * heads,
-                          input_bytes=score.input_bytes * heads,
-                          output_bytes=score.output_bytes * heads,
-                          m=1, n=context_len, k=hd))
-        ops.append(vector_op(f"{prefix}.softmax", OpKind.SOFTMAX,
-                             elements=context_len * heads,
-                             dtype_bytes=dtype))
-        ctx = matmul_op(f"{prefix}.attn_ctx", m=1, n=hd, k=context_len,
-                        dtype_bytes=dtype)
-        ops.append(OpSpec(name=ctx.name, kind=OpKind.GEMV,
-                          flops=ctx.flops * heads,
-                          weight_bytes=ctx.weight_bytes * heads,
-                          input_bytes=ctx.input_bytes * heads,
-                          output_bytes=ctx.output_bytes * heads,
-                          m=1, n=hd, k=context_len))
+        ops.extend(attention_ops(base, shape, layer_name=prefix))
         ops.append(matmul_op(f"{prefix}.proj", m=1, n=d, k=d,
                              dtype_bytes=dtype))
         ops.append(vector_op(f"{prefix}.residual1", OpKind.ELEMENTWISE,

@@ -42,15 +42,14 @@ from repro.errors import ConfigurationError
 from repro.gpu.device import GPUSpec
 from repro.gpu.kernels import GpuKernelModel
 from repro.gpu.power import GpuPowerModel
-from repro.llm.batching import (
-    ATTENTION_OPS,
-    batched_attention_ops,
-    compact_batched_gen_stage,
-)
+from repro.llm.batching import compact_batched_gen_stage
 from repro.llm.config import LLMConfig
 from repro.llm.graph import (
+    ATTENTION_OPS,
     CompactStage,
     Stage,
+    StageShape,
+    attention_ops,
     compact_gen_stage,
     compact_sum_stage,
     per_op,
@@ -483,11 +482,11 @@ class BatchStepTimer(StepTimer):
     exact per-context costing).
 
     At one batch size only the three attention ops
-    (:func:`~repro.llm.batching.batched_attention_ops`) depend on the
-    context.  The first decode memo miss at a batch size prices the
-    whole compact stage and keeps, per batch size, the op times of the
-    head, of the layer ops before and after the attention ops, of the
-    tail, and ``comm(batch)``.  Every later miss at that batch size
+    (:func:`~repro.llm.graph.attention_ops`, the builder the stage's
+    layer splices in) depend on the context.  The first decode memo
+    miss at a batch size prices the whole compact stage and keeps, per
+    batch size, the op times of the head, of the layer ops before and
+    after the attention ops, of the tail, and ``comm(batch)``.  Every later miss at that batch size
     prices the three attention ops only and adds all op times in
     flat-list order, so each step cost equals pricing the whole stage
     to the last bit.  The memo belongs to the instance: a fresh timer
@@ -535,8 +534,10 @@ class BatchStepTimer(StepTimer):
                 comm_s=self.comm(batch))
             self._weight_times[batch] = weights
         else:
-            attention = [op_time(op) for op in batched_attention_ops(
-                self.config, context_len, batch, self.tensor_parallel)]
+            shape = StageShape(batch_tokens=batch, context_len=context_len,
+                               requests=batch)
+            attention = [op_time(op) for op in attention_ops(
+                self.config, shape, self.tensor_parallel)]
             layer = weights.pre + attention + weights.post
         return _flat_sum(weights.head, layer, self.config.num_layers,
                          weights.tail) + weights.comm_s

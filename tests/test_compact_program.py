@@ -94,6 +94,23 @@ class TestScheduleReplay:
         assert result.total_time_s.hex() == total
         assert result.unit_busy_s[isa.Unit.PE_ARRAY].hex() == pe_busy
 
+    # sha256 over the reprs of every batch >= 2 program of the grid
+    # below, recorded while batched_timing_program emitted its own head,
+    # layer and tail.
+    BATCHED_PROGRAMS_SHA256 = \
+        "1067c9434751a4067b45b257204998993f5a8118c0d99f5f7b5844f1d702eb2e"
+
+    def test_batched_programs_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for config in MODELS:
+            for quantize in (None, "int8"):
+                for batch in (2, 3, 8, 16, 64):
+                    for ctx_prev in (0, 31, 255):
+                        digest.update(repr(batched_timing_program(
+                            config, batch, ctx_prev,
+                            quantize=quantize)).encode())
+        assert digest.hexdigest() == self.BATCHED_PROGRAMS_SHA256
+
     def test_flat_program_is_the_compact_case_without_layer(self):
         flat = timing_program(tiny_config(), 3, 2).expand()
         as_compact = isa.CompactProgram(flat)

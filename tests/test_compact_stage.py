@@ -6,8 +6,11 @@ flat op lists the stage functions produced before the compact form:
 the lists must match op for op (names included), and every priced
 quantity must match the flat-list pricing to the last bit
 (``float.hex``), across models, devices, dtypes, tensor-parallel
-degrees and stage shapes.
+degrees and stage shapes.  The fp16 batched lists are also pinned by a
+digest recorded while the batched step had builders of its own.
 """
+
+import hashlib
 
 import pytest
 
@@ -15,7 +18,6 @@ from repro.accelerator.device import CXLPNMDevice
 from repro.gpu.device import A100_40G
 from repro.llm import OPT_125M, OPT_13B, OPT_1_3B
 from repro.llm.batching import (
-    batched_gen_layer_ops,
     batched_gen_stage_ops,
     compact_batched_gen_stage,
 )
@@ -80,24 +82,30 @@ def _reference_gen(config, context_len, tensor_parallel):
 
 
 def _reference_batched(config, context_len, batch, tensor_parallel):
+    """The batched step with its head and tail scaled by hand from the
+    batch-1 ops, and its layers from the one decoder-layer builder at
+    one row per request."""
     one = StageShape(batch_tokens=1, context_len=1)
     ops = [OpSpec(name=op.name, kind=op.kind,
                   flops=op.flops * batch,
                   weight_bytes=op.weight_bytes * batch,
                   input_bytes=op.input_bytes * batch,
-                  output_bytes=op.output_bytes * batch)
+                  output_bytes=op.output_bytes * batch,
+                  elem_bytes=op.elem_bytes)
            for op in embedding_ops(config, one)]
+    shape = StageShape(batch_tokens=batch, context_len=context_len,
+                       requests=batch)
     for i in range(config.num_layers):
-        ops.extend(batched_gen_layer_ops(config, context_len, batch,
-                                         tensor_parallel,
-                                         layer_name=f"layer{i}"))
+        ops.extend(decoder_layer_ops(config, shape, tensor_parallel,
+                                     layer_name=f"layer{i}"))
     for op in lm_head_ops(config, one):
         ops.append(OpSpec(name=op.name, kind=op.kind,
                           flops=op.flops * batch,
                           weight_bytes=op.weight_bytes,
                           input_bytes=op.input_bytes * batch,
                           output_bytes=op.output_bytes * batch,
-                          m=op.m, n=op.n, k=op.k))
+                          m=op.m, n=op.n, k=op.k,
+                          elem_bytes=op.elem_bytes))
     return ops
 
 
@@ -211,6 +219,24 @@ class TestPricingBitIdentical:
                 f"gen@{ctx}", _reference_gen(config, ctx, ways), model,
                 _comm(1))
             assert _hex(timer.gen_stage(ctx)) == _hex(expected)
+
+
+#: sha256 over the reprs of the fp16 flat op lists of
+#: ``batched_gen_stage_ops`` on MODELS x WAYS x BATCH_CONTEXTS, recorded
+#: while the batched step still had its own layer, head and tail
+#: builders.
+BATCHED_FP16_STAGES_SHA256 = \
+    "03e4ad24e5da46fe5dc1cec62d05babb525db4dc966c4856201756a6bb3943ff"
+
+
+def test_batched_fp16_stages_match_recorded_digest():
+    digest = hashlib.sha256()
+    for model in MODELS:
+        for ways in WAYS:
+            for batch, ctx in BATCH_CONTEXTS:
+                digest.update(repr(batched_gen_stage_ops(
+                    model, ctx, batch, ways)).encode())
+    assert digest.hexdigest() == BATCHED_FP16_STAGES_SHA256
 
 
 def test_compact_batched_stage_prices_like_flat_list():

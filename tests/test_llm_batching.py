@@ -23,11 +23,15 @@ class TestBatchedOps:
     def test_batch_one_matches_unbatched_exactly(self):
         """Regression: the embedding used to be built with
         ``StageShape(batch, max(batch, context_len))``, conflating the
-        batch with the attention span.  Batch=1 must now reduce to the
-        unbatched gen-stage graph op for op."""
+        batch with the attention span, and the int8 LM head used to
+        carry a 2-byte element width.  Batch=1 must reduce to the
+        unbatched gen-stage graph op for op, at fp16 and int8, on one
+        device and on a tensor-parallel shard."""
         ctx = 576
-        assert batched_gen_stage_ops(OPT_13B, ctx, 1) \
-            == gen_stage_ops(OPT_13B, ctx)
+        for config in (OPT_13B, OPT_13B.with_dtype(1)):
+            for ways in (1, 2):
+                assert batched_gen_stage_ops(config, ctx, 1, ways) \
+                    == gen_stage_ops(config, ctx, ways), (config.name, ways)
 
     def test_embedding_scales_with_batch_not_context(self):
         """Each sequence embeds exactly one new token per decode step,

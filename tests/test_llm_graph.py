@@ -22,6 +22,22 @@ class TestStageShape:
         with pytest.raises(ConfigurationError):
             StageShape(batch_tokens=8, context_len=4)
 
+    def test_rows_per_request_bound_the_context(self):
+        # One row from each of 8 requests fits any context; a request's
+        # own rows still may not outnumber its span.
+        assert StageShape(batch_tokens=8, context_len=1,
+                          requests=8).rows_per_request == 1
+        assert StageShape(batch_tokens=8, context_len=4,
+                          requests=2).rows_per_request == 4
+        with pytest.raises(ConfigurationError):
+            StageShape(batch_tokens=8, context_len=3, requests=2)
+
+    def test_rejects_rows_that_do_not_split_across_requests(self):
+        with pytest.raises(ConfigurationError):
+            StageShape(batch_tokens=6, context_len=8, requests=4)
+        with pytest.raises(ConfigurationError):
+            StageShape(batch_tokens=4, context_len=8, requests=0)
+
 
 class TestGenStage:
     def test_gen_stage_is_gemv_dominated(self):

@@ -62,6 +62,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.accelerator.compiler import batched_timing_program, timing_program
 from repro.accelerator.device import CXLPNMDevice
 from repro.accelerator.dfx import dfx_device
 from repro.appliance.comm import CxlCommModel
@@ -70,6 +71,7 @@ from repro.gpu.device import A100_40G
 from repro.gpu.kernels import GpuKernelModel
 from repro.gpu.power import GpuPowerModel
 from repro.llm import (
+    OPT_125M,
     OPT_13B,
     OPT_1_3B,
     multi_tenant_workload,
@@ -81,13 +83,14 @@ from repro.llm.ops import OpKind, OpSpec, matmul_op, vector_op
 from repro.perf.analytical import (
     BatchStepTimer,
     GpuPerfModel,
+    InferenceTimer,
     PnmPerfModel,
     _stage_time_s,
     left_sum,
     no_comm,
     quantize_context,
 )
-from repro.perf.simulator import SimulatedStepTimer
+from repro.perf.simulator import AcceleratorSimulator, SimulatedStepTimer
 
 # Position budgets that are not multiples of the 32-token quantum, so
 # contexts near them quantize to the budget itself.
@@ -638,6 +641,31 @@ def test_step_timers_agree_on_value(model, dtype, step, args):
     ratio = getattr(simulated, method)(*args) \
         / getattr(analytical, method)(*args)
     assert abs(ratio - 1.0) <= TOLERANCE, ratio
+
+
+@pytest.mark.parametrize("dtype", ["fp16", "int8"])
+@pytest.mark.parametrize("model", [OPT_125M, OPT_1_3B, OPT_13B],
+                         ids=lambda model: model.name)
+def test_batch_one_step_is_the_single_request_stage(model, dtype):
+    """In both perf models a decode step of one request is that
+    request's gen stage, to the last bit."""
+    quantize = "int8" if dtype == "int8" else None
+    config = model.with_dtype(1) if quantize else model
+    perf = PnmPerfModel(CXLPNMDevice())
+    analytical = BatchStepTimer(config, perf, context_quantum=1)
+    single = InferenceTimer(config, perf)
+    simulated = SimulatedStepTimer(model, context_quantum=1,
+                                   quantize=quantize)
+    for context_len in (1, 64, 577, 2048):
+        assert analytical.decode_step_s(1, context_len) \
+            == single.gen_stage(context_len).time_s, context_len
+        program = timing_program(model, 1, context_len - 1,
+                                 quantize=quantize)
+        assert batched_timing_program(model, 1, context_len - 1,
+                                      quantize=quantize) == program
+        assert simulated.decode_step_s(1, context_len).hex() \
+            == AcceleratorSimulator().run(program).total_time_s.hex(), \
+            context_len
 
 
 # -- exported key sets -----------------------------------------------------
