@@ -72,6 +72,19 @@ class ExecutionStats:
             self.by_opcode[op] = self.by_opcode.get(op, 0) + count
 
 
+def int8_codes_matmul(codes: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``codes @ weight`` over integral int8 codes (any float dtype),
+    rounded once to float32, exactly as int32 accumulation rounds it.
+
+    Every product is at most 127**2 and every partial sum an integer of
+    at most ``k * 127**2``, far below 2**53, so the float64 BLAS matmul
+    is exact in any summation order; the cast to float32 is the only
+    rounding, the same one the int32 accumulator's cast makes.
+    """
+    return (codes.astype(np.float64) @ weight.astype(np.float64)) \
+        .astype(np.float32)
+
+
 def _fast_layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                     eps: float) -> np.ndarray:
     """Bit-identical :func:`repro.llm.reference.layernorm`, fused.
@@ -173,7 +186,8 @@ class Executor:
         the per-output-channel dequantization scales.  Each activation
         row is quantized dynamically with a symmetric per-row scale —
         the tinyML-style dynamic 32->8-bit rescale — accumulated
-        exactly in int32, and dequantized on writeback.
+        exactly (:func:`int8_codes_matmul`), and dequantized on
+        writeback.
         """
         if instr.scale_addr < 0:
             raise ExecutionError(
@@ -183,9 +197,8 @@ class Executor:
         a_max = np.max(np.abs(act), axis=-1, keepdims=True)
         a_scale = np.where(a_max > 0, a_max / np.float32(127.0),
                            np.float32(1.0)).astype(np.float32)
-        a_q = np.clip(np.rint(act / a_scale), -127, 127).astype(np.int32)
-        acc = a_q @ weight.astype(np.int32)
-        out = acc.astype(np.float32) * (a_scale * scales)
+        a_q = np.clip(np.rint(act / a_scale), -127, 127)
+        out = int8_codes_matmul(a_q, weight) * (a_scale * scales)
         if instr.bias_addr >= 0:
             out = out + self._read(instr.bias_addr, (instr.n,))
         return out.astype(np.float32)

@@ -16,6 +16,7 @@ from repro.gpu.offload import OffloadModel
 from repro.llm.config import OPT_30B
 from repro.llm.graph import compact_gen_stage, compact_sum_stage, per_op
 import repro.perf.calibration as cal
+from repro.perf.metrics import left_sum
 
 INPUT_TOKENS = 64
 CONTEXT_FOR_GEN = 576  # representative mid-generation context
@@ -32,7 +33,7 @@ def run() -> ExperimentResult:
                 ("sum", compact_sum_stage(OPT_30B, INPUT_TOKENS)),
                 ("gen", compact_gen_stage(OPT_30B, CONTEXT_FOR_GEN))):
             total = offload.stage_time(ops, kernels)
-            kernel_time = sum(per_op(ops, kernels.op_time))
+            kernel_time = left_sum(per_op(ops, kernels.op_time))
             memcpy_frac = offload.memcpy_fraction(ops, kernels)
             rows.append({
                 "transfer": label,

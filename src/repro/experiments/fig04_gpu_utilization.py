@@ -8,56 +8,73 @@ This experiment regenerates both panels from the kernel model.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import attrgetter, mul
+from typing import List, Sequence
+
 from repro.experiments.report import ExperimentResult
 from repro.gpu.device import A100_40G
 from repro.gpu.kernels import GpuKernelModel
 from repro.llm.config import OPT_6_7B
-from repro.llm.graph import compact_gen_stage, compact_sum_stage, per_op
+from repro.llm.graph import (GenStageSweep, compact_gen_stage,
+                             compact_sum_stage, per_op)
 from repro.llm.ops import OpKind
+from repro.perf.metrics import left_sum
 
 INPUT_TOKENS = 32
 OUTPUT_TOKENS = 1024
 
 
+def _kind_masks(kinds: Sequence[OpKind]) -> List[List[bool]]:
+    """Flat-order masks of the GEMV, GEMM and other ops."""
+    gemv = [kind is OpKind.GEMV for kind in kinds]
+    gemm = [kind is OpKind.GEMM for kind in kinds]
+    return [gemv, gemm, [not (v or m) for v, m in zip(gemv, gemm)]]
+
+
+def _add_by_kind(totals: List[float], times: Sequence[float],
+                 masks: List[List[bool]]) -> None:
+    """Add each op time to its kind's total, in flat order."""
+    for i, mask in enumerate(masks):
+        total = totals[i]
+        for t in compress(times, mask):
+            total += t
+        totals[i] = total
+
+
 def run() -> ExperimentResult:
     kernels = GpuKernelModel(A100_40G)
+    op_time = kernels.op_time
+    utilization = kernels.op_reported_utilization
 
-    def profile(stage):
-        """(kernel time, reported utilization, kind) per op, flat order."""
-        return per_op(stage, lambda op: (
-            kernels.op_time(op), kernels.op_reported_utilization(op),
-            op.kind))
+    sum_stage = compact_sum_stage(OPT_6_7B, INPUT_TOKENS)
+    sum_times = per_op(sum_stage, op_time)
+    sum_time = left_sum(sum_times)
+    sum_util = left_sum(map(mul, sum_times,
+                            per_op(sum_stage, utilization))) / sum_time
 
-    def weighted_utilization(prof) -> float:
-        total = sum(t for t, _, _ in prof)
-        return sum(t * u for t, u, _ in prof) / total
-
-    sum_prof = profile(compact_sum_stage(OPT_6_7B, INPUT_TOKENS))
-    sum_time = sum(t for t, _, _ in sum_prof)
-    sum_util = weighted_utilization(sum_prof)
-
-    gemv_time = gemm_time = vector_time = 0.0
+    # Gen stages: only the attention ops are re-priced per context.
+    times_at = GenStageSweep(OPT_6_7B, 1, op_time)
+    utils_at = GenStageSweep(OPT_6_7B, 1, utilization)
+    layers = OPT_6_7B.num_layers
+    gen_masks = _kind_masks(per_op(
+        compact_gen_stage(OPT_6_7B, INPUT_TOKENS + 1), attrgetter("kind")))
+    by_kind = [0.0, 0.0, 0.0]  # GEMV, GEMM, other
     gen_time = 0.0
     gen_util_acc = 0.0
     for step in range(1, OUTPUT_TOKENS):
-        prof = profile(compact_gen_stage(OPT_6_7B, INPUT_TOKENS + step))
-        stage = sum(t for t, _, _ in prof)
+        head, layer, tail = times_at(INPUT_TOKENS + step)
+        times = head + layer * layers + tail
+        head, layer, tail = utils_at(INPUT_TOKENS + step)
+        utils = head + layer * layers + tail
+        stage = left_sum(times)
         gen_time += stage
-        gen_util_acc += stage * weighted_utilization(prof)
-        for t, _, kind in prof:
-            if kind is OpKind.GEMV:
-                gemv_time += t
-            elif kind is OpKind.GEMM:
-                gemm_time += t
-            else:
-                vector_time += t
-    for t, _, kind in sum_prof:
-        if kind is OpKind.GEMM:
-            gemm_time += t
-        elif kind is OpKind.GEMV:
-            gemv_time += t
-        else:
-            vector_time += t
+        # The stage's time-weighted utilization, weighted by its time.
+        gen_util_acc += stage * (left_sum(map(mul, times, utils)) / stage)
+        _add_by_kind(by_kind, times, gen_masks)
+    _add_by_kind(by_kind, sum_times,
+                 _kind_masks(per_op(sum_stage, attrgetter("kind"))))
+    gemv_time, gemm_time, vector_time = by_kind
 
     total = sum_time + gen_time
     rows = [

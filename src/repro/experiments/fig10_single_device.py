@@ -23,7 +23,7 @@ from repro.llm.graph import compact_gen_stage, compact_sum_stage
 from repro.llm.workload import PAPER_INPUT_TOKENS
 import repro.perf.calibration as cal
 from repro.perf.analytical import GpuPerfModel, InferenceTimer, PnmPerfModel
-from repro.perf.metrics import InferenceResult, relative_delta
+from repro.perf.metrics import InferenceResult, left_sum, relative_delta
 
 OUTPUT_SWEEP = (1, 4, 16, 64, 128, 256, 512, 1024)
 
@@ -43,7 +43,7 @@ def _offload_result(config, output_len: int) -> InferenceResult:
     per_stage = [offload.stage_time(
         compact_gen_stage(config, PAPER_INPUT_TOKENS + s), kernels)
         for s in sampled]
-    gen_time = sum(per_stage) / len(per_stage) * (output_len - 1) \
+    gen_time = left_sum(per_stage) / len(per_stage) * (output_len - 1) \
         if sampled else 0.0
     # While copying, the GPU is mostly idle: low compute/bandwidth point.
     watts = power.power_watts(0.02, 0.05)

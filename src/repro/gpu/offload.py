@@ -23,6 +23,7 @@ from repro.gpu.kernels import GpuKernelModel
 from repro.llm.config import LLMConfig
 from repro.llm.graph import Stage, per_op
 import repro.perf.calibration as cal
+from repro.perf.metrics import left_sum
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class OffloadModel:
     def stage_time(self, ops: Stage, kernels: GpuKernelModel) -> float:
         """Stage time (compact or flat) with weight streaming overlapped
         against compute."""
-        compute = sum(per_op(ops, kernels.op_time))
+        compute = left_sum(per_op(ops, kernels.op_time))
         if not self.is_needed:
             return compute
         copy = self.copy_time_per_stage()
@@ -84,7 +85,7 @@ class OffloadModel:
         """Fraction of stage time attributable to PCIe copies (Fig. 3)."""
         if not self.is_needed:
             return 0.0
-        compute = sum(per_op(ops, kernels.op_time))
+        compute = left_sum(per_op(ops, kernels.op_time))
         copy = self.copy_time_per_stage()
         total = self.stage_time(ops, kernels)
         return max(0.0, (total - compute) / total) if copy > compute \

@@ -13,7 +13,9 @@ flat :class:`~repro.llm.ops.OpSpec` lists, with their ``layer{i}.*``
 names, are derived from it; the performance models price the compact
 form (one pricing per distinct op) while the roofline and the
 accelerator compiler use the same shapes, so functional and timing
-paths share one source of truth for shapes.
+paths share one source of truth for shapes.  Sweeps over the context
+(:class:`GenStageSweep`) re-price only the three attention ops of a
+gen stage, the only ops whose shapes the context changes.
 
 Tensor-parallel execution is modelled by ``tensor_parallel`` ways: attention
 heads and FFN columns are split across devices (Megatron-style), shrinking
@@ -25,7 +27,8 @@ all-reduce points per layer (after attention projection, after FC2), which
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Sequence, Tuple, TypeVar, Union
+from typing import (Callable, Generic, List, Optional, Sequence, Tuple,
+                    TypeVar, Union)
 
 from repro.errors import ConfigurationError, ParallelismError
 from repro.llm.config import LLMConfig
@@ -152,7 +155,7 @@ def attention_ops(config: LLMConfig, shape: StageShape,
                       weight_bytes=op.weight_bytes * heads * requests,
                       input_bytes=op.input_bytes * heads * requests,
                       output_bytes=op.output_bytes * heads * requests,
-                      m=op.m, n=op.n, k=op.k)
+                      m=op.m, n=op.n, k=op.k, elem_bytes=dtype)
 
     return [
         aggregated(matmul_op(f"{layer_name}.attn_score", m=m, n=ctx, k=hd,
@@ -168,6 +171,49 @@ def attention_ops(config: LLMConfig, shape: StageShape,
 #: Where :func:`attention_ops` sit in :func:`decoder_layer_ops`: after
 #: ``ln1`` and ``qkv``, before ``proj`` .. ``residual2``.
 ATTENTION_OPS = slice(2, 5)
+
+
+class GenStageSweep(Generic[T]):
+    """``fn`` of every op of a gen stage, swept over the context.
+
+    ``sweep(context_len)`` returns ``(head, layer, tail)``: ``fn`` of
+    the head ops, of one decoder layer's ops and of the tail ops of the
+    compact gen stage of ``batch`` requests (one row each) at that
+    attention span, so ``head + layer * num_layers + tail`` is
+    :func:`per_op` of the stage.  At one batch size only the three
+    :func:`attention_ops` depend on the context: the first call builds
+    the whole compact stage and keeps ``fn`` of every other op; each
+    later call applies ``fn`` to the three attention ops only and
+    splices them between the kept layer values.  ``fn`` must not depend
+    on op names; the returned lists must not be mutated.
+    """
+
+    def __init__(self, config: LLMConfig, batch: int,
+                 fn: Callable[[OpSpec], T], tensor_parallel: int = 1):
+        self.config = config
+        self.batch = batch
+        self.fn = fn
+        self.tensor_parallel = tensor_parallel
+        self._kept: Optional[Tuple[List[T], List[T], List[T], List[T]]] \
+            = None
+
+    def __call__(self, context_len: int
+                 ) -> Tuple[List[T], List[T], List[T]]:
+        fn = self.fn
+        shape = StageShape(batch_tokens=self.batch, context_len=context_len,
+                           requests=self.batch)
+        if self._kept is None:
+            stage = compact_stage(self.config, shape, self.tensor_parallel)
+            head = [fn(op) for op in stage.head]
+            layer = [fn(op) for op in stage.layer]
+            tail = [fn(op) for op in stage.tail]
+            self._kept = (head, layer[:ATTENTION_OPS.start],
+                          layer[ATTENTION_OPS.stop:], tail)
+            return head, layer, tail
+        head, before, after, tail = self._kept
+        attention = [fn(op) for op in attention_ops(
+            self.config, shape, self.tensor_parallel)]
+        return head, before + attention + after, tail
 
 
 def decoder_layer_ops(config: LLMConfig, shape: StageShape,
@@ -238,7 +284,8 @@ def embedding_ops(config: LLMConfig, shape: StageShape) -> List[OpSpec]:
     return [OpSpec(name="embed", kind=OpKind.EMBEDDING, flops=float(elems),
                    weight_bytes=float(elems * config.dtype_bytes),
                    input_bytes=0.0,
-                   output_bytes=float(elems * config.dtype_bytes))]
+                   output_bytes=float(elems * config.dtype_bytes),
+                   elem_bytes=config.dtype_bytes)]
 
 
 def compact_stage(config: LLMConfig, shape: StageShape,

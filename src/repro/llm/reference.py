@@ -123,13 +123,37 @@ class ModelWeights:
         return tensors
 
 
+#: float64 draws per chunk of :func:`scaled_normal`'s reused buffer.
+NORMAL_CHUNK = 1 << 20
+
+
+def scaled_normal(rng: np.random.Generator, shape: Tuple[int, ...],
+                  scale: float, buf: np.ndarray) -> np.ndarray:
+    """``(rng.standard_normal(shape) * scale).astype(float32)``, bit for
+    bit, drawn chunk by chunk into the float64 ``buf`` instead of two
+    full-size float64 temporaries."""
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, buf.size):
+        part = buf[:min(buf.size, flat.size - start)]
+        rng.standard_normal(out=part)
+        part *= scale
+        flat[start:start + part.size] = part
+    return out
+
+
 def random_weights(config: LLMConfig, seed: int = 0) -> ModelWeights:
     """Deterministic random parameters with a GPT-style init scale."""
     rng = np.random.default_rng(seed)
     d, dff, vocab = config.d_model, config.d_ff, config.vocab_size
+    # One draw buffer, no larger than the largest matrix: freeing a
+    # buffer past glibc's mmap threshold raises the threshold, and the
+    # heap then keeps later medium-sized arrays resident.
+    largest = d * max(3 * d, dff, vocab, config.max_seq_len)
+    buf = np.empty(min(NORMAL_CHUNK, largest))
 
     def mat(rows: int, cols: int) -> np.ndarray:
-        return (rng.standard_normal((rows, cols)) * 0.02).astype(np.float32)
+        return scaled_normal(rng, (rows, cols), 0.02, buf)
 
     def vec(n: int, value: float = 0.0) -> np.ndarray:
         return np.full(n, value, dtype=np.float32)

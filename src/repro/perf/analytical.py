@@ -21,16 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    NamedTuple,
-    Protocol,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -42,21 +33,17 @@ from repro.errors import ConfigurationError
 from repro.gpu.device import GPUSpec
 from repro.gpu.kernels import GpuKernelModel
 from repro.gpu.power import GpuPowerModel
-from repro.llm.batching import compact_batched_gen_stage
 from repro.llm.config import LLMConfig
 from repro.llm.graph import (
-    ATTENTION_OPS,
     CompactStage,
+    GenStageSweep,
     Stage,
-    StageShape,
-    attention_ops,
-    compact_gen_stage,
     compact_sum_stage,
     per_op,
 )
 from repro.llm.ops import OpKind, OpSpec
 import repro.perf.calibration as cal
-from repro.perf.metrics import InferenceResult, StageResult
+from repro.perf.metrics import InferenceResult, StageResult, left_sum
 
 
 class DevicePerfModel(Protocol):
@@ -218,19 +205,6 @@ def no_comm(_batch_tokens: int) -> float:
     return 0.0
 
 
-def left_sum(values: Iterable[float]) -> float:
-    """Plain left-to-right float sum (0 when ``values`` is empty).
-
-    Python 3.12 made ``sum()`` over floats compensated (Neumaier), so
-    its result can differ in the last bit between interpreter versions;
-    simulated times summed here round the same way on every version.
-    """
-    total = 0
-    for value in values:
-        total += value
-    return total
-
-
 def _flat_sum(head: Sequence[float], layer: Sequence[float],
               num_layers: int, tail: Sequence[float]) -> float:
     """:func:`left_sum` of ``head + layer * num_layers + tail``: per-op
@@ -254,9 +228,18 @@ def _stage_time_s(stage: Stage, model: DevicePerfModel) -> float:
 def stage_result(name: str, ops: Stage, model: DevicePerfModel,
                  comm_s: float = 0.0) -> StageResult:
     """Time one stage (compact or flat) on a device and account energy."""
-    time_s = _stage_time_s(ops, model) + comm_s
-    flops = left_sum(per_op(ops, attrgetter("flops")))
-    mem = left_sum(per_op(ops, attrgetter("total_bytes")))
+    return _stage_result(name, _stage_time_s(ops, model),
+                         left_sum(per_op(ops, attrgetter("flops"))),
+                         left_sum(per_op(ops, attrgetter("total_bytes"))),
+                         model, comm_s)
+
+
+def _stage_result(name: str, op_time_s: float, flops: float, mem: float,
+                  model: DevicePerfModel, comm_s: float) -> StageResult:
+    """A stage's result from the flat-order sums of its op times,
+    flops and bytes: add ``comm_s`` and account utilization and
+    energy."""
+    time_s = op_time_s + comm_s
     cu = min(1.0, flops / (time_s * model.peak_flops)) if time_s else 0.0
     bu = min(1.0, mem / (time_s * model.peak_bandwidth)) if time_s else 0.0
     energy = model.power_watts(cu, bu) * time_s
@@ -267,6 +250,14 @@ def stage_result(name: str, ops: Stage, model: DevicePerfModel,
 @dataclass(frozen=True)
 class InferenceTimer:
     """Integrates stage times over a full inference request.
+
+    Gen stages are priced from a per-instance memo: a
+    :class:`~repro.llm.graph.GenStageSweep` of each op's time, ``flops``
+    and ``total_bytes``.  The first gen stage prices every distinct op
+    of its compact stage; every later one prices its three attention
+    ops only and adds the values in flat-list order, so each
+    :meth:`gen_stage` equals :func:`stage_result` of the whole compact
+    gen stage to the last bit, in any order of contexts.
 
     Attributes:
         config: The model.
@@ -284,12 +275,19 @@ class InferenceTimer:
     tensor_parallel: int = 1
     comm: CommModel = no_comm
     gen_samples: int = 24
+    _gen_sweep: GenStageSweep[Tuple[float, float, float]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.tensor_parallel < 1:
             raise ConfigurationError("tensor_parallel must be >= 1")
         if self.gen_samples < 2:
             raise ConfigurationError("need at least 2 gen samples")
+        op_time = self.model.op_time
+        object.__setattr__(self, "_gen_sweep", GenStageSweep(
+            self.config, 1,
+            lambda op: (op_time(op), op.flops, op.total_bytes),
+            self.tensor_parallel))
 
     def sum_stage(self, input_len: int) -> StageResult:
         stage = compact_sum_stage(self.config, input_len,
@@ -297,10 +295,15 @@ class InferenceTimer:
         return stage_result("sum", stage, self.model, self.comm(input_len))
 
     def gen_stage(self, context_len: int) -> StageResult:
-        stage = compact_gen_stage(self.config, context_len,
-                                  self.tensor_parallel)
-        return stage_result(f"gen@{context_len}", stage, self.model,
-                            self.comm(1))
+        head, layer, tail = self._gen_sweep(context_len)
+        num_layers = self.config.num_layers
+        # Per-op (time, flops, bytes) triples, summed per quantity.
+        time_s, flops, mem = (
+            _flat_sum(head_q, layer_q, num_layers, tail_q)
+            for head_q, layer_q, tail_q
+            in zip(zip(*head), zip(*layer), zip(*tail)))
+        return _stage_result(f"gen@{context_len}", time_s, flops, mem,
+                             self.model, self.comm(1))
 
     def _gen_total(self, input_len: int, output_len: int, exact: bool
                    ) -> StageResult:
@@ -378,8 +381,9 @@ class StepTimer:
     their arguments, quantize a decode context up to
     ``context_quantum`` and look the cost up in a memo; only a miss
     reaches the subclass's pricing hook (``_price_prefill_s`` or
-    ``_price_decode_s``).  Subclasses declare ``config`` and
-    ``context_quantum`` as fields.
+    ``_price_decode_s``).  ``decode_step_s`` first looks the context up
+    as given, so a quantized context skips quantizing again.
+    Subclasses declare ``config`` and ``context_quantum`` as fields.
     """
 
     _prefill_cache: Dict[int, float] = field(
@@ -403,6 +407,12 @@ class StepTimer:
 
     def decode_step_s(self, batch: int, context_len: int) -> float:
         """Seconds for one batched gen step at the given attention span."""
+        # Memo keys hold quantized contexts, which quantize to
+        # themselves, so a hit on the context as given is its quantized
+        # context's cost: the cohort walk passes quantized contexts.
+        cached = self._decode_cache.get((batch, context_len))
+        if cached is not None:
+            return cached
         if batch < 1 or context_len < 1:
             raise ConfigurationError("batch and context must be >= 1")
         key = (batch, quantize_context(context_len, self.context_quantum,
@@ -454,18 +464,6 @@ class StepTimer:
         raise NotImplementedError
 
 
-class _WeightTimes(NamedTuple):
-    """One batch size's context-independent part of a decode step: op
-    times of the head, of the layer ops before and after the attention
-    ops, and of the tail, plus the step's communication time."""
-
-    head: List[float]
-    pre: List[float]
-    post: List[float]
-    tail: List[float]
-    comm_s: float
-
-
 @dataclass
 class BatchStepTimer(StepTimer):
     """Per-iteration costs for the continuous-batching scheduler.
@@ -481,16 +479,14 @@ class BatchStepTimer(StepTimer):
     quantizing the context up to ``context_quantum`` (set it to 1 for
     exact per-context costing).
 
-    At one batch size only the three attention ops
-    (:func:`~repro.llm.graph.attention_ops`, the builder the stage's
-    layer splices in) depend on the context.  The first decode memo
-    miss at a batch size prices the whole compact stage and keeps, per
-    batch size, the op times of the head, of the layer ops before and
-    after the attention ops, of the tail, and ``comm(batch)``.  Every later miss at that batch size
-    prices the three attention ops only and adds all op times in
-    flat-list order, so each step cost equals pricing the whole stage
-    to the last bit.  The memo belongs to the instance: a fresh timer
-    pays its own fills.
+    A decode memo miss prices through one
+    :class:`~repro.llm.graph.GenStageSweep` of op times per batch size:
+    the first miss at a batch size prices every distinct op of the
+    compact stage, every later one the three attention ops only (at one
+    batch size nothing else depends on the context), and the op times
+    add in flat-list order, so each step cost equals pricing the whole
+    stage to the last bit.  The sweeps belong to the instance: a fresh
+    timer pays its own fills.
 
     Attributes:
         config: The model.
@@ -506,7 +502,7 @@ class BatchStepTimer(StepTimer):
     tensor_parallel: int = 1
     comm: CommModel = no_comm
     context_quantum: int = 32
-    _weight_times: Dict[int, _WeightTimes] = field(
+    _sweeps: Dict[int, GenStageSweep[float]] = field(
         default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -520,24 +516,11 @@ class BatchStepTimer(StepTimer):
         return _stage_time_s(stage, self.model) + self.comm(input_len)
 
     def _price_decode_s(self, batch: int, context_len: int) -> float:
-        op_time = self.model.op_time
-        weights = self._weight_times.get(batch)
-        if weights is None:
-            stage = compact_batched_gen_stage(
-                self.config, context_len, batch, self.tensor_parallel)
-            layer = [op_time(op) for op in stage.layer]
-            weights = _WeightTimes(
-                head=[op_time(op) for op in stage.head],
-                pre=layer[:ATTENTION_OPS.start],
-                post=layer[ATTENTION_OPS.stop:],
-                tail=[op_time(op) for op in stage.tail],
-                comm_s=self.comm(batch))
-            self._weight_times[batch] = weights
-        else:
-            shape = StageShape(batch_tokens=batch, context_len=context_len,
-                               requests=batch)
-            attention = [op_time(op) for op in attention_ops(
-                self.config, shape, self.tensor_parallel)]
-            layer = weights.pre + attention + weights.post
-        return _flat_sum(weights.head, layer, self.config.num_layers,
-                         weights.tail) + weights.comm_s
+        sweep = self._sweeps.get(batch)
+        if sweep is None:
+            sweep = GenStageSweep(self.config, batch, self.model.op_time,
+                                  self.tensor_parallel)
+            self._sweeps[batch] = sweep
+        head, layer, tail = sweep(context_len)
+        return _flat_sum(head, layer, self.config.num_layers, tail) \
+            + self.comm(batch)

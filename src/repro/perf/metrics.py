@@ -4,16 +4,30 @@ Everything the experiment harnesses report reduces to these records:
 per-stage timing/energy, whole-inference latency, and service-level
 throughput/efficiency.  Keeping them as dataclasses (instead of ad-hoc
 dicts) lets tests assert on named fields and benchmarks print uniform
-tables.
+tables.  Reported times add up with :func:`left_sum`, which rounds the
+same way on every interpreter version.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import ConfigurationError
 from repro.units import s_to_ms
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float sum (0 when ``values`` is empty).
+
+    Python 3.12 made ``sum()`` over floats compensated (Neumaier), so
+    its result can differ in the last bit between interpreter versions;
+    simulated times summed here round the same way on every version.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)

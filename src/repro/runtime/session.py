@@ -26,6 +26,7 @@ from repro.faults.context import get_faults
 from repro.llm.reference import ModelWeights
 from repro.memory.reliable import ReliableRegion
 from repro.obs.context import get_metrics, get_tracer
+from repro.perf.metrics import left_sum
 from repro.perf.simulator import AcceleratorSimulator
 from repro.runtime.driver import CompletionMode, CxlPnmDriver
 from repro.units import MiB, s_to_us
@@ -61,12 +62,12 @@ class GenerationTrace:
     @property
     def gen_time_s(self) -> float:
         """Simulated total gen-stage time; 0.0 when timing was disabled."""
-        return sum(self.stage_times_s[1:]) if self.stage_times_s else 0.0
+        return left_sum(self.stage_times_s[1:]) if self.stage_times_s else 0.0
 
     @property
     def total_time_s(self) -> float:
         """Simulated end-to-end time; 0.0 when timing was disabled."""
-        return sum(self.stage_times_s) if self.stage_times_s else 0.0
+        return left_sum(self.stage_times_s) if self.stage_times_s else 0.0
 
 
 class InferenceSession:

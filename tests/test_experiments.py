@@ -1,6 +1,8 @@
 """Experiment harnesses: registry, rendering, per-experiment sanity."""
 
+import importlib
 import math
+import pkgutil
 
 import pytest
 
@@ -9,7 +11,10 @@ from repro.errors import ConfigurationError
 from repro.experiments import run_experiment
 from repro.experiments.continuous_batching import MODEL
 from repro.gpu import A100_40G
-from repro.llm import PAPER_INPUT_TOKENS
+from repro.gpu.kernels import GpuKernelModel
+from repro.llm import OPT_6_7B, PAPER_INPUT_TOKENS
+from repro.llm.graph import compact_gen_stage, compact_sum_stage, per_op
+from repro.llm.ops import OpKind
 from repro.perf.analytical import GpuPerfModel, InferenceTimer, PnmPerfModel
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import ExperimentResult, text_table
@@ -90,6 +95,56 @@ class TestFig4:
         assert rows["GEMV share of execution time"] == pytest.approx(
             0.83, abs=0.08)
 
+    def test_matches_whole_stage_per_op_loop(self):
+        # The reference: every stage rebuilt whole and walked op by op,
+        # adds left to right; the harness must match it bit for bit.
+        from repro.experiments import fig04_gpu_utilization as fig4
+
+        kernels = GpuKernelModel(A100_40G)
+
+        def profile(stage):
+            return per_op(stage, lambda op: (
+                kernels.op_time(op), kernels.op_reported_utilization(op),
+                op.kind))
+
+        def total(values):
+            acc = 0.0
+            for v in values:
+                acc += v
+            return acc
+
+        by_kind = {OpKind.GEMV: 0.0, OpKind.GEMM: 0.0}
+        other = gen_time = gen_util = 0.0
+        stages = [profile(compact_gen_stage(OPT_6_7B, fig4.INPUT_TOKENS + s))
+                  for s in range(1, fig4.OUTPUT_TOKENS)]
+        sum_prof = profile(compact_sum_stage(OPT_6_7B, fig4.INPUT_TOKENS))
+        for prof in stages:
+            stage = total(t for t, _, _ in prof)
+            gen_time += stage
+            gen_util += stage * (total(t * u for t, u, _ in prof) / stage)
+        for prof in stages + [sum_prof]:
+            for t, _, kind in prof:
+                if kind in by_kind:
+                    by_kind[kind] += t
+                else:
+                    other += t
+        sum_time = total(t for t, _, _ in sum_prof)
+        all_time = sum_time + gen_time
+        rows = {r["metric"]: r["value"]
+                for r in run_experiment("fig4").rows}
+        expected = {
+            "sum-stage GPU utilization":
+                total(t * u for t, u, _ in sum_prof) / sum_time,
+            "gen-stage GPU utilization": gen_util / gen_time,
+            "GEMV share of execution time": by_kind[OpKind.GEMV] / all_time,
+            "GEMM share of execution time": by_kind[OpKind.GEMM] / all_time,
+            "other-kernel share of execution time": other / all_time,
+            "sum-stage time (ms)": sum_time * 1e3,
+            "gen-stage total time (s)": gen_time,
+        }
+        assert {k: v.hex() for k, v in rows.items()} \
+            == {k: v.hex() for k, v in expected.items()}
+
 
 class TestTables:
     def test_table1_lpddr_column(self):
@@ -141,15 +196,36 @@ def _hex_rows(rows):
              for key, value in row.items()} for row in rows]
 
 
+#: The 13 paper figure and table harnesses, in paper order.
+PAPER_HARNESSES = ("fig2", "fig3", "fig4", "table1", "table2", "fig10",
+                   "fig11", "table3", "scalability", "validation",
+                   "ablations", "disadvantages", "sensitivity")
+
+
+def _sum_modules():
+    """Every module whose ``sum`` could round a paper harness's rows:
+    each ``repro.experiments`` module, the analytical model, the GPU
+    offload model and the inference session."""
+    import repro.experiments
+
+    names = [f"repro.experiments.{info.name}"
+             for info in pkgutil.iter_modules(repro.experiments.__path__)]
+    names += ["repro.perf.analytical", "repro.gpu.offload",
+              "repro.runtime.session"]
+    return [importlib.import_module(name) for name in names]
+
+
 class TestSumAlgorithm:
-    def test_fig10_does_not_depend_on_sum_algorithm(self, monkeypatch):
-        # fig10 priced under Python 3.12's compensated sum() matches the
-        # same rows priced left to right: every stage and gen-total sum
-        # in the analytical model goes through left_sum.
-        from repro.perf import analytical
+    @pytest.mark.parametrize("eid", PAPER_HARNESSES)
+    def test_paper_harness_does_not_depend_on_sum_algorithm(
+            self, eid, monkeypatch):
+        # Rows priced under Python 3.12's compensated sum() match the
+        # same rows priced left to right: every float sum behind them
+        # goes through left_sum.
         from tests.test_step_pricing import _compensated_sum
 
-        plain = _hex_rows(run_experiment("fig10").rows)
-        monkeypatch.setattr(analytical, "sum", _compensated_sum,
-                            raising=False)
-        assert _hex_rows(run_experiment("fig10").rows) == plain
+        plain = _hex_rows(run_experiment(eid).rows)
+        for module in _sum_modules():
+            monkeypatch.setattr(module, "sum", _compensated_sum,
+                                raising=False)
+        assert _hex_rows(run_experiment(eid).rows) == plain

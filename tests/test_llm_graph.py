@@ -1,13 +1,21 @@
-"""Stage op graphs: structure, totals, tensor-parallel scaling."""
+"""Stage op graphs: structure, totals, tensor-parallel scaling, element
+widths, and the incremental gen-stage sweep."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import ConfigurationError, ParallelismError
 from repro.llm import OPT_13B, StageShape, tiny_config
 from repro.llm.graph import (
+    GenStageSweep,
+    compact_gen_stage,
+    compact_stage,
+    compact_sum_stage,
     decoder_layer_ops,
     gen_stage_ops,
     lm_head_ops,
+    per_op,
     sum_stage_ops,
 )
 from repro.llm.ops import OpKind, total_flops, total_weight_bytes
@@ -130,3 +138,43 @@ class TestOpNaming:
         assert logits.m == 1
         assert logits.n == cfg.vocab_size
 
+
+
+class TestElemBytes:
+    @pytest.mark.parametrize("dtype_bytes", [2, 1])
+    def test_every_op_carries_the_config_width(self, dtype_bytes):
+        # embed, attn_score and attn_ctx included: at int8 each op's
+        # byte quantities are 1-byte elements.
+        cfg = OPT_13B.with_dtype(dtype_bytes)
+        stages = [compact_gen_stage(cfg, 64), compact_sum_stage(cfg, 32),
+                  compact_gen_stage(cfg, 577, tensor_parallel=2),
+                  compact_stage(cfg, StageShape(batch_tokens=8,
+                                                context_len=64,
+                                                requests=8))]
+        for stage in stages:
+            widths = {op.name: op.elem_bytes for op in stage.ops()}
+            assert set(widths.values()) == {dtype_bytes}, widths
+
+
+class TestGenStageSweep:
+    @pytest.mark.parametrize("batch, tensor_parallel", [(1, 1), (8, 2)])
+    def test_sweep_is_the_compact_stage_in_any_context_order(
+            self, batch, tensor_parallel):
+        cfg = tiny_config(num_heads=4)
+        priced = []
+
+        def fn(op):
+            priced.append(op.name)
+            return replace(op, name="")
+
+        sweep = GenStageSweep(cfg, batch, fn, tensor_parallel)
+        for i, context_len in enumerate([40, 1, 120, 40, 7]):
+            del priced[:]
+            head, layer, tail = sweep(context_len)
+            shape = StageShape(batch_tokens=batch, context_len=context_len,
+                               requests=batch)
+            stage = compact_stage(cfg, shape, tensor_parallel)
+            assert head + layer * stage.num_layers + tail \
+                == per_op(stage, lambda op: replace(op, name=""))
+            distinct = len(stage.head) + len(stage.layer) + len(stage.tail)
+            assert len(priced) == (distinct if i == 0 else 3)

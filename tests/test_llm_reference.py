@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.llm import KVState, ReferenceModel, random_weights, tiny_config
-from repro.llm.reference import causal_mask, gelu, layernorm, softmax
+from repro.llm import reference
+from repro.llm.reference import (causal_mask, gelu, layernorm,
+                                 scaled_normal, softmax)
 
 
 class TestPrimitives:
@@ -49,6 +51,44 @@ class TestWeights:
         b = random_weights(tiny_cfg, seed=5)
         np.testing.assert_array_equal(a.token_embedding, b.token_embedding)
         np.testing.assert_array_equal(a.layers[0].w_qkv, b.layers[0].w_qkv)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+    def test_chunked_draws_match_one_shot(self, chunk):
+        # Sizes that are not a multiple of the chunk (and one below it),
+        # drawn one after another from one stream through one buffer.
+        one_shot = np.random.default_rng(3)
+        chunked = np.random.default_rng(3)
+        buf = np.empty(chunk)
+        for shape in [(13, 17), (5, 3), (64, 10)]:
+            expected = (one_shot.standard_normal(shape) * 0.02) \
+                .astype(np.float32)
+            got = scaled_normal(chunked, shape, 0.02, buf)
+            assert got.dtype == np.float32 and got.shape == shape
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk", [7, reference.NORMAL_CHUNK])
+    def test_random_weights_match_one_shot_draws(self, tiny_cfg, chunk,
+                                                 monkeypatch):
+        # The matrices as drawn before chunking, in draw order.
+        monkeypatch.setattr(reference, "NORMAL_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        d, dff, vocab = tiny_cfg.d_model, tiny_cfg.d_ff, tiny_cfg.vocab_size
+
+        def mat(rows, cols):
+            return (rng.standard_normal((rows, cols)) * 0.02) \
+                .astype(np.float32)
+
+        expected = []
+        for _ in range(tiny_cfg.num_layers):
+            expected += [mat(d, 3 * d), mat(d, d), mat(d, dff), mat(dff, d)]
+        expected += [mat(vocab, d), mat(tiny_cfg.max_seq_len, d),
+                     mat(d, vocab)]
+        w = random_weights(tiny_cfg, seed=5)
+        got = [m for layer in w.layers
+               for m in (layer.w_qkv, layer.w_proj, layer.w_fc1,
+                         layer.w_fc2)]
+        got += [w.token_embedding, w.position_embedding, w.lm_head]
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in expected]
 
     def test_named_tensors_complete(self, tiny_weights, tiny_cfg):
         tensors = tiny_weights.named_tensors()

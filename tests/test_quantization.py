@@ -10,6 +10,8 @@ The quantization contract, layer by layer:
 * the fp32 path is bit-identical to the pre-quantization compiler —
   ``quantize=None`` programs carry no int8 instruction and no aux
   addresses;
+* the executor's float64 accumulation of int8 codes equals int32
+  accumulation bit for bit, up to k = 20,480 (OPT-13B's d_ff);
 * ``ProgramCache`` patches quantized templates into exactly the
   program a fresh compile would emit;
 * the static analyses know the new instructions: scale/bias windows
@@ -30,6 +32,7 @@ from repro.accelerator.compiler import (
     timing_layout,
     timing_program,
 )
+from repro.accelerator.engine import int8_codes_matmul
 from repro.accelerator.memory import DeviceMemory
 from repro.analysis import (
     dtype_diagnostics,
@@ -129,6 +132,35 @@ class TestInt8Accuracy:
         session.driver.program(bad)
         with pytest.raises(ExecutionError):
             session.driver.launch()
+
+
+def _int32_matmul(codes, weight):
+    """The int32-accumulating reference: exact, then one float32 cast."""
+    return (codes.astype(np.int32) @ weight.astype(np.int32)) \
+        .astype(np.float32)
+
+
+class TestInt8Accumulation:
+    # k up to OPT-13B's d_ff; past 2**24 / 127**2 ~ 1,040 the sums no
+    # longer fit float32's mantissa, so the final cast really rounds.
+    @pytest.mark.parametrize("k", [1, 7, 768, 1041, 5120, 20480])
+    def test_random_codes_match_int32_bitwise(self, k):
+        rng = np.random.default_rng(k)
+        codes = rng.integers(-127, 128, size=(3, k)).astype(np.float32)
+        weight = rng.integers(-127, 128, size=(k, 16)).astype(np.float32)
+        assert int8_codes_matmul(codes, weight).tobytes() \
+            == _int32_matmul(codes, weight).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 1041, 20480])
+    def test_all_127_worst_cases_match_int32_bitwise(self, k):
+        # Largest-magnitude partial sums: every product is +-127**2.
+        codes = np.full((2, k), 127.0, dtype=np.float32)
+        codes[1] = -127.0
+        weight = np.full((k, 2), 127.0, dtype=np.float32)
+        weight[:, 1] = -127.0
+        got = int8_codes_matmul(codes, weight)
+        assert got.tobytes() == _int32_matmul(codes, weight).tobytes()
+        assert got[0, 0] == np.float32(k * 127 * 127)
 
 
 class TestCompilerEmission:

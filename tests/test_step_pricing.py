@@ -9,6 +9,11 @@
   prices the three attention ops only, yet every step equals pricing
   the whole compact stage (``float.hex``), whatever the order of the
   misses, on the PNM, A100 and DFX models, fp16 and int8, TP 1 and 2.
+* ``InferenceTimer.gen_stage`` likewise prices a gen stage after its
+  first from the three attention ops, and every ``StageResult`` field
+  equals ``stage_result`` of the whole compact gen stage
+  (``float.hex``), for contexts in any order: OPT-1.3B and OPT-13B,
+  fp16 and int8, TP 1 and 2, PNM and A100 models.
 * ``PnmPerfModel.op_time`` values on a grid of ops and devices are
   pinned to values recorded before the model derived its device
   constants once, at construction.
@@ -79,6 +84,7 @@ from repro.llm import (
 )
 from repro.llm.batching import compact_batched_gen_stage
 from repro.llm.config import tiny_config
+from repro.llm.graph import compact_gen_stage
 from repro.llm.ops import OpKind, OpSpec, matmul_op, vector_op
 from repro.perf.analytical import (
     BatchStepTimer,
@@ -89,6 +95,7 @@ from repro.perf.analytical import (
     left_sum,
     no_comm,
     quantize_context,
+    stage_result,
 )
 from repro.perf.simulator import AcceleratorSimulator, SimulatedStepTimer
 
@@ -375,6 +382,59 @@ def test_decode_miss_after_the_first_prices_three_ops(monkeypatch):
     # A fresh timer pays its own fill.
     fresh = BatchStepTimer(OPT_13B, model, context_quantum=1)
     assert len(calls(8, 700, on=fresh)) == distinct
+
+
+#: Contexts in non-monotone order: the first fills the memo, later ones
+#: go down, up, repeat, and pass the position budget (2048).
+GEN_CONTEXTS = [577, 1, 2048, 64, 300, 2300, 64, 65]
+
+
+@pytest.mark.parametrize("model", sorted(INCREMENTAL_MODELS))
+@pytest.mark.parametrize("dtype_bytes", [2, 1])
+@pytest.mark.parametrize("tensor_parallel", [1, 2])
+@pytest.mark.parametrize("device", ["pnm", "gpu"])
+def test_gen_stage_matches_whole_compact_stage(model, dtype_bytes,
+                                               tensor_parallel, device):
+    # InferenceTimer.gen_stage prices its memo's three attention ops
+    # after the first stage; every field equals stage_result of the
+    # whole compact gen stage to the last bit, the first stage's too.
+    config = INCREMENTAL_MODELS[model]
+    if dtype_bytes == 1:
+        config = config.with_dtype(1)
+    comm = (CxlCommModel(config, tensor_parallel) if tensor_parallel > 1
+            else no_comm)
+    perf = _perf_model(device)
+    timer = InferenceTimer(config, perf, tensor_parallel=tensor_parallel,
+                           comm=comm)
+    for context_len in GEN_CONTEXTS:
+        got = timer.gen_stage(context_len)
+        want = stage_result(
+            f"gen@{context_len}",
+            compact_gen_stage(config, context_len, tensor_parallel),
+            perf, comm(1))
+        assert got.name == want.name
+        for name in ("time_s", "flops", "mem_bytes", "comm_s", "energy_j"):
+            assert getattr(got, name).hex() == getattr(want, name).hex(), \
+                (context_len, name)
+
+
+def test_gen_stage_after_the_first_prices_three_ops(monkeypatch):
+    priced = []
+    op_time = GpuPerfModel.op_time
+
+    def counted(self, op):
+        priced.append(op.name)
+        return op_time(self, op)
+
+    monkeypatch.setattr(GpuPerfModel, "op_time", counted)
+    timer = InferenceTimer(OPT_13B, GpuPerfModel(A100_40G))
+    stage = compact_gen_stage(OPT_13B, 64)
+    timer.gen_stage(64)
+    assert len(priced) == len(stage.head) + len(stage.layer) \
+        + len(stage.tail)
+    del priced[:]
+    timer.gen_stage(700)
+    assert priced == ["layer.attn_score", "layer.softmax", "layer.attn_ctx"]
 
 
 # -- device constants ------------------------------------------------------
