@@ -28,7 +28,7 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
 import numpy as np
 
 from repro.accelerator import isa
-from repro.accelerator.memory import DeviceMemory, Region
+from repro.accelerator.memory import DeviceMemory, Region, pack_regions
 from repro.accelerator.registers import RegisterAllocator
 from repro.errors import (
     CapacityError,
@@ -72,6 +72,29 @@ def quantize_per_channel(tensor: np.ndarray
     return codes, scales
 
 
+def _quantized_image(tensors: Mapping[str, np.ndarray],
+                     spans: Sequence[Tuple[str, int]]) -> np.ndarray:
+    """The int8 loader's parameter image: each quantized matrix's codes
+    and ``.scale`` row, every other tensor as is, laid out by
+    :func:`pack_regions` over ``spans``."""
+    regions, end = pack_regions(spans)
+    image = np.zeros(end // 4, dtype=np.float32)
+
+    def place(name: str, values: np.ndarray) -> None:
+        region = regions[name]
+        image[region.addr // 4:region.end // 4] = values.reshape(-1)
+
+    for name, tensor in tensors.items():
+        if name + ".scale" in regions:
+            codes, scales = quantize_per_channel(tensor)
+            place(name, codes)
+            place(name + ".scale", scales)
+        else:
+            place(name, tensor)
+    image.flags.writeable = False
+    return image
+
+
 @dataclass(frozen=True)
 class ModelLayout:
     """Addresses of every model tensor and working buffer in device memory.
@@ -109,30 +132,35 @@ class ModelLayout:
 
 def load_model(memory: DeviceMemory, weights: ModelWeights,
                quantize: Optional[str] = None) -> ModelLayout:
-    """Write a model's parameters into device memory and build its layout.
+    """Map a model's parameter image into device memory and build its
+    layout.
 
+    The fp32 parameters map ``weights.image`` itself, read-only and not
+    copied, so every session on one :class:`ModelWeights` shares it.
     Also allocates the per-layer KV-cache regions (``max_seq_len`` rows
     each, the aggregated K and V matrices of §II-B) and the designated
-    input/output buffers the driver exposes (§VI step 2/3).
+    input/output buffers the driver exposes (§VI step 2/3), above the
+    image in the device's own storage.
 
     ``quantize="int8"`` runs the quantizing pass at load time: each
     streamed weight matrix (per-layer QKV/projection/FFN and the LM
-    head) is stored as integral int8 codes with a ``<name>.scale``
-    region of per-output-channel dequantization scales alongside.
+    head) becomes integral int8 codes with a ``<name>.scale`` region of
+    per-output-channel dequantization scales alongside, in a fresh
+    image that this memory maps.
     """
     if quantize not in (None, "int8"):
         raise ConfigurationError(
             f"unknown quantize mode {quantize!r} (expected None or 'int8')")
     config = weights.config
-    regions: Dict[str, Region] = {}
-    for name, tensor in weights.named_tensors().items():
+    tensors = weights.named_tensors()
+    spans = []
+    for name, tensor in tensors.items():
+        spans.append((name, tensor.nbytes))
         if quantize == "int8" and _is_quantized_weight(name):
-            codes, scales = quantize_per_channel(tensor)
-            regions[name] = memory.store_named(name, codes)
-            scale_name = name + ".scale"
-            regions[scale_name] = memory.store_named(scale_name, scales)
-        else:
-            regions[name] = memory.store_named(name, tensor)
+            spans.append((name + ".scale", tensor.shape[1] * 4))
+    image = weights.image if quantize is None \
+        else _quantized_image(tensors, spans)
+    regions = memory.map_image(image, spans)
     for i in range(config.num_layers):
         for which in ("kcache", "vcache"):
             name = f"layer{i}.{which}"

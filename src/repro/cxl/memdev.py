@@ -103,10 +103,7 @@ class FunctionalCxlDevice:
     def _read_line(self, addr: int) -> np.ndarray:
         if addr % CACHELINE_BYTES:
             raise AddressError(f"unaligned line read {addr:#x}")
-        raw = self.memory._buffer[addr:addr + CACHELINE_BYTES]
-        if raw.size != CACHELINE_BYTES:
-            raise AddressError(f"line read {addr:#x} beyond device memory")
-        return raw.copy()
+        return self.memory.read_bytes(addr, CACHELINE_BYTES)
 
     def _write_line(self, addr: int, data: np.ndarray) -> None:
         if addr % CACHELINE_BYTES:

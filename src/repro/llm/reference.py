@@ -15,7 +15,8 @@ exactly as §II-B describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -85,7 +86,15 @@ class LayerWeights:
 
 @dataclass
 class ModelWeights:
-    """Full parameter set of a decoder-only model."""
+    """Full parameter set of a decoder-only model.
+
+    Every tensor is a read-only view of ``image``: one flat float32
+    buffer holding the parameters in the device's address layout
+    (:func:`~repro.accelerator.memory.pack_regions` over
+    :meth:`named_tensors`, first tensor at address 0).  Device memory
+    maps the image instead of copying it, so one set of parameters
+    serves the reference model and every session.
+    """
 
     config: LLMConfig
     token_embedding: np.ndarray      # [vocab, d]
@@ -94,32 +103,16 @@ class ModelWeights:
     ln_f_gamma: np.ndarray
     ln_f_beta: np.ndarray
     lm_head: np.ndarray              # [d, vocab]
+    image: np.ndarray                # flat float32, read-only
 
     def named_tensors(self) -> Dict[str, np.ndarray]:
-        """Flat name->array view used by model loaders."""
-        tensors = {
-            "token_embedding": self.token_embedding,
-            "position_embedding": self.position_embedding,
-            "ln_f_gamma": self.ln_f_gamma,
-            "ln_f_beta": self.ln_f_beta,
-            "lm_head": self.lm_head,
-        }
-        for i, layer in enumerate(self.layers):
-            prefix = f"layer{i}."
-            tensors.update({
-                prefix + "ln1_gamma": layer.ln1_gamma,
-                prefix + "ln1_beta": layer.ln1_beta,
-                prefix + "w_qkv": layer.w_qkv,
-                prefix + "b_qkv": layer.b_qkv,
-                prefix + "w_proj": layer.w_proj,
-                prefix + "b_proj": layer.b_proj,
-                prefix + "ln2_gamma": layer.ln2_gamma,
-                prefix + "ln2_beta": layer.ln2_beta,
-                prefix + "w_fc1": layer.w_fc1,
-                prefix + "b_fc1": layer.b_fc1,
-                prefix + "w_fc2": layer.w_fc2,
-                prefix + "b_fc2": layer.b_fc2,
-            })
+        """Flat name->array view used by model loaders, in image order."""
+        tensors = {}
+        for name in _tensor_shapes(self.config):
+            owner, _, attr = name.rpartition(".")
+            holder = self.layers[int(owner.removeprefix("layer"))] \
+                if owner else self
+            tensors[name] = getattr(holder, attr)
         return tensors
 
 
@@ -127,12 +120,12 @@ class ModelWeights:
 NORMAL_CHUNK = 1 << 20
 
 
-def scaled_normal(rng: np.random.Generator, shape: Tuple[int, ...],
-                  scale: float, buf: np.ndarray) -> np.ndarray:
-    """``(rng.standard_normal(shape) * scale).astype(float32)``, bit for
+def scaled_normal(rng: np.random.Generator, scale: float, buf: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Fill the float32 ``out`` with
+    ``(rng.standard_normal(out.shape) * scale).astype(float32)``, bit for
     bit, drawn chunk by chunk into the float64 ``buf`` instead of two
-    full-size float64 temporaries."""
-    out = np.empty(shape, dtype=np.float32)
+    full-size float64 temporaries; returns ``out``."""
     flat = out.reshape(-1)
     for start in range(0, flat.size, buf.size):
         part = buf[:min(buf.size, flat.size - start)]
@@ -142,8 +135,50 @@ def scaled_normal(rng: np.random.Generator, shape: Tuple[int, ...],
     return out
 
 
+def _tensor_shapes(config: LLMConfig) -> Dict[str, Tuple[int, ...]]:
+    """Every parameter's shape, in :meth:`ModelWeights.named_tensors`
+    order."""
+    d, dff, vocab = config.d_model, config.d_ff, config.vocab_size
+    shapes: Dict[str, Tuple[int, ...]] = {
+        "token_embedding": (vocab, d),
+        "position_embedding": (config.max_seq_len, d),
+        "ln_f_gamma": (d,),
+        "ln_f_beta": (d,),
+        "lm_head": (d, vocab),
+    }
+    for i in range(config.num_layers):
+        prefix = f"layer{i}."
+        for name, shape in (("ln1_gamma", (d,)), ("ln1_beta", (d,)),
+                            ("w_qkv", (d, 3 * d)), ("b_qkv", (3 * d,)),
+                            ("w_proj", (d, d)), ("b_proj", (d,)),
+                            ("ln2_gamma", (d,)), ("ln2_beta", (d,)),
+                            ("w_fc1", (d, dff)), ("b_fc1", (dff,)),
+                            ("w_fc2", (dff, d)), ("b_fc2", (d,))):
+            shapes[prefix + name] = shape
+    return shapes
+
+
 def random_weights(config: LLMConfig, seed: int = 0) -> ModelWeights:
-    """Deterministic random parameters with a GPT-style init scale."""
+    """Deterministic random parameters with a GPT-style init scale.
+
+    Each matrix is drawn straight into its slice of the image.  The draw
+    order (each layer's QKV, projection and FFN matrices, then the
+    embeddings and the LM head) is not the image order, and it fixes
+    every value of a seed.
+    """
+    # Imported here: the accelerator package imports this module.
+    from repro.accelerator.memory import pack_regions
+
+    shapes = _tensor_shapes(config)
+    regions, end = pack_regions(
+        (name, math.prod(shape) * 4) for name, shape in shapes.items())
+    image = np.zeros(end // 4, dtype=np.float32)
+
+    def tensor(name: str) -> np.ndarray:
+        region = regions[name]
+        return image[region.addr // 4:region.end // 4] \
+            .reshape(shapes[name])
+
     rng = np.random.default_rng(seed)
     d, dff, vocab = config.d_model, config.d_ff, config.vocab_size
     # One draw buffer, no larger than the largest matrix: freeing a
@@ -151,31 +186,30 @@ def random_weights(config: LLMConfig, seed: int = 0) -> ModelWeights:
     # heap then keeps later medium-sized arrays resident.
     largest = d * max(3 * d, dff, vocab, config.max_seq_len)
     buf = np.empty(min(NORMAL_CHUNK, largest))
+    draws = [f"layer{i}.{name}" for i in range(config.num_layers)
+             for name in ("w_qkv", "w_proj", "w_fc1", "w_fc2")]
+    draws += ["token_embedding", "position_embedding", "lm_head"]
+    for name in draws:
+        scaled_normal(rng, 0.02, buf, tensor(name))
+    for name in shapes:
+        if name.endswith("_gamma"):
+            tensor(name)[:] = 1.0
+    # Biases and betas stay at the image's zeros.
+    image.flags.writeable = False
 
-    def mat(rows: int, cols: int) -> np.ndarray:
-        return scaled_normal(rng, (rows, cols), 0.02, buf)
+    def layer(i: int) -> LayerWeights:
+        return LayerWeights(**{attr.name: tensor(f"layer{i}.{attr.name}")
+                               for attr in fields(LayerWeights)})
 
-    def vec(n: int, value: float = 0.0) -> np.ndarray:
-        return np.full(n, value, dtype=np.float32)
-
-    layers = []
-    for _ in range(config.num_layers):
-        layers.append(LayerWeights(
-            ln1_gamma=np.ones(d, dtype=np.float32), ln1_beta=vec(d),
-            w_qkv=mat(d, 3 * d), b_qkv=vec(3 * d),
-            w_proj=mat(d, d), b_proj=vec(d),
-            ln2_gamma=np.ones(d, dtype=np.float32), ln2_beta=vec(d),
-            w_fc1=mat(d, dff), b_fc1=vec(dff),
-            w_fc2=mat(dff, d), b_fc2=vec(d),
-        ))
     return ModelWeights(
         config=config,
-        token_embedding=mat(vocab, d),
-        position_embedding=mat(config.max_seq_len, d),
-        layers=layers,
-        ln_f_gamma=np.ones(d, dtype=np.float32),
-        ln_f_beta=vec(d),
-        lm_head=mat(d, vocab),
+        token_embedding=tensor("token_embedding"),
+        position_embedding=tensor("position_embedding"),
+        layers=[layer(i) for i in range(config.num_layers)],
+        ln_f_gamma=tensor("ln_f_gamma"),
+        ln_f_beta=tensor("ln_f_beta"),
+        lm_head=tensor("lm_head"),
+        image=image,
     )
 
 

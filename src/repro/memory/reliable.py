@@ -74,15 +74,12 @@ class ReliableRegion:
         return self._region.addr + index * STORED_BYTES_PER_WORD
 
     def _store_code(self, index: int, code: np.ndarray) -> None:
-        packed = np.packbits(code, bitorder="little")
-        self.memory._buffer[self._word_addr(index):
-                            self._word_addr(index) + STORED_BYTES_PER_WORD] \
-            = packed
+        self.memory.write_bytes(self._word_addr(index),
+                                np.packbits(code, bitorder="little"))
 
     def _load_code(self, index: int) -> np.ndarray:
-        raw = self.memory._buffer[
-            self._word_addr(index):
-            self._word_addr(index) + STORED_BYTES_PER_WORD]
+        raw = self.memory.read_bytes(self._word_addr(index),
+                                     STORED_BYTES_PER_WORD)
         return np.unpackbits(raw, bitorder="little")[:CODEWORD_BITS]
 
     def write_word(self, index: int, word: int) -> None:

@@ -29,10 +29,13 @@ def test_example_runs(script):
 
 
 def test_paper_figures_subset_runs(tmp_path):
-    """Run the all-figures driver on two cheap artifacts only."""
+    """Run the all-figures driver on two cheap artifacts only, writing
+    under ``tmp_path`` so the committed full run stays as it is."""
+    out = tmp_path / "figures.txt"
     result = subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / "paper_figures.py"),
-         "table1", "table2"],
+         "--out", str(out), "table1", "table2"],
         capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stderr[-2000:]
     assert "LPDDR5X" in result.stdout
+    assert "LPDDR5X" in out.read_text()

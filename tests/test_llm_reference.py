@@ -62,7 +62,8 @@ class TestWeights:
         for shape in [(13, 17), (5, 3), (64, 10)]:
             expected = (one_shot.standard_normal(shape) * 0.02) \
                 .astype(np.float32)
-            got = scaled_normal(chunked, shape, 0.02, buf)
+            got = scaled_normal(chunked, 0.02, buf,
+                                np.empty(shape, dtype=np.float32))
             assert got.dtype == np.float32 and got.shape == shape
             assert got.tobytes() == expected.tobytes()
 
