@@ -30,7 +30,7 @@ docs:
 
 # Deeper program verification than the lint smoke: every geometry the
 # test sweep exercises, plus two serve-sim geometries (its batch-8
-# decode step and a 256-token prefill).
+# decode step and a 256-token prefill, the prefill also as int8).
 verify-programs:
 	$(PYTHON) -m repro lint-program OPT-13B --batch-tokens 1
 	$(PYTHON) -m repro lint-program OPT-13B --batch-tokens 64 --ctx-prev 0
@@ -38,6 +38,7 @@ verify-programs:
 	$(PYTHON) -m repro lint-program OPT-1.3B --batched 1
 	$(PYTHON) -m repro lint-program OPT-1.3B --batched 8 --errors-only
 	$(PYTHON) -m repro lint-program OPT-1.3B --batch-tokens 256 --ctx-prev 0
+	$(PYTHON) -m repro lint-program OPT-1.3B --batch-tokens 256 --ctx-prev 0 --dtype int8
 
 # Ten alternating benchmark pairs of HEAD and the working tree over all
 # five workloads, held against each other by benchmarks/e2e/compare.py;

@@ -204,7 +204,8 @@ class StageCompiler:
     def _matmul(self, out: str, act: str, weight: str, m: int, k: int,
                 n: int, code: List[isa.Instruction],
                 bias: Optional[str] = None) -> None:
-        """GEMM on the PE array for multi-token rows, GEMV otherwise.
+        """One weight matmul over ``m`` rows, on the datapath
+        :func:`~repro.accelerator.isa.weight_matmul` picks.
 
         In int8 mode the per-channel scales stream from the weight's
         ``.scale`` region and ``bias`` (when given) is fused into the
@@ -212,28 +213,16 @@ class StageCompiler:
         separate ``VPU_BIAS``, so unquantized programs are bit-identical
         to the historical emission.
         """
-        waddr = self.layout.addr(weight)
-        if self.quantize == "int8":
-            scale = self.layout.addr(weight + ".scale")
-            baddr = self.layout.addr(bias) if bias is not None else -1
-            if m > 1:
-                code.append(isa.MpuMmPea(
-                    dst=out, act=act, weight_addr=waddr, m=m, k=k, n=n,
-                    dtype="int8", scale_addr=scale, bias_addr=baddr))
-            else:
-                code.append(isa.MpuMv(
-                    dst=out, act=act, weight_addr=waddr, k=k, n=n,
-                    dtype="int8", scale_addr=scale, bias_addr=baddr))
-            return
-        if m > 1:
-            code.append(isa.MpuMmPea(dst=out, act=act, weight_addr=waddr,
-                                     m=m, k=k, n=n))
-        else:
-            code.append(isa.MpuMv(dst=out, act=act, weight_addr=waddr,
-                                  k=k, n=n))
-        if bias is not None:
-            code.append(isa.VpuBias(dst=out, src=out,
-                                    bias_addr=self.layout.addr(bias), n=n))
+        addr = self.layout.addr
+        int8 = self.quantize == "int8"
+        code.append(isa.weight_matmul(
+            dst=out, act=act, weight_addr=addr(weight), m=m, k=k, n=n,
+            dtype="int8" if int8 else "fp16",
+            scale_addr=addr(weight + ".scale") if int8 else -1,
+            bias_addr=addr(bias) if int8 and bias is not None else -1))
+        if bias is not None and not int8:
+            code.append(isa.VpuBias(dst=out, src=out, bias_addr=addr(bias),
+                                    n=n))
 
     def _layer(self, x: str, layer_idx: int, m: int, ctx_prev: int,
                regs: RegisterAllocator, code: List[isa.Instruction],

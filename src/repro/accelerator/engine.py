@@ -203,22 +203,9 @@ class Executor:
             out = out + self._read(instr.bias_addr, (instr.n,))
         return out.astype(np.float32)
 
-    def _exec_mv(self, instr: isa.MpuMv) -> float:
-        act = self._reg2d(instr.act)
-        if act.shape != (1, instr.k):
-            raise ExecutionError(
-                f"MPU_MV: activation shape {act.shape} != (1, {instr.k})")
-        if instr.dtype == "int8":
-            out = self._int8_matmul(act, instr)
-        else:
-            weight = self._read(instr.weight_addr, (instr.k, instr.n))
-            out = act @ weight
-            if instr.bias_addr >= 0:
-                out = out + self._read(instr.bias_addr, (instr.n,))
-        self.registers.write(instr.dst, out)
-        return float(instr.aux_elems())
-
-    def _exec_mm_pea(self, instr: isa.MpuMmPea) -> float:
+    def _exec_weight_matmul(self, instr) -> float:
+        """MPU_MV and the MPU_MM_PEA family: the same arithmetic over
+        ``m`` activation rows (one for MPU_MV)."""
         act = self._reg2d(instr.act)
         if act.shape != (instr.m, instr.k):
             raise ExecutionError(
@@ -430,9 +417,9 @@ class Executor:
         isa.DmaLoad: _exec_dma_load,
         isa.DmaStore: _exec_dma_store,
         isa.DmaGather: _exec_dma_gather,
-        isa.MpuMmPea: _exec_mm_pea,
-        isa.MpuMmRedumaxPea: _exec_mm_pea,
-        isa.MpuMv: _exec_mv,
+        isa.MpuMmPea: _exec_weight_matmul,
+        isa.MpuMmRedumaxPea: _exec_weight_matmul,
+        isa.MpuMv: _exec_weight_matmul,
         isa.MpuMaskedMm: _exec_masked_mm,
         isa.MpuAttnContext: _exec_attn_ctx,
         isa.MpuConv2d: _exec_conv2d,

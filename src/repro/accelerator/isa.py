@@ -18,7 +18,14 @@ matrix/vector registers.  Each instruction reports:
   multiplies by the modelled datatype width);
 * ``mem_bytes(bytes_per_elem)`` — the streamed bytes at the modelled
   width, which the datatype-aware instructions override;
+* ``out_shapes(shapes)`` — the shapes of the registers it writes, the
+  one rule the timing simulator and the static analyses propagate
+  register shapes by;
 * ``unit`` — the execution resource it occupies.
+
+Weight matmuls choose their datapath in one place:
+:func:`weight_matmul` emits ``MPU_MM_PEA`` for more than one activation
+row and DFX's ``MPU_MV`` for one.
 
 The memory-touching instructions (``DMA_LOAD``/``DMA_GATHER`` and the
 weight-streaming matmuls) carry a ``dtype`` field: ``"fp16"`` is the
@@ -58,6 +65,9 @@ class Unit(enum.Enum):
 
 #: Stream datatypes the memory-touching instructions understand.
 DTYPES = ("fp16", "int8")
+
+#: A register's tensor shape.
+Shape = Tuple[int, ...]
 
 
 def _check_dtype(opcode: str, dtype: str) -> None:
@@ -101,6 +111,15 @@ class Instruction:
         """
         return self.mem_elems() * bytes_per_elem
 
+    def out_shapes(self, shapes: Mapping[str, Shape]) -> Tuple[Shape, ...]:
+        """Shapes of the registers :meth:`writes` names, in its order.
+
+        ``shapes`` maps the live registers to their shapes; an
+        instruction whose output follows a source register's shape
+        raises ``KeyError`` (naming that register) when it is missing.
+        """
+        return ()
+
 
 # --------------------------------------------------------------------------
 # DMA engine
@@ -136,6 +155,9 @@ class DmaLoad(Instruction):
         if self.dtype == "int8":
             return self.mem_elems()
         return self.mem_elems() * bytes_per_elem
+
+    def out_shapes(self, shapes: Mapping[str, Shape]) -> Tuple[Shape, ...]:
+        return (self.shape,)
 
 
 @dataclass(frozen=True)
@@ -188,13 +210,48 @@ class DmaGather(Instruction):
             return self.mem_elems()
         return self.mem_elems() * bytes_per_elem
 
+    def out_shapes(self, shapes: Mapping[str, Shape]) -> Tuple[Shape, ...]:
+        return ((len(self.indices), self.row_elems),)
+
 
 # --------------------------------------------------------------------------
 # Matrix processing unit — adder-tree (GEMV) path
 # --------------------------------------------------------------------------
 
+class _WeightMatmul:
+    """Operands, work and streams of ``dst[m,n] = act[m,k] @ W[k,n]``
+    with W streamed from ``weight_addr``, shared by MPU_MV and
+    MPU_MM_PEA."""
+
+    def reads(self) -> Tuple[str, ...]:
+        return (self.act,)
+
+    def writes(self) -> Tuple[str, ...]:
+        return (self.dst,)
+
+    def flops(self) -> float:
+        return 2.0 * self.m * self.k * self.n
+
+    def mem_elems(self) -> float:
+        return float(self.k * self.n)
+
+    def aux_elems(self) -> int:
+        """Full-width side-stream elements (int8 scales, fused bias)."""
+        if self.dtype != "int8":
+            return self.n if self.bias_addr >= 0 else 0
+        return self.n * (2 if self.bias_addr >= 0 else 1)
+
+    def mem_bytes(self, bytes_per_elem: int) -> float:
+        weight = 1 if self.dtype == "int8" else bytes_per_elem
+        return (self.mem_elems() * weight
+                + self.aux_elems() * bytes_per_elem)
+
+    def out_shapes(self, shapes: Mapping[str, Shape]) -> Tuple[Shape, ...]:
+        return ((self.m, self.n),)
+
+
 @dataclass(frozen=True)
-class MpuMv(Instruction):
+class MpuMv(_WeightMatmul, Instruction):
     """Adder-tree GEMV: ``dst[1,n] = act[1,k] @ W[k,n]`` (W from memory).
 
     With ``dtype="int8"`` the weight matrix streams one byte per
@@ -217,33 +274,12 @@ class MpuMv(Instruction):
     scale_addr: int = -1
     bias_addr: int = -1
 
+    m = 1  # one activation row: the adder trees' GEMV
+
     def __post_init__(self) -> None:
         if self.k <= 0 or self.n <= 0:
             raise IsaError(f"{self.OPCODE}: bad dims k={self.k} n={self.n}")
         _check_dtype(self.OPCODE, self.dtype)
-
-    def reads(self) -> Tuple[str, ...]:
-        return (self.act,)
-
-    def writes(self) -> Tuple[str, ...]:
-        return (self.dst,)
-
-    def flops(self) -> float:
-        return 2.0 * self.k * self.n
-
-    def mem_elems(self) -> float:
-        return float(self.k * self.n)
-
-    def aux_elems(self) -> int:
-        """Full-width side-stream elements (int8 scales, fused bias)."""
-        if self.dtype != "int8":
-            return self.n if self.bias_addr >= 0 else 0
-        return self.n * (2 if self.bias_addr >= 0 else 1)
-
-    def mem_bytes(self, bytes_per_elem: int) -> float:
-        weight = 1 if self.dtype == "int8" else bytes_per_elem
-        return (self.mem_elems() * weight
-                + self.aux_elems() * bytes_per_elem)
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +287,7 @@ class MpuMv(Instruction):
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MpuMmPea(Instruction):
+class MpuMmPea(_WeightMatmul, Instruction):
     """PE-array GEMM: ``dst[m,n] = act[m,k] @ W[k,n]`` (W from memory).
 
     ``dtype``/``scale_addr``/``bias_addr`` follow :class:`MpuMv`: an
@@ -279,28 +315,19 @@ class MpuMmPea(Instruction):
                            f"{self.m}x{self.k}x{self.n}")
         _check_dtype(self.OPCODE, self.dtype)
 
-    def reads(self) -> Tuple[str, ...]:
-        return (self.act,)
 
-    def writes(self) -> Tuple[str, ...]:
-        return (self.dst,)
-
-    def flops(self) -> float:
-        return 2.0 * self.m * self.k * self.n
-
-    def mem_elems(self) -> float:
-        return float(self.k * self.n)
-
-    def aux_elems(self) -> int:
-        """Full-width side-stream elements (int8 scales, fused bias)."""
-        if self.dtype != "int8":
-            return self.n if self.bias_addr >= 0 else 0
-        return self.n * (2 if self.bias_addr >= 0 else 1)
-
-    def mem_bytes(self, bytes_per_elem: int) -> float:
-        weight = 1 if self.dtype == "int8" else bytes_per_elem
-        return (self.mem_elems() * weight
-                + self.aux_elems() * bytes_per_elem)
+def weight_matmul(dst: str, act: str, weight_addr: int, m: int, k: int,
+                  n: int, dtype: str = "fp16", scale_addr: int = -1,
+                  bias_addr: int = -1) -> Instruction:
+    """The matmul of ``m`` activation rows by the weight at
+    ``weight_addr``: ``MPU_MM_PEA`` on the PE array when ``m > 1``,
+    DFX's adder-tree ``MPU_MV`` otherwise."""
+    if m > 1:
+        return MpuMmPea(dst=dst, act=act, weight_addr=weight_addr, m=m,
+                        k=k, n=n, dtype=dtype, scale_addr=scale_addr,
+                        bias_addr=bias_addr)
+    return MpuMv(dst=dst, act=act, weight_addr=weight_addr, k=k, n=n,
+                 dtype=dtype, scale_addr=scale_addr, bias_addr=bias_addr)
 
 
 @dataclass(frozen=True)
@@ -318,6 +345,9 @@ class MpuMmRedumaxPea(MpuMmPea):
 
     def writes(self) -> Tuple[str, ...]:
         return (self.dst, self.rowmax_dst)
+
+    def out_shapes(self, shapes: Mapping[str, Shape]) -> Tuple[Shape, ...]:
+        return super().out_shapes(shapes) + ((self.m, 1),)
 
 
 @dataclass(frozen=True)
@@ -376,6 +406,12 @@ class MpuMaskedMm(Instruction):
     def mem_elems(self) -> float:
         return float(self.ctx * self.heads * self.head_dim)
 
+    def out_shapes(self, shapes: Mapping[str, Shape]) -> Tuple[Shape, ...]:
+        scores = (self.heads, self.m, self.ctx)
+        if self.rowmax_dst:
+            return (scores, (self.heads, self.m, 1))
+        return (scores,)
+
 
 @dataclass(frozen=True)
 class MpuAttnContext(Instruction):
@@ -417,6 +453,9 @@ class MpuAttnContext(Instruction):
 
     def mem_elems(self) -> float:
         return float(self.ctx * self.heads * self.head_dim)
+
+    def out_shapes(self, shapes: Mapping[str, Shape]) -> Tuple[Shape, ...]:
+        return ((self.m, self.heads * self.head_dim),)
 
 
 @dataclass(frozen=True)
@@ -472,6 +511,9 @@ class MpuConv2d(Instruction):
     def mem_elems(self) -> float:
         return float(self.out_ch * self.in_ch * self.kh * self.kw)
 
+    def out_shapes(self, shapes: Mapping[str, Shape]) -> Tuple[Shape, ...]:
+        return ((self.out_ch, *self.out_hw),)
+
 
 @dataclass(frozen=True)
 class MpuTranspose(Instruction):
@@ -488,6 +530,9 @@ class MpuTranspose(Instruction):
 
     def writes(self) -> Tuple[str, ...]:
         return (self.dst,)
+
+    def out_shapes(self, shapes: Mapping[str, Shape]) -> Tuple[Shape, ...]:
+        return (tuple(reversed(shapes[self.src])),)
 
 
 # --------------------------------------------------------------------------
@@ -510,6 +555,9 @@ class VpuBinary(Instruction):
     def writes(self) -> Tuple[str, ...]:
         return (self.dst,)
 
+    def out_shapes(self, shapes: Mapping[str, Shape]) -> Tuple[Shape, ...]:
+        return (shapes[self.a],)
+
 
 @dataclass(frozen=True)
 class VpuAdd(VpuBinary):
@@ -521,8 +569,22 @@ class VpuMul(VpuBinary):
     OPCODE = "VPU_MUL"
 
 
+class _RowWise:
+    """``dst = f(src)`` applied per element or per row: the output keeps
+    ``src``'s shape."""
+
+    def reads(self) -> Tuple[str, ...]:
+        return (self.src,)
+
+    def writes(self) -> Tuple[str, ...]:
+        return (self.dst,)
+
+    def out_shapes(self, shapes: Mapping[str, Shape]) -> Tuple[Shape, ...]:
+        return (shapes[self.src],)
+
+
 @dataclass(frozen=True)
-class VpuScale(Instruction):
+class VpuScale(_RowWise, Instruction):
     """``dst = src * constant``."""
 
     OPCODE = "VPU_SCALE"
@@ -532,15 +594,9 @@ class VpuScale(Instruction):
     src: str
     constant: float
 
-    def reads(self) -> Tuple[str, ...]:
-        return (self.src,)
-
-    def writes(self) -> Tuple[str, ...]:
-        return (self.dst,)
-
 
 @dataclass(frozen=True)
-class VpuBias(Instruction):
+class VpuBias(_RowWise, Instruction):
     """``dst = src + bias`` with the bias vector streamed from memory."""
 
     OPCODE = "VPU_BIAS"
@@ -555,18 +611,12 @@ class VpuBias(Instruction):
         if self.n <= 0:
             raise IsaError("VPU_BIAS: bias length must be positive")
 
-    def reads(self) -> Tuple[str, ...]:
-        return (self.src,)
-
-    def writes(self) -> Tuple[str, ...]:
-        return (self.dst,)
-
     def mem_elems(self) -> float:
         return float(self.n)
 
 
 @dataclass(frozen=True)
-class VpuGelu(Instruction):
+class VpuGelu(_RowWise, Instruction):
     """Tanh-approximated GELU."""
 
     OPCODE = "VPU_GELU"
@@ -575,15 +625,9 @@ class VpuGelu(Instruction):
     dst: str
     src: str
 
-    def reads(self) -> Tuple[str, ...]:
-        return (self.src,)
-
-    def writes(self) -> Tuple[str, ...]:
-        return (self.dst,)
-
 
 @dataclass(frozen=True)
-class VpuSoftmax(Instruction):
+class VpuSoftmax(_RowWise, Instruction):
     """Numerically stable row-wise softmax over the last axis.
 
     ``rowmax`` optionally names a register holding precomputed row maxima
@@ -602,12 +646,9 @@ class VpuSoftmax(Instruction):
             return (self.src, self.rowmax)
         return (self.src,)
 
-    def writes(self) -> Tuple[str, ...]:
-        return (self.dst,)
-
 
 @dataclass(frozen=True)
-class VpuLayerNorm(Instruction):
+class VpuLayerNorm(_RowWise, Instruction):
     """LayerNorm over the last axis with gamma/beta streamed from memory."""
 
     OPCODE = "VPU_LAYERNORM"
@@ -623,12 +664,6 @@ class VpuLayerNorm(Instruction):
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise IsaError("VPU_LAYERNORM: width must be positive")
-
-    def reads(self) -> Tuple[str, ...]:
-        return (self.src,)
-
-    def writes(self) -> Tuple[str, ...]:
-        return (self.dst,)
 
     def mem_elems(self) -> float:
         return float(2 * self.n)
@@ -650,6 +685,9 @@ class VpuArgmax(Instruction):
     def writes(self) -> Tuple[str, ...]:
         return (self.dst,)
 
+    def out_shapes(self, shapes: Mapping[str, Shape]) -> Tuple[Shape, ...]:
+        return ((1,),)
+
 
 @dataclass(frozen=True)
 class VpuRow(Instruction):
@@ -667,6 +705,9 @@ class VpuRow(Instruction):
 
     def writes(self) -> Tuple[str, ...]:
         return (self.dst,)
+
+    def out_shapes(self, shapes: Mapping[str, Shape]) -> Tuple[Shape, ...]:
+        return ((1,) + shapes[self.src][1:],)
 
 
 @dataclass(frozen=True)
@@ -690,6 +731,9 @@ class VpuSlice(Instruction):
 
     def writes(self) -> Tuple[str, ...]:
         return (self.dst,)
+
+    def out_shapes(self, shapes: Mapping[str, Shape]) -> Tuple[Shape, ...]:
+        return (shapes[self.src][:-1] + (self.stop - self.start,),)
 
 
 # --------------------------------------------------------------------------
@@ -715,6 +759,24 @@ class Barrier(Instruction):
 
     OPCODE = "BARRIER"
     UNIT = Unit.CONTROL
+
+
+def propagate_shapes(instr: Instruction,
+                     shapes: Dict[str, Shape]) -> Tuple[Shape, ...]:
+    """Apply ``instr`` to the register-shape table ``shapes``.
+
+    ``FREE`` drops its registers; any other instruction records the
+    :meth:`~Instruction.out_shapes` of the registers it writes and
+    returns them.  A ``KeyError`` names a source register whose shape
+    ``shapes`` lacks, and leaves ``shapes`` as it was.
+    """
+    if isinstance(instr, Free):
+        for reg in instr.regs:
+            shapes.pop(reg, None)
+        return ()
+    out = instr.out_shapes(shapes)
+    shapes.update(zip(instr.writes(), out))
+    return out
 
 
 def _numel(shape: Tuple[int, ...]) -> int:
@@ -908,10 +970,9 @@ class CompactProgram(Sequence):
 def validate_program(program) -> None:
     """Static checks: registers written before read, types correct.
 
-    When :mod:`repro.analysis` is importable, also surfaces the
-    verifier's address-space errors — negative, out-of-bounds, or
-    misaligned memory windows (PNM201/PNM202/PNM203) — as
-    :class:`IsaError`.  The deeper layout-aware and dataflow
+    Also surfaces the verifier's address-space errors — negative,
+    out-of-bounds, or misaligned memory windows (PNM201/PNM202/PNM203)
+    — as :class:`IsaError`.  The deeper layout-aware and dataflow
     diagnostics stay behind the opt-in ``verify_static`` hook.
 
     A :class:`CompactProgram` gets exactly the verdict and error of its
@@ -970,10 +1031,8 @@ def _check_compact_registers(program: CompactProgram) -> None:
 
 def _validate_addresses(program) -> None:
     """Raise IsaError on address-space errors found by the verifier."""
-    try:
-        from repro.analysis.verifier import address_diagnostics
-    except ImportError:  # pragma: no cover - analysis layer optional
-        return
+    # Imported here: the verifier itself imports this module.
+    from repro.analysis.verifier import address_diagnostics
     errors = address_diagnostics(program)
     if errors:
         rendered = "; ".join(d.render() for d in errors[:4])

@@ -5,8 +5,9 @@ recovers the register-level facts the verifier's diagnostics are built
 from: def/use/free sites per register, RAW/WAR/WAW hazard edges (the
 dependencies the timing simulator serializes on), and the *violations*
 — reads before any write, accesses after ``FREE``, writes that are
-never observed.  A second pass propagates register shapes (the same
-rules the timing simulator's shape tracker applies) to produce a
+never observed.  A second pass propagates register shapes (each
+instruction's :meth:`~repro.accelerator.isa.Instruction.out_shapes`
+rule, which the timing simulator applies too) to produce a
 liveness/pressure report: peak live bytes per register bank at the
 modelled FP16 datatype, which is what the 63 MB register file of
 Table II actually bounds.
@@ -18,6 +19,7 @@ as well as on functional programs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -131,70 +133,25 @@ def analyze_program(program) -> DataflowFacts:
     return facts
 
 
-def infer_shapes(program) -> List[Optional[Tuple[int, ...]]]:
-    """Output shape written by each instruction (None when unknowable).
+def infer_shapes(program) -> List[Optional[Tuple[isa.Shape, ...]]]:
+    """Shapes of the registers each instruction writes, in the order of
+    its ``writes()`` (None when unknowable).
 
-    Mirrors the timing simulator's shape tracker, but tolerates unknown
-    inputs instead of raising — hand-built fragments analyze fine.
+    Applies the ISA's shape rule (:func:`repro.accelerator.isa
+    .propagate_shapes`) but tolerates unknown inputs instead of raising
+    — hand-built fragments analyze fine.  A register written from an
+    unknown input is itself unknown until written again.
     """
-    shapes: Dict[str, Tuple[int, ...]] = {}
-    out: List[Optional[Tuple[int, ...]]] = []
-
-    def get(reg: str) -> Optional[Tuple[int, ...]]:
-        return shapes.get(reg)
-
+    shapes: Dict[str, isa.Shape] = {}
+    out: List[Optional[Tuple[isa.Shape, ...]]] = []
     for instr in program:
-        shape: Optional[Tuple[int, ...]] = None
-        if isinstance(instr, isa.DmaLoad):
-            shape = instr.shape
-        elif isinstance(instr, isa.DmaGather):
-            shape = (len(instr.indices), instr.row_elems)
-        elif isinstance(instr, isa.MpuMmPea):
-            shape = (instr.m, instr.n)
-            if isinstance(instr, isa.MpuMmRedumaxPea):
-                shapes[instr.rowmax_dst] = (instr.m, 1)
-        elif isinstance(instr, isa.MpuMv):
-            shape = (1, instr.n)
-        elif isinstance(instr, isa.MpuMaskedMm):
-            shape = (instr.heads, instr.m, instr.ctx)
-            if instr.rowmax_dst:
-                shapes[instr.rowmax_dst] = (instr.heads, instr.m, 1)
-        elif isinstance(instr, isa.MpuAttnContext):
-            shape = (instr.m, instr.heads * instr.head_dim)
-        elif isinstance(instr, isa.MpuConv2d):
-            oh, ow = instr.out_hw
-            shape = (instr.out_ch, oh, ow)
-        elif isinstance(instr, isa.MpuTranspose):
-            src = get(instr.src)
-            shape = tuple(reversed(src)) if src is not None else None
-        elif isinstance(instr, (isa.VpuAdd, isa.VpuMul)):
-            shape = get(instr.a)
-        elif isinstance(instr, (isa.VpuScale, isa.VpuGelu, isa.VpuSoftmax,
-                                isa.VpuBias, isa.VpuLayerNorm)):
-            shape = get(instr.src)
-        elif isinstance(instr, isa.VpuSlice):
-            src = get(instr.src)
-            shape = src[:-1] + (instr.stop - instr.start,) \
-                if src is not None else None
-        elif isinstance(instr, isa.VpuRow):
-            src = get(instr.src)
-            shape = (1,) + src[1:] if src is not None else None
-        elif isinstance(instr, isa.VpuArgmax):
-            shape = (1,)
-        elif isinstance(instr, isa.Free):
-            for reg in instr.regs:
+        try:
+            out.append(isa.propagate_shapes(instr, shapes))
+        except KeyError:
+            for reg in instr.writes():
                 shapes.pop(reg, None)
-        if shape is not None and instr.writes():
-            shapes[instr.writes()[0]] = shape
-        out.append(shape)
+            out.append(None)
     return out
-
-
-def _numel(shape: Tuple[int, ...]) -> int:
-    n = 1
-    for dim in shape:
-        n *= dim
-    return n
 
 
 @dataclass
@@ -258,32 +215,21 @@ def register_pressure(program,
         writes = instr.writes()
         if not writes:
             continue
-        shape = shapes[idx]
         elem_bytes = bytes_per_elem
         if isinstance(instr, (isa.MpuMv, isa.MpuMmPea)) \
                 and instr.dtype == "int8":
             elem_bytes = 4  # int32 accumulator before dequant
-
+        out = shapes[idx]
         for order, reg in enumerate(writes):
             bank = reg[0] if reg[:1] in live_bytes else None
             if bank is None:
                 continue
-            if order == 0:
-                reg_shape = shape
-            else:
-                # Secondary outputs (REDUMAX row maxima) were recorded
-                # by infer_shapes; re-deriving here keeps one source.
-                reg_shape = None
-            if order == 0 and reg_shape is None:
+            if out is None:
                 if reg not in reg_bytes:
                     unknown.append(reg)
-            nbytes = (_numel(reg_shape) * elem_bytes
-                      if reg_shape is not None else 0)
-            if order > 0:
-                # rowmax-style secondary destination: m (or heads*m)
-                # elements — small; approximate from the primary shape.
-                nbytes = (shape[0] * elem_bytes
-                          if shape else elem_bytes)
+                nbytes = 0
+            else:
+                nbytes = math.prod(out[order]) * elem_bytes
             old = reg_bytes.get(reg)
             if old is None:
                 live += 1

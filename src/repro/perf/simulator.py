@@ -8,6 +8,8 @@ among the units.  Dependencies come from register dataflow
 (read-after-write, and write-after-read/write serialization), so
 independent instructions on different units overlap — e.g. the weight
 stream of the next matmul behind the VPU work of the previous operator.
+Register shapes, which size the VPU work, follow each instruction's own
+:meth:`~repro.accelerator.isa.Instruction.out_shapes` rule.
 
 This is the reproduction's analog of the paper's cycle-level simulator
 (§VII, validated to 0.5% against the FPGA prototype).  Our validation
@@ -17,7 +19,8 @@ analog: tests assert agreement with the independent analytical model of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.accelerator import isa
@@ -37,67 +40,6 @@ _UNIT_INDEX = {unit: i for i, unit in enumerate(_UNITS)}
 _BARRIER, _BOUNDARY = -1, -2
 _BARRIER_STEP = (_BARRIER, (), (), 0.0, 0.0, 0.0, 0.0, None)
 _BOUNDARY_STEP = (_BOUNDARY, (), (), 0.0, 0.0, 0.0, 0.0, None)
-
-
-@dataclass
-class _ShapeTracker:
-    """Propagates register shapes through a program without executing it."""
-
-    shapes: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
-
-    def get(self, reg: str) -> Tuple[int, ...]:
-        try:
-            return self.shapes[reg]
-        except KeyError:
-            raise SimulationError(f"shape of {reg} unknown at schedule time")
-
-    def elems(self, reg: str) -> int:
-        n = 1
-        for d in self.get(reg):
-            n *= d
-        return n
-
-    def update(self, instr: isa.Instruction) -> None:
-        s = self.shapes
-        if isinstance(instr, isa.DmaLoad):
-            s[instr.dst] = instr.shape
-        elif isinstance(instr, isa.DmaGather):
-            s[instr.dst] = (len(instr.indices), instr.row_elems)
-        elif isinstance(instr, isa.MpuMmPea):
-            s[instr.dst] = (instr.m, instr.n)
-            if isinstance(instr, isa.MpuMmRedumaxPea):
-                s[instr.rowmax_dst] = (instr.m, 1)
-        elif isinstance(instr, isa.MpuMv):
-            s[instr.dst] = (1, instr.n)
-        elif isinstance(instr, isa.MpuMaskedMm):
-            s[instr.dst] = (instr.heads, instr.m, instr.ctx)
-            if instr.rowmax_dst:
-                s[instr.rowmax_dst] = (instr.heads, instr.m, 1)
-        elif isinstance(instr, isa.MpuAttnContext):
-            s[instr.dst] = (instr.m, instr.heads * instr.head_dim)
-        elif isinstance(instr, isa.MpuConv2d):
-            oh, ow = instr.out_hw
-            s[instr.dst] = (instr.out_ch, oh, ow)
-        elif isinstance(instr, isa.MpuTranspose):
-            shape = self.get(instr.src)
-            s[instr.dst] = tuple(reversed(shape))
-        elif isinstance(instr, (isa.VpuAdd, isa.VpuMul)):
-            s[instr.dst] = self.get(instr.a)
-        elif isinstance(instr, (isa.VpuScale, isa.VpuGelu, isa.VpuSoftmax)):
-            s[instr.dst] = self.get(instr.src)
-        elif isinstance(instr, (isa.VpuBias, isa.VpuLayerNorm)):
-            s[instr.dst] = self.get(instr.src)
-        elif isinstance(instr, isa.VpuSlice):
-            shape = self.get(instr.src)
-            s[instr.dst] = shape[:-1] + (instr.stop - instr.start,)
-        elif isinstance(instr, isa.VpuRow):
-            shape = self.get(instr.src)
-            s[instr.dst] = (1,) + shape[1:]
-        elif isinstance(instr, isa.VpuArgmax):
-            s[instr.dst] = (1,)
-        elif isinstance(instr, isa.Free):
-            for reg in instr.regs:
-                s.pop(reg, None)
 
 
 @dataclass
@@ -152,10 +94,10 @@ class AcceleratorSimulator:
         self._clock = self.device.spec.clock_hz
         self._bw = self.device.effective_memory_bandwidth
         #: (instruction, out_elems) -> :meth:`_cost`.  The cost of an
-        #: instruction is a pure function of its fields, the
-        #: shape-tracked output size (VPU cost input), and device
-        #: constants, so this key is exact — repeated decode steps reuse
-        #: per-instruction costs instead of re-deriving them.
+        #: instruction is a pure function of its fields, its output
+        #: size (VPU cost input), and device constants, so this key is
+        #: exact — repeated decode steps reuse per-instruction costs
+        #: instead of re-deriving them.
         self._costs: Dict[Tuple[isa.Instruction, int],
                           Tuple[int, float, float, float, float]] = {}
         #: CachedProgram.timing_key -> SimulationResult for whole-program
@@ -236,7 +178,7 @@ class AcceleratorSimulator:
         ``carry_out``'s times to ``carry_in``'s slot and reset the
         layer's own slots to 0.0, as fresh register names start.
         """
-        shapes = _ShapeTracker()
+        shapes: Dict[str, isa.Shape] = {}
         slots: Dict[str, int] = {}
 
         def lower(code: Sequence[isa.Instruction],
@@ -246,10 +188,15 @@ class AcceleratorSimulator:
                 if isinstance(instr, isa.Barrier):
                     steps.append(_BARRIER_STEP)
                     continue
-                shapes.update(instr)
+                try:
+                    out = isa.propagate_shapes(instr, shapes)
+                except KeyError as missing:
+                    raise SimulationError(
+                        f"shape of {missing.args[0]} unknown at schedule "
+                        f"time") from None
                 writes = instr.writes()
                 unit, busy, mem_time, mem_bytes, flops = self._cost(
-                    instr, shapes.elems(writes[0]) if writes else 0)
+                    instr, math.prod(out[0]) if out else 0)
                 steps.append((
                     unit,
                     [slots.setdefault(names.get(r, r), len(slots))
@@ -264,20 +211,20 @@ class AcceleratorSimulator:
             return steps, len(slots), 0, 0, ()
         carry_in, carry_out = program.carry_in, program.carry_out
         head = lower(program.head, {carry_in: carry_out})
-        entry_shape = shapes.shapes.get(carry_in)
+        entry_shape = shapes.get(carry_in)
         layer = lower(program.layer, {})
         if program.num_layers > 1 \
-                and shapes.shapes.get(carry_out) != entry_shape:
+                and shapes.get(carry_out) != entry_shape:
             raise SimulationError(
                 f"layer 0 reads a carry of shape {entry_shape} but hands "
-                f"on {shapes.shapes.get(carry_out)}, so later layers "
+                f"on {shapes.get(carry_out)}, so later layers "
                 f"would not repeat it")
         # The tail names the last layer's registers by their flat names.
         last = program.num_layers - 1
         aliases = {program.rename(r, last): r for r in program.layer_regs}
         for flat, own in aliases.items():
-            if own in shapes.shapes:
-                shapes.shapes[flat] = shapes.shapes[own]
+            if own in shapes:
+                shapes[flat] = shapes[own]
         tail = lower(program.tail, aliases)
         steps = head + ([_BOUNDARY_STEP] + layer) * program.num_layers \
             + tail

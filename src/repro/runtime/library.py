@@ -150,14 +150,10 @@ class CxlPnmLibrary:
             raise ConfigurationError(
                 f"conv1d: inner dims differ ({k} vs {wk})")
         out = self.alloc((rows, n), "conv1d")
-        code = [isa.DmaLoad(dst="m0", addr=x.addr, shape=(rows, k))]
-        if rows > 1:
-            code.append(isa.MpuMmPea(dst="m1", act="m0",
-                                     weight_addr=weight.addr,
-                                     m=rows, k=k, n=n))
-        else:
-            code.append(isa.MpuMv(dst="m1", act="m0",
-                                  weight_addr=weight.addr, k=k, n=n))
+        code = [isa.DmaLoad(dst="m0", addr=x.addr, shape=(rows, k)),
+                isa.weight_matmul(dst="m1", act="m0",
+                                  weight_addr=weight.addr, m=rows, k=k,
+                                  n=n)]
         if bias is not None:
             if bias.shape != (n,):
                 raise ConfigurationError("conv1d: bias must be [n]")

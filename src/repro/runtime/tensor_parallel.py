@@ -168,18 +168,9 @@ class TensorParallelSession:
             code: List[isa.Instruction] = [
                 isa.DmaLoad(dst="m0", addr=shard.addr("input_buffer"),
                             shape=(m, d)),
-            ]
-            if m > 1:
-                code.append(isa.MpuMmPea(
-                    dst="m1", act="m0",
-                    weight_addr=shard.addr(prefix + "w_qkv"),
-                    m=m, k=d, n=3 * dl))
-            else:
-                code.append(isa.MpuMv(
-                    dst="m1", act="m0",
-                    weight_addr=shard.addr(prefix + "w_qkv"),
-                    k=d, n=3 * dl))
-            code.extend([
+                isa.weight_matmul(dst="m1", act="m0",
+                                  weight_addr=shard.addr(prefix + "w_qkv"),
+                                  m=m, k=d, n=3 * dl),
                 isa.VpuBias(dst="m1", src="m1",
                             bias_addr=shard.addr(prefix + "b_qkv"),
                             n=3 * dl),
@@ -204,22 +195,14 @@ class TensorParallelSession:
                                    v_addr=shard.addr(prefix + "vcache"),
                                    heads=self._heads_local,
                                    head_dim=cfg.head_dim, ctx=ctx, m=m),
-            ])
-            if m > 1:
-                code.append(isa.MpuMmPea(
-                    dst="m8", act="m7",
-                    weight_addr=shard.addr(prefix + "w_proj"),
-                    m=m, k=dl, n=d))
-            else:
-                code.append(isa.MpuMv(
-                    dst="m8", act="m7",
-                    weight_addr=shard.addr(prefix + "w_proj"),
-                    k=dl, n=d))
-            code.append(isa.DmaStore(src="m8",
-                                     addr=shard.addr("partial_buffer"),
-                                     shape=(m, d)))
-            code.append(isa.Free(regs=("m0", "m1", "m2", "m3", "m4", "m5",
-                                       "m6", "m7", "m8", "v0")))
+                isa.weight_matmul(dst="m8", act="m7",
+                                  weight_addr=shard.addr(prefix + "w_proj"),
+                                  m=m, k=dl, n=d),
+                isa.DmaStore(src="m8", addr=shard.addr("partial_buffer"),
+                             shape=(m, d)),
+                isa.Free(regs=("m0", "m1", "m2", "m3", "m4", "m5", "m6",
+                               "m7", "m8", "v0")),
+            ]
             self._launch(shard, code)
         reduced = self._gather_partials(m, d)
         return reduced + self.weights.layers[layer].b_proj
@@ -234,37 +217,20 @@ class TensorParallelSession:
             code: List[isa.Instruction] = [
                 isa.DmaLoad(dst="m0", addr=shard.addr("input_buffer"),
                             shape=(m, d)),
-            ]
-            if m > 1:
-                code.append(isa.MpuMmPea(
-                    dst="m1", act="m0",
-                    weight_addr=shard.addr(prefix + "w_fc1"),
-                    m=m, k=d, n=dffl))
-            else:
-                code.append(isa.MpuMv(
-                    dst="m1", act="m0",
-                    weight_addr=shard.addr(prefix + "w_fc1"),
-                    k=d, n=dffl))
-            code.extend([
+                isa.weight_matmul(dst="m1", act="m0",
+                                  weight_addr=shard.addr(prefix + "w_fc1"),
+                                  m=m, k=d, n=dffl),
                 isa.VpuBias(dst="m1", src="m1",
                             bias_addr=shard.addr(prefix + "b_fc1"),
                             n=dffl),
                 isa.VpuGelu(dst="m2", src="m1"),
-            ])
-            if m > 1:
-                code.append(isa.MpuMmPea(
-                    dst="m3", act="m2",
-                    weight_addr=shard.addr(prefix + "w_fc2"),
-                    m=m, k=dffl, n=d))
-            else:
-                code.append(isa.MpuMv(
-                    dst="m3", act="m2",
-                    weight_addr=shard.addr(prefix + "w_fc2"),
-                    k=dffl, n=d))
-            code.append(isa.DmaStore(src="m3",
-                                     addr=shard.addr("partial_buffer"),
-                                     shape=(m, d)))
-            code.append(isa.Free(regs=("m0", "m1", "m2", "m3")))
+                isa.weight_matmul(dst="m3", act="m2",
+                                  weight_addr=shard.addr(prefix + "w_fc2"),
+                                  m=m, k=dffl, n=d),
+                isa.DmaStore(src="m3", addr=shard.addr("partial_buffer"),
+                             shape=(m, d)),
+                isa.Free(regs=("m0", "m1", "m2", "m3")),
+            ]
             self._launch(shard, code)
         reduced = self._gather_partials(m, d)
         return reduced + self.weights.layers[layer].b_fc2

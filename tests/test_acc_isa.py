@@ -72,6 +72,54 @@ class TestQuantities:
         assert conv.out_hw == (4, 4)
 
 
+class TestWeightMatmul:
+    @pytest.mark.parametrize("dtype,scale,bias", [("fp16", -1, -1),
+                                                  ("int8", 64, 128)])
+    def test_rows_pick_the_datapath(self, dtype, scale, bias):
+        fields = dict(dst="m1", act="m0", weight_addr=0, k=16, n=8,
+                      dtype=dtype, scale_addr=scale, bias_addr=bias)
+        assert isa.weight_matmul(m=1, **fields) == isa.MpuMv(**fields)
+        assert isa.weight_matmul(m=3, **fields) \
+            == isa.MpuMmPea(m=3, **fields)
+
+    def test_gemv_is_the_one_row_gemm(self):
+        for dtype, scale, bias in (("fp16", -1, -1), ("fp16", -1, 96),
+                                   ("int8", 64, -1), ("int8", 64, 96)):
+            fields = dict(dst="m1", act="m0", weight_addr=0, k=16, n=8,
+                          dtype=dtype, scale_addr=scale, bias_addr=bias)
+            mv, mm = isa.MpuMv(**fields), isa.MpuMmPea(m=1, **fields)
+            assert mv.flops() == mm.flops() == 2 * 16 * 8
+            assert mv.mem_bytes(2) == mm.mem_bytes(2)
+            assert mv.out_shapes({}) == mm.out_shapes({}) == ((1, 8),)
+
+
+class TestOutputShapes:
+    def test_row_maxima_shapes(self):
+        mm = isa.MpuMmRedumaxPea(dst="m1", act="m0", weight_addr=0, m=3,
+                                 k=4, n=5, rowmax_dst="v0")
+        masked = isa.MpuMaskedMm(dst="m1", q="m0", k_addr=0, heads=2,
+                                 head_dim=4, ctx=8, m=3, scale=1.0,
+                                 mask_offset=5, rowmax_dst="v0")
+        assert mm.out_shapes({}) == ((3, 5), (3, 1))
+        assert masked.out_shapes({}) == ((2, 3, 8), (2, 3, 1))
+
+    def test_propagation_follows_sources_and_frees(self):
+        shapes = {}
+        for instr in (isa.DmaLoad(dst="m0", addr=0, shape=(4, 6)),
+                      isa.VpuSlice(dst="m1", src="m0", start=2, stop=5),
+                      isa.MpuTranspose(dst="m2", src="m1"),
+                      isa.VpuRow(dst="m3", src="m2", row=-1),
+                      isa.Free(regs=("m0", "m1"))):
+            isa.propagate_shapes(instr, shapes)
+        assert shapes == {"m2": (3, 4), "m3": (1, 4)}
+
+    def test_unknown_source_names_the_register(self):
+        shapes = {"m9": (2, 2)}
+        with pytest.raises(KeyError, match="m0"):
+            isa.propagate_shapes(isa.VpuGelu(dst="m1", src="m0"), shapes)
+        assert shapes == {"m9": (2, 2)}
+
+
 class TestValidation:
     def test_bad_dims_rejected(self):
         with pytest.raises(IsaError):

@@ -10,6 +10,8 @@ batch/context sweep and through the ``ProgramCache`` patching fast
 path, verifies clean.
 """
 
+import math
+
 import pytest
 
 from repro.accelerator import isa
@@ -20,6 +22,7 @@ from repro.accelerator.compiler import (
     timing_layout,
     timing_program,
 )
+from repro.accelerator.engine import Executor
 from repro.analysis import (
     AnalysisReport,
     Severity,
@@ -33,6 +36,7 @@ from repro.analysis import (
 from repro.analysis import verifier
 from repro.errors import IsaError, ProgramVerificationError
 from repro.llm import get_model, random_weights, tiny_config
+from repro.perf.simulator import AcceleratorSimulator
 from repro.runtime.session import InferenceSession
 from repro.units import KiB
 
@@ -223,6 +227,28 @@ class TestRegisterPressure:
         assert not pressure.unknown_shape_regs
         assert 0 < pressure.utilization("m") < 1.0
 
+    def test_row_maxima_charged_at_their_shape(self):
+        # A 3-row masked matmul over 2 heads writes (2, 3, 8) scores and
+        # (2, 3, 1) row maxima: 6 fp16 maxima in the v bank, not 2.
+        program = (_load("m0", shape=(3, 8)),
+                   isa.MpuMaskedMm(dst="m1", q="m0", k_addr=0, heads=2,
+                                   head_dim=4, ctx=8, m=3, scale=0.5,
+                                   mask_offset=5, rowmax_dst="v0"),
+                   isa.Free(regs=("m0", "m1", "v0")))
+        pressure = register_pressure(program)
+        assert pressure.peak_bytes["v"] == 2 * 3 * 1 * 2
+        assert pressure.peak_bytes["m"] == (3 * 8 + 2 * 3 * 8) * 2
+
+    def test_unknown_input_is_tolerated(self):
+        program = (isa.VpuGelu(dst="m1", src="m0"),
+                   _load("m2", shape=(4, 8)),
+                   isa.VpuAdd(dst="m3", a="m1", b="m2"),
+                   isa.Free(regs=("m1", "m2", "m3")))
+        assert infer_shapes(program) == [None, ((4, 8),), None, ()]
+        pressure = register_pressure(program)
+        assert pressure.unknown_shape_regs == ("m1", "m3")
+        assert pressure.peak_bytes["m"] == 4 * 8 * 2
+
     def test_pressure_report_peaks(self):
         program = (_load("m0", shape=(64, 64)),
                    _load("v0", shape=(64,)),
@@ -250,15 +276,52 @@ class TestDataflowFacts:
         # freed unread — both are dead writes.
         assert facts.dead_writes == [(1, "m1"), (3, "m1")]
 
-    def test_shape_inference_matches_simulator_rules(self):
-        cfg = tiny_config()
-        program = timing_program(cfg, batch_tokens=2, ctx_prev=4)
-        shapes = infer_shapes(program)
-        for instr, shape in zip(program, shapes):
-            if isinstance(instr, isa.DmaLoad):
-                assert shape == instr.shape
-            elif isinstance(instr, isa.MpuMaskedMm):
-                assert shape == (instr.heads, instr.m, instr.ctx)
+    def test_shape_inference_matches_simulator_rules(self, monkeypatch):
+        """The ISA's shape rule against the executor's arrays.
+
+        Tiny compiled stages (fp32 and int8; a 3-token prefill, a
+        1-token gen step, a 4-token stage at context 4) run on an
+        :class:`Executor`; every register it writes, row maxima
+        included, has the shape ``out_shapes`` states, and
+        ``infer_shapes`` and the simulator's lowering use those same
+        shapes.
+        """
+        weights = random_weights(tiny_config(), seed=3)
+        written, priced = [], []
+        for quantize in (None, "int8"):
+            session = InferenceSession(weights, simulate_timing=False,
+                                       quantize=quantize)
+            executor = Executor(session.memory)
+            simulator = AcceleratorSimulator(memoize=False)
+            write, cost = executor.registers.write, simulator._cost
+
+            def spy_write(reg, value, write=write):
+                written.append((reg, value.shape))
+                write(reg, value)
+
+            def spy_cost(instr, out_elems, cost=cost):
+                priced.append(out_elems)
+                return cost(instr, out_elems)
+
+            monkeypatch.setattr(executor.registers, "write", spy_write)
+            monkeypatch.setattr(simulator, "_cost", spy_cost)
+            for tokens, ctx_prev in (([1, 2, 3], 0), ([4], 3),
+                                     ([5, 6, 7, 8], 4)):
+                program = session.compiler.compile_stage(tokens, ctx_prev)
+                del written[:], priced[:]
+                executor.execute(program)
+                simulator.run(program)
+                shapes, rule = {}, []
+                for instr in program:
+                    rule.append(isa.propagate_shapes(instr, shapes))
+                assert written == [
+                    pair for instr, out in zip(program, rule)
+                    for pair in zip(instr.writes(), out)]
+                assert infer_shapes(program) == rule
+                assert priced == [math.prod(out[0]) if out else 0
+                                  for instr, out in zip(program, rule)
+                                  if not isinstance(instr, isa.Barrier)]
+                assert any(len(out) == 2 for out in rule)  # row maxima
 
 
 class TestCompilerOutputsVerifyClean:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.accelerator import CXLPNMDevice, isa, timing_program
+from repro.errors import SimulationError
 from repro.llm import OPT_13B, OPT_1_3B, OPT_6_7B, tiny_config
 from repro.perf.analytical import InferenceTimer, PnmPerfModel
 from repro.perf.simulator import AcceleratorSimulator
@@ -56,6 +57,12 @@ class TestScheduling:
         )
         result = sim.run(program)
         assert result.total_time_s > 0
+
+    def test_unknown_source_shape_raises(self, sim):
+        # run() validates first, so lower a read-before-write directly.
+        program = isa.CompactProgram((isa.VpuGelu(dst="m1", src="m0"),))
+        with pytest.raises(SimulationError, match="shape of m0 unknown"):
+            sim._lower(program)
 
     def test_unit_busy_accounting(self, sim):
         program = timing_program(tiny_config(), batch_tokens=1, ctx_prev=4)
