@@ -145,8 +145,9 @@ def load_model(memory: DeviceMemory, weights: ModelWeights,
     ``quantize="int8"`` runs the quantizing pass at load time: each
     streamed weight matrix (per-layer QKV/projection/FFN and the LM
     head) becomes integral int8 codes with a ``<name>.scale`` region of
-    per-output-channel dequantization scales alongside, in a fresh
-    image that this memory maps.
+    per-output-channel dequantization scales alongside, in an image
+    built once per :class:`ModelWeights` and mapped, read-only, by every
+    int8 session on them.
     """
     if quantize not in (None, "int8"):
         raise ConfigurationError(
@@ -158,8 +159,12 @@ def load_model(memory: DeviceMemory, weights: ModelWeights,
         spans.append((name, tensor.nbytes))
         if quantize == "int8" and _is_quantized_weight(name):
             spans.append((name + ".scale", tensor.shape[1] * 4))
-    image = weights.image if quantize is None \
-        else _quantized_image(tensors, spans)
+    if quantize is None:
+        image = weights.image
+    else:
+        if weights.int8_image is None:
+            weights.int8_image = _quantized_image(tensors, spans)
+        image = weights.int8_image
     regions = memory.map_image(image, spans)
     for i in range(config.num_layers):
         for which in ("kcache", "vcache"):

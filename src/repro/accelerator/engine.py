@@ -72,17 +72,33 @@ class ExecutionStats:
             self.by_opcode[op] = self.by_opcode.get(op, 0) + count
 
 
+#: Most rows of ``k`` whose int8 partial sums float32 holds exactly:
+#: every one is an integer of at most ``k * 127**2 <= 2**24``.
+_EXACT_FP32_ROWS = (1 << 24) // (127 * 127)
+
+
 def int8_codes_matmul(codes: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """``codes @ weight`` over integral int8 codes (any float dtype),
     rounded once to float32, exactly as int32 accumulation rounds it.
 
-    Every product is at most 127**2 and every partial sum an integer of
-    at most ``k * 127**2``, far below 2**53, so the float64 BLAS matmul
-    is exact in any summation order; the cast to float32 is the only
-    rounding, the same one the int32 accumulator's cast makes.
+    Every product is at most 127**2, so while ``k`` is at most
+    ``_EXACT_FP32_ROWS`` every partial sum is an integer float32
+    holds: the float32 BLAS matmul is exact in any summation order and
+    needs no rounding.  A longer ``k`` runs in chunks of that many rows,
+    each exact in float32, whose results add exactly in float64 (far
+    below 2**53); the cast to float32 is then the only rounding, the
+    same one the int32 accumulator's cast makes.
     """
-    return (codes.astype(np.float64) @ weight.astype(np.float64)) \
-        .astype(np.float32)
+    codes = codes.astype(np.float32, copy=False)
+    weight = weight.astype(np.float32, copy=False)
+    k = weight.shape[0]
+    if k <= _EXACT_FP32_ROWS:
+        return codes @ weight
+    total = np.zeros(codes.shape[:-1] + weight.shape[1:])
+    for start in range(0, k, _EXACT_FP32_ROWS):
+        rows = slice(start, start + _EXACT_FP32_ROWS)
+        total += codes[..., rows] @ weight[rows]
+    return total.astype(np.float32)
 
 
 def _fast_layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -146,6 +162,8 @@ class Executor:
     # -- helpers ----------------------------------------------------------
 
     def _reg2d(self, name: str) -> np.ndarray:
+        """A register as the row matrix of an instruction that takes
+        rows: a 1-D register is one row (the ISA's rank rule)."""
         value = self.registers.read(name)
         if value.ndim == 1:
             return value.reshape(1, -1)
@@ -312,7 +330,7 @@ class Executor:
         return 0.0
 
     def _exec_transpose(self, instr: isa.MpuTranspose) -> float:
-        value = self._reg2d(instr.src)
+        value = self.registers.read(instr.src)
         self.registers.write(instr.dst, np.ascontiguousarray(value.T))
         return 0.0
 
@@ -338,7 +356,7 @@ class Executor:
         return 0.0
 
     def _exec_layernorm(self, instr: isa.VpuLayerNorm) -> float:
-        src = self._reg2d(instr.src)
+        src = self.registers.read(instr.src)
         gamma = self._read(instr.gamma_addr, (instr.n,))
         beta = self._read(instr.beta_addr, (instr.n,))
         if self.vectorized:
@@ -349,7 +367,7 @@ class Executor:
         return 0.0
 
     def _exec_bias(self, instr: isa.VpuBias) -> float:
-        src = self._reg2d(instr.src)
+        src = self.registers.read(instr.src)
         bias = self._read(instr.bias_addr, (instr.n,))
         self.registers.write(instr.dst, src + bias)
         return 0.0
@@ -384,18 +402,18 @@ class Executor:
         return 0.0
 
     def _exec_slice(self, instr: isa.VpuSlice) -> float:
-        src = self._reg2d(instr.src)
+        src = self.registers.read(instr.src)
         if instr.stop > src.shape[-1]:
             raise ExecutionError(
                 f"VPU_SLICE [{instr.start}:{instr.stop}) exceeds "
                 f"width {src.shape[-1]}")
         self.registers.write(
             instr.dst,
-            np.ascontiguousarray(src[:, instr.start:instr.stop]))
+            np.ascontiguousarray(src[..., instr.start:instr.stop]))
         return 0.0
 
     def _exec_row(self, instr: isa.VpuRow) -> float:
-        src = self._reg2d(instr.src)
+        src = self.registers.read(instr.src)
         row = instr.row if instr.row >= 0 else src.shape[0] + instr.row
         if not 0 <= row < src.shape[0]:
             raise ExecutionError(

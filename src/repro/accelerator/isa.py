@@ -19,9 +19,16 @@ matrix/vector registers.  Each instruction reports:
 * ``mem_bytes(bytes_per_elem)`` — the streamed bytes at the modelled
   width, which the datatype-aware instructions override;
 * ``out_shapes(shapes)`` — the shapes of the registers it writes, the
-  one rule the timing simulator and the static analyses propagate
-  register shapes by;
+  one rule the timing simulator, the static analyses and the functional
+  executor agree on;
 * ``unit`` — the execution resource it occupies.
+
+A register keeps its rank.  Only the instructions that take ``m``
+activation rows (the weight matmuls, ``MPU_MASKEDMM``) and
+``VPU_ARGMAX`` read a 1-D register as one row; every other instruction
+works on the register's own axes, so a 1-D register stays 1-D through
+``MPU_TRANSPOSE``, the row-wise VPU ops and ``VPU_SLICE`` (its last
+axis), and ``VPU_ROW`` takes its first axis (one element).
 
 Weight matmuls choose their datapath in one place:
 :func:`weight_matmul` emits ``MPU_MM_PEA`` for more than one activation

@@ -8,9 +8,10 @@ This experiment regenerates both panels from the kernel model.
 
 from __future__ import annotations
 
-from itertools import compress
 from operator import attrgetter, mul
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.experiments.report import ExperimentResult
 from repro.gpu.device import A100_40G
@@ -18,28 +19,27 @@ from repro.gpu.kernels import GpuKernelModel
 from repro.llm.config import OPT_6_7B
 from repro.llm.graph import (GenStageSweep, compact_gen_stage,
                              compact_sum_stage, per_op)
-from repro.llm.ops import OpKind
-from repro.perf.metrics import left_sum
+from repro.llm.ops import OpKind, OpSpec
+from repro.perf.metrics import flat_blocks, left_fold, left_sum
 
 INPUT_TOKENS = 32
 OUTPUT_TOKENS = 1024
 
 
-def _kind_masks(kinds: Sequence[OpKind]) -> List[List[bool]]:
+def _kind_masks(kinds: Sequence[OpKind]) -> List[np.ndarray]:
     """Flat-order masks of the GEMV, GEMM and other ops."""
-    gemv = [kind is OpKind.GEMV for kind in kinds]
-    gemm = [kind is OpKind.GEMM for kind in kinds]
-    return [gemv, gemm, [not (v or m) for v, m in zip(gemv, gemm)]]
+    gemv = np.array([kind is OpKind.GEMV for kind in kinds])
+    gemm = np.array([kind is OpKind.GEMM for kind in kinds])
+    return [gemv, gemm, ~(gemv | gemm)]
 
 
-def _add_by_kind(totals: List[float], times: Sequence[float],
-                 masks: List[List[bool]]) -> None:
-    """Add each op time to its kind's total, in flat order."""
+def _add_by_kind(totals: List[float], times: np.ndarray,
+                 masks: List[np.ndarray]) -> None:
+    """Add each op time of ``times`` (flat ops x stages) to its kind's
+    total, stage by stage in flat order."""
     for i, mask in enumerate(masks):
-        total = totals[i]
-        for t in compress(times, mask):
-            total += t
-        totals[i] = total
+        totals[i] = left_fold(
+            np.concatenate(([totals[i]], times[mask].T.ravel()))).item()
 
 
 def run() -> ExperimentResult:
@@ -47,32 +47,33 @@ def run() -> ExperimentResult:
     op_time = kernels.op_time
     utilization = kernels.op_reported_utilization
 
+    def weighted(op: OpSpec) -> Tuple[float, float]:
+        """An op's time and its time-weighted utilization."""
+        time_s = op_time(op)
+        return time_s, time_s * utilization(op)
+
     sum_stage = compact_sum_stage(OPT_6_7B, INPUT_TOKENS)
     sum_times = per_op(sum_stage, op_time)
     sum_time = left_sum(sum_times)
     sum_util = left_sum(map(mul, sum_times,
                             per_op(sum_stage, utilization))) / sum_time
 
-    # Gen stages: only the attention ops are re-priced per context.
-    times_at = GenStageSweep(OPT_6_7B, 1, op_time)
-    utils_at = GenStageSweep(OPT_6_7B, 1, utilization)
-    layers = OPT_6_7B.num_layers
+    # Gen stages: only the attention ops are re-priced per context, and
+    # every stage is folded at once, a block of contexts at a time.
+    contexts = range(INPUT_TOKENS + 1, INPUT_TOKENS + OUTPUT_TOKENS)
+    head, layer, tail = GenStageSweep(OPT_6_7B, 1, weighted)(contexts)
     gen_masks = _kind_masks(per_op(
         compact_gen_stage(OPT_6_7B, INPUT_TOKENS + 1), attrgetter("kind")))
     by_kind = [0.0, 0.0, 0.0]  # GEMV, GEMM, other
-    gen_time = 0.0
-    gen_util_acc = 0.0
-    for step in range(1, OUTPUT_TOKENS):
-        head, layer, tail = times_at(INPUT_TOKENS + step)
-        times = head + layer * layers + tail
-        head, layer, tail = utils_at(INPUT_TOKENS + step)
-        utils = head + layer * layers + tail
-        stage = left_sum(times)
-        gen_time += stage
-        # The stage's time-weighted utilization, weighted by its time.
-        gen_util_acc += stage * (left_sum(map(mul, times, utils)) / stage)
-        _add_by_kind(by_kind, times, gen_masks)
-    _add_by_kind(by_kind, sum_times,
+    stages = []
+    for flat in flat_blocks(head, layer, OPT_6_7B.num_layers, tail):
+        stages.append(left_fold(flat))
+        _add_by_kind(by_kind, flat[:, :, 0], gen_masks)
+    stage, util_time = np.concatenate(stages).T
+    gen_time = left_fold(stage).item()
+    # Each stage's time-weighted utilization, weighted by its time.
+    gen_util_acc = left_fold(stage * (util_time / stage)).item()
+    _add_by_kind(by_kind, np.array(sum_times)[:, np.newaxis],
                  _kind_masks(per_op(sum_stage, attrgetter("kind"))))
     gemv_time, gemm_time, vector_time = by_kind
 

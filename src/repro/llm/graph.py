@@ -15,7 +15,8 @@ form (one pricing per distinct op) while the roofline and the
 accelerator compiler use the same shapes, so functional and timing
 paths share one source of truth for shapes.  Sweeps over the context
 (:class:`GenStageSweep`) re-price only the three attention ops of a
-gen stage, the only ops whose shapes the context changes.
+gen stage, the only ops whose shapes the context changes, and return
+the values of many contexts as arrays to fold at once.
 
 Tensor-parallel execution is modelled by ``tensor_parallel`` ways: attention
 heads and FFN columns are split across devices (Megatron-style), shrinking
@@ -27,8 +28,10 @@ all-reduce points per layer (after attention projection, after FC2), which
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import (Callable, Generic, List, Optional, Sequence, Tuple,
-                    TypeVar, Union)
+from typing import (Callable, List, Optional, Sequence, Tuple, TypeVar,
+                    Union)
+
+import numpy as np
 
 from repro.errors import ConfigurationError, ParallelismError
 from repro.llm.config import LLMConfig
@@ -173,47 +176,78 @@ def attention_ops(config: LLMConfig, shape: StageShape,
 ATTENTION_OPS = slice(2, 5)
 
 
-class GenStageSweep(Generic[T]):
+def op_values(ops: Sequence[OpSpec],
+              fn: Callable[[OpSpec], Union[float, Sequence[float]]]
+              ) -> np.ndarray:
+    """``fn`` of every op as an ``(ops, 1, q)`` float array: ``q``
+    quantities per op (one when ``fn`` returns a float), shared by every
+    context of a fold (:func:`repro.perf.metrics.fold_stages`)."""
+    return _column([fn(op) for op in ops])
+
+
+def _column(values: list) -> np.ndarray:
+    """Per-op values (floats, or tuples of ``q`` floats) as an
+    ``(ops, 1, q)`` array."""
+    return np.array(values, dtype=float).reshape(len(values), 1, -1)
+
+
+class GenStageSweep:
     """``fn`` of every op of a gen stage, swept over the context.
 
-    ``sweep(context_len)`` returns ``(head, layer, tail)``: ``fn`` of
-    the head ops, of one decoder layer's ops and of the tail ops of the
-    compact gen stage of ``batch`` requests (one row each) at that
-    attention span, so ``head + layer * num_layers + tail`` is
-    :func:`per_op` of the stage.  At one batch size only the three
-    :func:`attention_ops` depend on the context: the first call builds
-    the whole compact stage and keeps ``fn`` of every other op; each
-    later call applies ``fn`` to the three attention ops only and
-    splices them between the kept layer values.  ``fn`` must not depend
-    on op names; the returned lists must not be mutated.
+    ``sweep(contexts)`` returns ``(head, layer, tail)``, the
+    :func:`op_values` of the compact gen stage of ``batch`` requests
+    (one row each) at every attention span in ``contexts``: ``head``
+    and ``tail`` are ``(ops, 1, q)`` arrays (no head or tail op depends
+    on the context) and ``layer`` is ``(ops, contexts, q)``, so
+    :func:`repro.perf.metrics.fold_stages` adds each context's stage in
+    flat order.  At one batch size only the three
+    :func:`attention_ops` depend on the context: the first context ever
+    swept builds the whole compact stage and keeps ``fn`` of every other
+    op; every other context applies ``fn`` to the three attention ops
+    only, whose ``(3, contexts, q)`` values sit at
+    :data:`ATTENTION_OPS` in ``layer``.  ``fn`` returns a float or a
+    fixed number of floats and must not depend on op names; the
+    returned arrays must not be mutated.
     """
 
     def __init__(self, config: LLMConfig, batch: int,
-                 fn: Callable[[OpSpec], T], tensor_parallel: int = 1):
+                 fn: Callable[[OpSpec], Union[float, Sequence[float]]],
+                 tensor_parallel: int = 1):
         self.config = config
         self.batch = batch
         self.fn = fn
         self.tensor_parallel = tensor_parallel
-        self._kept: Optional[Tuple[List[T], List[T], List[T], List[T]]] \
-            = None
+        self._kept: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                   np.ndarray]] = None
 
-    def __call__(self, context_len: int
-                 ) -> Tuple[List[T], List[T], List[T]]:
+    def __call__(self, contexts: Sequence[int]
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         fn = self.fn
-        shape = StageShape(batch_tokens=self.batch, context_len=context_len,
-                           requests=self.batch)
-        if self._kept is None:
-            stage = compact_stage(self.config, shape, self.tensor_parallel)
-            head = [fn(op) for op in stage.head]
-            layer = [fn(op) for op in stage.layer]
-            tail = [fn(op) for op in stage.tail]
-            self._kept = (head, layer[:ATTENTION_OPS.start],
-                          layer[ATTENTION_OPS.stop:], tail)
-            return head, layer, tail
+        attention = []
+        for context_len in contexts:
+            shape = StageShape(batch_tokens=self.batch,
+                               context_len=context_len, requests=self.batch)
+            if self._kept is None:
+                stage = compact_stage(self.config, shape,
+                                      self.tensor_parallel)
+                values = [fn(op) for op in stage.layer]
+                layer = _column(values)
+                self._kept = (op_values(stage.head, fn),
+                              layer[:ATTENTION_OPS.start],
+                              layer[ATTENTION_OPS.stop:],
+                              op_values(stage.tail, fn))
+                attention.append(values[ATTENTION_OPS])
+            else:
+                attention.append([fn(op) for op in attention_ops(
+                    self.config, shape, self.tensor_parallel)])
         head, before, after, tail = self._kept
-        attention = [fn(op) for op in attention_ops(
-            self.config, shape, self.tensor_parallel)]
-        return head, before + attention + after, tail
+        q = head.shape[2]
+        layer = np.empty((len(before) + 3 + len(after), len(attention), q))
+        layer[:ATTENTION_OPS.start] = before
+        layer[ATTENTION_OPS] = np.array(attention, dtype=float) \
+            .reshape(len(attention), 3, q).transpose(1, 0, 2)
+        layer[ATTENTION_OPS.stop:] = after
+        return head, layer, tail
 
 
 def decoder_layer_ops(config: LLMConfig, shape: StageShape,

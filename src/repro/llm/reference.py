@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,6 +104,11 @@ class ModelWeights:
     ln_f_beta: np.ndarray
     lm_head: np.ndarray              # [d, vocab]
     image: np.ndarray                # flat float32, read-only
+    #: The int8 loader's read-only image of these parameters (codes,
+    #: scales and unquantized tensors): built by the first int8 session,
+    #: mapped by every later one.
+    int8_image: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False)
 
     def named_tensors(self) -> Dict[str, np.ndarray]:
         """Flat name->array view used by model loaders, in image order."""

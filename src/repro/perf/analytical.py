@@ -5,7 +5,8 @@ accelerator and integrates it over the op graphs of a full inference:
 one sum stage plus ``output_len - 1`` gen stages with a growing KV cache.
 Stages are priced in compact form (:class:`~repro.llm.graph.CompactStage`):
 each distinct op is timed once and the per-op times are summed over the
-flat-list order, so results are bit-identical to pricing the flat list.
+flat-list order (:func:`~repro.perf.metrics.fold_stages`, many contexts
+at once), so results are bit-identical to pricing the flat list.
 Gen-stage time is affine in the context length between roofline regime
 switches, so the integrator samples context lengths and integrates with a
 trapezoid rule — exact-summation is available (and tested) for small
@@ -19,8 +20,6 @@ simulator (§VII); the instruction-level simulator in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import attrgetter
 from typing import Callable, Dict, List, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -39,11 +38,12 @@ from repro.llm.graph import (
     GenStageSweep,
     Stage,
     compact_sum_stage,
-    per_op,
+    op_values,
 )
 from repro.llm.ops import OpKind, OpSpec
 import repro.perf.calibration as cal
-from repro.perf.metrics import InferenceResult, StageResult, left_sum
+from repro.perf.metrics import (InferenceResult, StageResult, fold_stages,
+                                left_fold, left_sum)
 
 
 class DevicePerfModel(Protocol):
@@ -205,33 +205,37 @@ def no_comm(_batch_tokens: int) -> float:
     return 0.0
 
 
-def _flat_sum(head: Sequence[float], layer: Sequence[float],
-              num_layers: int, tail: Sequence[float]) -> float:
-    """:func:`left_sum` of ``head + layer * num_layers + tail``: per-op
-    values of a compact stage added in flat-list order, without building
-    the flat list."""
-    return left_sum(chain(head, *repeat(layer, num_layers), tail))
+def _stage_sums(stage: Stage, fn: Callable[[OpSpec], object]
+                ) -> List[float]:
+    """:func:`left_sum` of ``fn``'s values over the stage's flat order,
+    one sum per quantity ``fn`` returns; each distinct op of a compact
+    stage is valued once."""
+    if isinstance(stage, CompactStage):
+        sums = fold_stages(op_values(stage.head, fn),
+                           op_values(stage.layer, fn), stage.num_layers,
+                           op_values(stage.tail, fn))
+    else:
+        sums = left_fold(op_values(stage, fn))
+    return sums[0].tolist()
 
 
 def _stage_time_s(stage: Stage, model: DevicePerfModel) -> float:
-    """Sum of op times over the stage's flat order; each distinct op of a
-    compact stage is timed once."""
+    """Sum of op times over the stage's flat order."""
+    return _stage_sums(stage, model.op_time)[0]
+
+
+def _priced(model: DevicePerfModel) -> Callable[[OpSpec],
+                                                Tuple[float, float, float]]:
+    """Per-op ``(time, flops, total_bytes)`` on ``model``."""
     op_time = model.op_time
-    if isinstance(stage, CompactStage):
-        return _flat_sum([op_time(op) for op in stage.head],
-                         [op_time(op) for op in stage.layer],
-                         stage.num_layers,
-                         [op_time(op) for op in stage.tail])
-    return left_sum(map(op_time, stage))
+    return lambda op: (op_time(op), op.flops, op.total_bytes)
 
 
 def stage_result(name: str, ops: Stage, model: DevicePerfModel,
                  comm_s: float = 0.0) -> StageResult:
     """Time one stage (compact or flat) on a device and account energy."""
-    return _stage_result(name, _stage_time_s(ops, model),
-                         left_sum(per_op(ops, attrgetter("flops"))),
-                         left_sum(per_op(ops, attrgetter("total_bytes"))),
-                         model, comm_s)
+    return _stage_result(name, *_stage_sums(ops, _priced(model)), model,
+                         comm_s)
 
 
 def _stage_result(name: str, op_time_s: float, flops: float, mem: float,
@@ -255,9 +259,11 @@ class InferenceTimer:
     :class:`~repro.llm.graph.GenStageSweep` of each op's time, ``flops``
     and ``total_bytes``.  The first gen stage prices every distinct op
     of its compact stage; every later one prices its three attention
-    ops only and adds the values in flat-list order, so each
-    :meth:`gen_stage` equals :func:`stage_result` of the whole compact
-    gen stage to the last bit, in any order of contexts.
+    ops only.  :meth:`gen_stages` adds the values of all its contexts in
+    flat-list order at once (:func:`~repro.perf.metrics.fold_stages`),
+    so each stage equals :func:`stage_result` of the whole compact gen
+    stage to the last bit, in any order of contexts; :meth:`gen_stage`
+    is its one-context case.
 
     Attributes:
         config: The model.
@@ -275,46 +281,47 @@ class InferenceTimer:
     tensor_parallel: int = 1
     comm: CommModel = no_comm
     gen_samples: int = 24
-    _gen_sweep: GenStageSweep[Tuple[float, float, float]] = field(
-        init=False, repr=False, compare=False)
+    _gen_sweep: GenStageSweep = field(init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self) -> None:
         if self.tensor_parallel < 1:
             raise ConfigurationError("tensor_parallel must be >= 1")
         if self.gen_samples < 2:
             raise ConfigurationError("need at least 2 gen samples")
-        op_time = self.model.op_time
         object.__setattr__(self, "_gen_sweep", GenStageSweep(
-            self.config, 1,
-            lambda op: (op_time(op), op.flops, op.total_bytes),
-            self.tensor_parallel))
+            self.config, 1, _priced(self.model), self.tensor_parallel))
 
     def sum_stage(self, input_len: int) -> StageResult:
         stage = compact_sum_stage(self.config, input_len,
                                   self.tensor_parallel)
         return stage_result("sum", stage, self.model, self.comm(input_len))
 
+    def gen_stages(self, contexts: Sequence[int]) -> List[StageResult]:
+        """The gen stage at every attention span in ``contexts``: one
+        sweep, whose per-op (time, flops, bytes) are folded for all
+        contexts at once."""
+        head, layer, tail = self._gen_sweep(contexts)
+        sums = fold_stages(head, layer, self.config.num_layers, tail)
+        comm_s = self.comm(1)
+        return [_stage_result(f"gen@{context_len}", time_s, flops, mem,
+                              self.model, comm_s)
+                for context_len, (time_s, flops, mem)
+                in zip(contexts, sums.tolist())]
+
     def gen_stage(self, context_len: int) -> StageResult:
-        head, layer, tail = self._gen_sweep(context_len)
-        num_layers = self.config.num_layers
-        # Per-op (time, flops, bytes) triples, summed per quantity.
-        time_s, flops, mem = (
-            _flat_sum(head_q, layer_q, num_layers, tail_q)
-            for head_q, layer_q, tail_q
-            in zip(zip(*head), zip(*layer), zip(*tail)))
-        return _stage_result(f"gen@{context_len}", time_s, flops, mem,
-                             self.model, self.comm(1))
+        return self.gen_stages((context_len,))[0]
 
     def _gen_total(self, input_len: int, output_len: int, exact: bool
                    ) -> StageResult:
         """Total over gen stages at context input_len+1 .. input_len+
         output_len-1 (the first output token comes from the sum stage)."""
-        contexts = np.arange(input_len + 1, input_len + output_len)
+        contexts = range(input_len + 1, input_len + output_len)
         if len(contexts) == 0:
             return StageResult(name="gen", time_s=0.0, flops=0.0,
                                mem_bytes=0.0, energy_j=0.0)
         if exact or len(contexts) <= self.gen_samples:
-            results = [self.gen_stage(int(c)) for c in contexts]
+            results = self.gen_stages(contexts)
             return StageResult(
                 name="gen",
                 time_s=left_sum(r.time_s for r in results),
@@ -324,7 +331,7 @@ class InferenceTimer:
                 energy_j=left_sum(r.energy_j for r in results))
         samples = np.unique(np.linspace(contexts[0], contexts[-1],
                                         self.gen_samples).astype(int))
-        sampled = [self.gen_stage(int(c)) for c in samples]
+        sampled = self.gen_stages(samples.tolist())
 
         def integrate(values: List[float]) -> float:
             # Mean stage value via trapezoid over context, times stages.
@@ -502,7 +509,7 @@ class BatchStepTimer(StepTimer):
     tensor_parallel: int = 1
     comm: CommModel = no_comm
     context_quantum: int = 32
-    _sweeps: Dict[int, GenStageSweep[float]] = field(
+    _sweeps: Dict[int, GenStageSweep] = field(
         default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -521,6 +528,6 @@ class BatchStepTimer(StepTimer):
             sweep = GenStageSweep(self.config, batch, self.model.op_time,
                                   self.tensor_parallel)
             self._sweeps[batch] = sweep
-        head, layer, tail = sweep(context_len)
-        return _flat_sum(head, layer, self.config.num_layers, tail) \
-            + self.comm(batch)
+        head, layer, tail = sweep((context_len,))
+        return fold_stages(head, layer, self.config.num_layers,
+                           tail).item() + self.comm(batch)

@@ -5,13 +5,17 @@ per-stage timing/energy, whole-inference latency, and service-level
 throughput/efficiency.  Keeping them as dataclasses (instead of ad-hoc
 dicts) lets tests assert on named fields and benchmarks print uniform
 tables.  Reported times add up with :func:`left_sum`, which rounds the
-same way on every interpreter version.
+same way on every interpreter version; arrays of them, a compact stage's
+per-op values at many contexts included, add up with :func:`left_fold`,
+the same additions in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.units import s_to_ms
@@ -28,6 +32,64 @@ def left_sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+#: Most float64 values one block of :func:`flat_blocks` holds (~1 MB).
+FOLD_BLOCK_VALUES = 1 << 17
+
+
+def left_fold(values: np.ndarray) -> np.ndarray:
+    """:func:`left_sum` along axis 0, for every index of the other axes.
+
+    One sequential ``np.add.accumulate`` (never the pairwise summation
+    of ``np.sum``), so each result is the same float as ``left_sum`` of
+    its column, given non-negative values: the fold starts at the first
+    value where ``left_sum`` adds it to 0.
+    """
+    if not len(values):
+        return np.zeros(values.shape[1:])
+    # A copy, so the result does not keep the whole accumulation alive.
+    return np.add.accumulate(values, axis=0)[-1].copy()
+
+
+def flat_blocks(head: np.ndarray, layer: np.ndarray, num_layers: int,
+                tail: np.ndarray) -> Iterator[np.ndarray]:
+    """A compact stage's per-op values at many contexts, in flat order.
+
+    ``head``, ``layer`` and ``tail`` are ``(ops, contexts, q)`` arrays
+    of ``q`` quantities per op, where a contexts axis of 1 holds a value
+    every context shares.  Yields ``head + layer * num_layers + tail``
+    along axis 0, as ``(flat ops, contexts, q)`` blocks of consecutive
+    contexts of at most :data:`FOLD_BLOCK_VALUES` values (one context at
+    least), so a long sweep never holds its whole flat matrix.
+    """
+    contexts = max(head.shape[1], layer.shape[1], tail.shape[1])
+    q = max(head.shape[2], layer.shape[2], tail.shape[2])
+    h, n = len(head), len(layer)
+    body = h + n * num_layers
+    ops = body + len(tail)
+    step = max(1, FOLD_BLOCK_VALUES // max(1, ops * q))
+    for start in range(0, contexts, step):
+        stop = min(start + step, contexts)
+        flat = np.empty((ops, stop - start, q))
+        for part, values in ((flat[:h], head), (flat[body:], tail),
+                             (flat[h:body].reshape(num_layers, n,
+                                                   stop - start, q),
+                              layer)):
+            # Assignment broadcasts a shared (size-1) contexts axis.
+            part[...] = values if values.shape[1] == 1 \
+                else values[:, start:stop]
+        yield flat
+
+
+def fold_stages(head: np.ndarray, layer: np.ndarray, num_layers: int,
+                tail: np.ndarray) -> np.ndarray:
+    """:func:`left_sum` of ``head + layer * num_layers + tail`` per
+    context and quantity, as a ``(contexts, q)`` array: every context of
+    a :func:`flat_blocks` sweep folded at once, in flat-list order."""
+    sums = [left_fold(flat)
+            for flat in flat_blocks(head, layer, num_layers, tail)]
+    return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
 @dataclass(frozen=True)

@@ -284,7 +284,9 @@ class TestDataflowFacts:
         :class:`Executor`; every register it writes, row maxima
         included, has the shape ``out_shapes`` states, and
         ``infer_shapes`` and the simulator's lowering use those same
-        shapes.
+        shapes.  So does a hand-built program that feeds a 1-D register
+        to MPU_TRANSPOSE, VPU_ROW, VPU_SLICE, VPU_BIAS and
+        VPU_LAYERNORM.
         """
         weights = random_weights(tiny_config(), seed=3)
         written, priced = [], []
@@ -305,9 +307,19 @@ class TestDataflowFacts:
 
             monkeypatch.setattr(executor.registers, "write", spy_write)
             monkeypatch.setattr(simulator, "_cost", spy_cost)
+            gamma = session.layout.addr("ln_f_gamma")
+            beta = session.layout.addr("ln_f_beta")
+            vector = (isa.DmaLoad("v0", gamma, (4,)),
+                      isa.MpuTranspose("v1", "v0"),
+                      isa.VpuRow("v2", "v0", row=-1),
+                      isa.VpuSlice("v3", "v0", 1, 3),
+                      isa.VpuBias("v4", "v0", bias_addr=beta, n=4),
+                      isa.VpuLayerNorm("v5", "v0", gamma_addr=gamma,
+                                       beta_addr=beta, n=4))
             for tokens, ctx_prev in (([1, 2, 3], 0), ([4], 3),
-                                     ([5, 6, 7, 8], 4)):
-                program = session.compiler.compile_stage(tokens, ctx_prev)
+                                     ([5, 6, 7, 8], 4), (None, None)):
+                program = vector if tokens is None \
+                    else session.compiler.compile_stage(tokens, ctx_prev)
                 del written[:], priced[:]
                 executor.execute(program)
                 simulator.run(program)
@@ -321,7 +333,11 @@ class TestDataflowFacts:
                 assert priced == [math.prod(out[0]) if out else 0
                                   for instr, out in zip(program, rule)
                                   if not isinstance(instr, isa.Barrier)]
-                assert any(len(out) == 2 for out in rule)  # row maxima
+                if tokens is None:
+                    assert rule[1:] == [((4,),), ((1,),), ((2,),),
+                                        ((4,),), ((4,),)]
+                else:
+                    assert any(len(out) == 2 for out in rule)  # row maxima
 
 
 class TestCompilerOutputsVerifyClean:

@@ -1,8 +1,9 @@
 """Stage op graphs: structure, totals, tensor-parallel scaling, element
 widths, and the incremental gen-stage sweep."""
 
-from dataclasses import replace
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ParallelismError
@@ -161,20 +162,41 @@ class TestGenStageSweep:
     def test_sweep_is_the_compact_stage_in_any_context_order(
             self, batch, tensor_parallel):
         cfg = tiny_config(num_heads=4)
+        kinds = list(OpKind)
         priced = []
+
+        def values(op):
+            # Every OpSpec field but the name, the kind as a number.
+            return tuple(kinds.index(op.kind) if f.name == "kind"
+                         else getattr(op, f.name)
+                         for f in fields(op) if f.name != "name")
 
         def fn(op):
             priced.append(op.name)
-            return replace(op, name="")
+            return values(op)
 
         sweep = GenStageSweep(cfg, batch, fn, tensor_parallel)
-        for i, context_len in enumerate([40, 1, 120, 40, 7]):
+        for i, contexts in enumerate([[40], [1, 120], [40], [7, 40, 1]]):
             del priced[:]
-            head, layer, tail = sweep(context_len)
-            shape = StageShape(batch_tokens=batch, context_len=context_len,
-                               requests=batch)
-            stage = compact_stage(cfg, shape, tensor_parallel)
-            assert head + layer * stage.num_layers + tail \
-                == per_op(stage, lambda op: replace(op, name=""))
+            head, layer, tail = sweep(contexts)
+            assert head.shape[1] == tail.shape[1] == 1
+            assert layer.shape[1] == len(contexts)
+            for j, context_len in enumerate(contexts):
+                shape = StageShape(batch_tokens=batch,
+                                   context_len=context_len, requests=batch)
+                stage = compact_stage(cfg, shape, tensor_parallel)
+                flat = np.concatenate(
+                    [head[:, 0], *[layer[:, j]] * stage.num_layers,
+                     tail[:, 0]])
+                assert flat.tolist() \
+                    == [list(v) for v in per_op(stage, values)]
             distinct = len(stage.head) + len(stage.layer) + len(stage.tail)
-            assert len(priced) == (distinct if i == 0 else 3)
+            fills = distinct + 3 * (len(contexts) - 1) if i == 0 \
+                else 3 * len(contexts)
+            assert len(priced) == fills
+
+    def test_float_values_are_one_quantity(self):
+        head, layer, tail = GenStageSweep(tiny_config(), 1,
+                                          lambda op: op.flops)([3, 5])
+        assert head.shape[2] == layer.shape[2] == tail.shape[2] == 1
+        assert layer.shape == (12, 2, 1)

@@ -163,6 +163,23 @@ class TestInt8Accumulation:
         assert got[0, 0] == np.float32(k * 127 * 127)
 
 
+    @pytest.mark.parametrize("m", [1, 3, 17])
+    @pytest.mark.parametrize("k", [8, 128, 512, 1040, 1041, 2048, 3072,
+                                   4096])
+    def test_float32_chunks_match_int32_bitwise(self, k, m):
+        # 1,040 rows is the longest k whose partial sums float32 holds
+        # exactly; longer ones run in chunks added in float64.
+        rng = np.random.default_rng(k * 100 + m)
+        codes = rng.integers(-127, 128, size=(m, k)).astype(np.float32)
+        weight = rng.integers(-127, 128, size=(k, 5)).astype(np.float32)
+        codes[0] = 127.0
+        weight[:, 0] = 127.0
+        weight[:, 1] = -127.0
+        got = int8_codes_matmul(codes, weight)
+        assert got.dtype == np.float32
+        assert got.tobytes() == _int32_matmul(codes, weight).tobytes()
+
+
 class TestCompilerEmission:
     def test_fp32_programs_bit_identical_to_seed(self):
         # The dtype plumbing must be invisible at quantize=None: no

@@ -261,6 +261,20 @@ class TestSessionsShareTheImage:
         assert not np.shares_memory(codes, weights.image)
         assert np.all(codes == np.rint(codes))
 
+    def test_int8_sessions_share_one_quantized_image(self):
+        weights = random_weights(tiny_config(), seed=0)
+        a, b = (InferenceSession(weights, quantize="int8")
+                for _ in range(2))
+        codes_a, codes_b = (
+            s.memory.view_tensor(s.layout.addr("lm_head"),
+                                 weights.lm_head.shape) for s in (a, b))
+        assert np.shares_memory(codes_a, codes_b)
+        assert not codes_a.flags.writeable
+        prompt = [1, 2, 3, 4, 5]
+        expected = [67, 139, 191, 150, 130, 217, 155, 62]
+        assert a.generate(prompt, 8).tokens == expected
+        assert b.generate(prompt, 8).tokens == expected
+
 
 class TestGuardRegion:
     def test_single_bit_upset_above_the_image_is_corrected(self, weights):
