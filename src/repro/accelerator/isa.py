@@ -30,9 +30,11 @@ works on the register's own axes, so a 1-D register stays 1-D through
 ``MPU_TRANSPOSE``, the row-wise VPU ops and ``VPU_SLICE`` (its last
 axis), and ``VPU_ROW`` takes its first axis (one element).
 
-Weight matmuls choose their datapath in one place:
-:func:`weight_matmul` emits ``MPU_MM_PEA`` for more than one activation
-row and DFX's ``MPU_MV`` for one.
+Every matmul chooses its datapath by one rule, :func:`matmul_unit`:
+the PE array for more than one activation row, DFX's adder trees for
+one.  :func:`weight_matmul` emits ``MPU_MM_PEA`` or ``MPU_MV`` by it,
+and the attention matmuls (``MPU_MASKEDMM``, ``MPU_ATTN_CTX``) take
+their unit and opcode from it.
 
 The memory-touching instructions (``DMA_LOAD``/``DMA_GATHER`` and the
 weight-streaming matmuls) carry a ``dtype`` field: ``"fp16"`` is the
@@ -75,6 +77,12 @@ DTYPES = ("fp16", "int8")
 
 #: A register's tensor shape.
 Shape = Tuple[int, ...]
+
+
+def matmul_unit(m: int) -> Unit:
+    """The datapath of a matmul over ``m`` activation rows: the PE array
+    for a GEMM (``m > 1``), DFX's adder trees for a GEMV."""
+    return Unit.PE_ARRAY if m > 1 else Unit.ADDER_TREE
 
 
 def _check_dtype(opcode: str, dtype: str) -> None:
@@ -327,9 +335,10 @@ def weight_matmul(dst: str, act: str, weight_addr: int, m: int, k: int,
                   n: int, dtype: str = "fp16", scale_addr: int = -1,
                   bias_addr: int = -1) -> Instruction:
     """The matmul of ``m`` activation rows by the weight at
-    ``weight_addr``: ``MPU_MM_PEA`` on the PE array when ``m > 1``,
-    DFX's adder-tree ``MPU_MV`` otherwise."""
-    if m > 1:
+    ``weight_addr`` on the datapath :func:`matmul_unit` picks:
+    ``MPU_MM_PEA`` on the PE array, DFX's ``MPU_MV`` on the adder
+    trees."""
+    if matmul_unit(m) is Unit.PE_ARRAY:
         return MpuMmPea(dst=dst, act=act, weight_addr=weight_addr, m=m,
                         k=k, n=n, dtype=dtype, scale_addr=scale_addr,
                         bias_addr=bias_addr)
@@ -367,9 +376,9 @@ class MpuMaskedMm(Instruction):
     causal masking: row ``i`` may attend columns ``<= i + mask_offset``
     (set ``mask_offset >= ctx - 1`` for the un-masked gen stage).
 
-    With ``m > 1`` this is the PE-array MPU_MASKEDMM_PEA /
-    MPU_MASKEDMM_REDUMAX_PEA; with ``m == 1`` it runs on the adder trees
-    (DFX's existing masked-MV path).  Setting ``rowmax_dst`` selects the
+    On the PE array (:func:`matmul_unit`: ``m > 1``) this is
+    MPU_MASKEDMM_PEA / MPU_MASKEDMM_REDUMAX_PEA; with ``m == 1`` it runs
+    on the adder trees (DFX's existing masked-MV path).  Setting ``rowmax_dst`` selects the
     REDUMAX-fused variant, which feeds VPU_SOFTMAX without a second pass.
     """
 
@@ -390,14 +399,14 @@ class MpuMaskedMm(Instruction):
 
     @property
     def opcode(self) -> str:
-        if self.m == 1:
+        if self.unit is Unit.ADDER_TREE:
             return "MPU_MASKEDMV"
         return ("MPU_MASKEDMM_REDUMAX_PEA" if self.rowmax_dst
                 else "MPU_MASKEDMM_PEA")
 
     @property
     def unit(self) -> Unit:
-        return Unit.PE_ARRAY if self.m > 1 else Unit.ADDER_TREE
+        return matmul_unit(self.m)
 
     def reads(self) -> Tuple[str, ...]:
         return (self.q,)
@@ -425,8 +434,8 @@ class MpuAttnContext(Instruction):
     """Per-head context: ``dst[m, heads*head_dim] = probs_h @ V_h``.
 
     ``probs`` holds ``[heads, m, ctx]``; V is aggregated ``[ctx,
-    heads*head_dim]`` at ``v_addr``.  Unit selection mirrors
-    :class:`MpuMaskedMm`.
+    heads*head_dim]`` at ``v_addr``.  Unit and opcode follow
+    :func:`matmul_unit`, as for a weight matmul.
     """
 
     dst: str
@@ -443,11 +452,12 @@ class MpuAttnContext(Instruction):
 
     @property
     def opcode(self) -> str:
-        return "MPU_MM_PEA" if self.m > 1 else "MPU_MV"
+        return MpuMmPea.OPCODE if self.unit is Unit.PE_ARRAY \
+            else MpuMv.OPCODE
 
     @property
     def unit(self) -> Unit:
-        return Unit.PE_ARRAY if self.m > 1 else Unit.ADDER_TREE
+        return matmul_unit(self.m)
 
     def reads(self) -> Tuple[str, ...]:
         return (self.probs,)

@@ -89,14 +89,14 @@ class MpuTiming:
             return self.gemv_cycles(instr.k, instr.n)
         if isinstance(instr, isa.MpuMaskedMm):
             per_head = (self.gemm_cycles(instr.m, instr.head_dim, instr.ctx)
-                        if instr.m > 1
+                        if instr.unit is isa.Unit.PE_ARRAY
                         else self.gemv_cycles(instr.head_dim, instr.ctx))
             # Heads pipeline back-to-back; fill is paid once.
             return (self.pipeline_fill_cycles
                     + instr.heads * (per_head - self.pipeline_fill_cycles))
         if isinstance(instr, isa.MpuAttnContext):
             per_head = (self.gemm_cycles(instr.m, instr.ctx, instr.head_dim)
-                        if instr.m > 1
+                        if instr.unit is isa.Unit.PE_ARRAY
                         else self.gemv_cycles(instr.ctx, instr.head_dim))
             return (self.pipeline_fill_cycles
                     + instr.heads * (per_head - self.pipeline_fill_cycles))

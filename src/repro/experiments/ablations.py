@@ -32,8 +32,8 @@ from repro.experiments.report import ExperimentResult
 from repro.gpu.device import A100_40G
 from repro.llm.batching import compact_batched_gen_stage, max_batch_for_memory
 from repro.llm.config import GPT3_13B, OPT_13B, OPT_6_7B
-from repro.llm.graph import gen_stage_ops
-from repro.llm.moe import MoEConfig, moe_gen_stage_ops
+from repro.llm.graph import compact_gen_stage, per_op
+from repro.llm.moe import MoEConfig, compact_moe_gen_stage
 from repro.llm.workload import PAPER_INPUT_TOKENS
 from repro.perf.analytical import (
     GpuPerfModel,
@@ -41,6 +41,7 @@ from repro.perf.analytical import (
     PnmPerfModel,
     stage_result,
 )
+from repro.perf.metrics import left_sum
 
 
 def pe_array_ablation() -> ExperimentResult:
@@ -71,16 +72,15 @@ def pe_array_ablation() -> ExperimentResult:
 
 def tile_dim_ablation() -> ExperimentResult:
     """Gen-token time at tile l=64 (DFX) vs l=128 (CXL-PNM, §V-C)."""
-    device = CXLPNMDevice()
+    clock = CXLPNMDevice().spec.clock_hz
+    stage = compact_gen_stage(OPT_13B, PAPER_INPUT_TOKENS + 512)
     rows = []
     for tile in (32, 64, 128, 256):
         mpu = MpuTiming(tree_lanes=16, tree_width=tile)
-        clock = device.spec.clock_hz
-        total_cycles = 0
-        ops = gen_stage_ops(OPT_13B, PAPER_INPUT_TOKENS + 512)
-        for op in ops:
-            if op.kind.is_matmul:
-                total_cycles += mpu.gemv_cycles(op.k, op.n)
+        # Attention ops carry every head at per-head k and n.
+        total_cycles = left_sum(per_op(
+            stage, lambda op: op.matmul_instances * mpu.gemv_cycles(op.k, op.n)
+            if op.kind.is_matmul else 0.0))
         rows.append({
             "tile_dim": tile,
             "tree_macs_per_cycle": mpu.tree_macs_per_cycle,
@@ -210,8 +210,9 @@ def moe_ablation() -> ExperimentResult:
     rows: List[dict] = []
     for experts in (8, 16, 24):
         moe = MoEConfig(base=GPT3_13B, num_experts=experts, top_k=2)
-        ops = moe_gen_stage_ops(moe, PAPER_INPUT_TOKENS + 512)
-        stage = stage_result("gen", ops, PnmPerfModel(device))
+        stage = stage_result(
+            "gen", compact_moe_gen_stage(moe, PAPER_INPUT_TOKENS + 512),
+            PnmPerfModel(device))
         rows.append({
             "model": moe.name,
             "stored_params_B": moe.num_params / 1e9,

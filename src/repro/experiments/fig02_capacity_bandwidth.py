@@ -10,6 +10,7 @@ A100's 40-80 GB and 1.55 TB/s, the motivating gap.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List
 
 from repro.experiments.report import ExperimentResult
@@ -24,7 +25,8 @@ from repro.llm.config import (
     GPT3_XL,
     LLMConfig,
 )
-from repro.llm.graph import gen_stage_ops
+from repro.llm.graph import compact_gen_stage, per_op
+from repro.perf.metrics import left_sum
 from repro.units import GB, GiB, TB
 
 #: Latency constraint of the paper's figure.
@@ -40,8 +42,8 @@ FIG2_MODELS = (GPT3_SMALL, GPT3_MEDIUM, GPT3_LARGE, GPT3_XL, GPT3_2_7B,
 def required_bandwidth(config: LLMConfig, context_len: int = SEQUENCE_LENGTH,
                        budget_s: float = LATENCY_BUDGET_S) -> float:
     """Bytes/s the device must stream to hit the per-token budget."""
-    ops = gen_stage_ops(config, context_len)
-    streamed = sum(op.weight_bytes for op in ops)
+    streamed = left_sum(per_op(compact_gen_stage(config, context_len),
+                               attrgetter("weight_bytes")))
     return streamed / budget_s
 
 

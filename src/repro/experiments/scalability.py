@@ -20,7 +20,6 @@ from repro.appliance.comm import (
 from repro.experiments.report import ExperimentResult
 from repro.gpu.device import A100_80G, GPUSpec
 from repro.llm.config import GPT3_175B
-from repro.llm.graph import gen_stage_ops
 from repro.llm.workload import PAPER_INPUT_TOKENS
 from repro.perf.analytical import GpuPerfModel, InferenceTimer, PnmPerfModel
 from repro.accelerator.device import CXLPNMDevice

@@ -21,7 +21,7 @@ from repro.errors import ConfigurationError
 from repro.gpu.device import GPUSpec
 from repro.gpu.kernels import GpuKernelModel
 from repro.llm.config import LLMConfig
-from repro.llm.graph import Stage, per_op
+from repro.llm.graph import CompactStage, per_op
 import repro.perf.calibration as cal
 from repro.perf.metrics import left_sum
 
@@ -70,10 +70,10 @@ class OffloadModel:
     def copy_time_per_stage(self) -> float:
         return self.streamed_bytes_per_stage / self.h2d_bandwidth
 
-    def stage_time(self, ops: Stage, kernels: GpuKernelModel) -> float:
-        """Stage time (compact or flat) with weight streaming overlapped
-        against compute."""
-        compute = left_sum(per_op(ops, kernels.op_time))
+    def stage_time(self, stage: CompactStage,
+                   kernels: GpuKernelModel) -> float:
+        """Stage time with weight streaming overlapped against compute."""
+        compute = left_sum(per_op(stage, kernels.op_time))
         if not self.is_needed:
             return compute
         copy = self.copy_time_per_stage()
@@ -81,12 +81,13 @@ class OffloadModel:
         # scheduling gaps leave a small non-overlapped tail.
         return max(copy, compute) + 0.02 * min(copy, compute)
 
-    def memcpy_fraction(self, ops: Stage, kernels: GpuKernelModel) -> float:
+    def memcpy_fraction(self, stage: CompactStage,
+                        kernels: GpuKernelModel) -> float:
         """Fraction of stage time attributable to PCIe copies (Fig. 3)."""
         if not self.is_needed:
             return 0.0
-        compute = left_sum(per_op(ops, kernels.op_time))
+        compute = left_sum(per_op(stage, kernels.op_time))
         copy = self.copy_time_per_stage()
-        total = self.stage_time(ops, kernels)
+        total = self.stage_time(stage, kernels)
         return max(0.0, (total - compute) / total) if copy > compute \
             else copy / total

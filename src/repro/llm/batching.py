@@ -13,12 +13,9 @@ can absorb the batched matmuls that DFX could not.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.llm.config import LLMConfig
 from repro.llm.graph import CompactStage, StageShape, compact_stage
 from repro.llm.kvcache import kv_spare_bytes
-from repro.llm.ops import OpSpec
 
 
 def compact_batched_gen_stage(config: LLMConfig, context_len: int,
@@ -35,13 +32,6 @@ def compact_batched_gen_stage(config: LLMConfig, context_len: int,
     shape = StageShape(batch_tokens=batch, context_len=context_len,
                        requests=batch)
     return compact_stage(config, shape, tensor_parallel)
-
-
-def batched_gen_stage_ops(config: LLMConfig, context_len: int, batch: int,
-                          tensor_parallel: int = 1) -> List[OpSpec]:
-    """A full batched gen step across all decoding layers plus LM heads."""
-    return compact_batched_gen_stage(config, context_len, batch,
-                                     tensor_parallel).ops()
 
 
 def max_batch_for_memory(config: LLMConfig, memory_bytes: int,

@@ -4,14 +4,14 @@ GPT-3 inference (paper Fig. 1) runs a **sum** stage over the ``L_in`` input
 tokens — dominated by GEMM — and then one **gen** stage per output token,
 each dominated by GEMV over all model parameters plus the growing KV cache.
 
-Every stage is built first in compact form (:class:`CompactStage`: head
-ops, one decoder layer's ops, the layer count, tail ops), since all
-decoder layers are identical, by one builder (:func:`compact_stage`)
-from a :class:`StageShape`.  A batched decode step is a shape too: one
-row from each of several requests (:mod:`repro.llm.batching`).  The
-flat :class:`~repro.llm.ops.OpSpec` lists, with their ``layer{i}.*``
-names, are derived from it; the performance models price the compact
-form (one pricing per distinct op) while the roofline and the
+Every stage is a :class:`CompactStage` (head ops, one decoder layer's
+ops, the layer count, tail ops), since all decoder layers are
+identical, built by one builder (:func:`compact_stage`) from a
+:class:`StageShape`.  A batched decode step is a shape too: one row
+from each of several requests (:mod:`repro.llm.batching`).  No stage is
+ever expanded into a flat op list: :func:`per_op` maps a function over
+the flat order while calling it once per distinct op, the performance
+models price each distinct op once, and the roofline and the
 accelerator compiler use the same shapes, so functional and timing
 paths share one source of truth for shapes.  Sweeps over the context
 (:class:`GenStageSweep`) re-price only the three attention ops of a
@@ -28,8 +28,7 @@ all-reduce points per layer (after attention projection, after FC2), which
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import (Callable, List, Optional, Sequence, Tuple, TypeVar,
-                    Union)
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -82,9 +81,9 @@ class StageShape:
 class CompactStage:
     """A stage as ``head + layer * num_layers + tail``.
 
-    ``layer`` holds one decoder layer's ops, named ``layer.*``; the flat
-    list (:meth:`ops`) repeats them ``num_layers`` times as
-    ``layer{i}.*``.  :func:`per_op` maps a function over the flat order
+    ``layer`` holds one decoder layer's ops, named ``layer.*``, which
+    every one of the ``num_layers`` layers repeats.  :func:`per_op`
+    maps a function over the flat order (head, each layer in turn, tail)
     while calling it once per distinct op.
     """
 
@@ -93,33 +92,16 @@ class CompactStage:
     num_layers: int
     tail: Tuple[OpSpec, ...]
 
-    def ops(self) -> List[OpSpec]:
-        """The flat operator list, decoder layers named ``layer{i}.*``."""
-        ops = list(self.head)
-        suffixes = [op.name[len(LAYER_NAME):] for op in self.layer]
-        for i in range(self.num_layers):
-            ops.extend(replace(op, name=f"{LAYER_NAME}{i}{suffix}")
-                       for op, suffix in zip(self.layer, suffixes))
-        ops.extend(self.tail)
-        return ops
 
+def per_op(stage: CompactStage, fn: Callable[[OpSpec], T]) -> List[T]:
+    """``fn`` of every op of ``stage`` in flat order.
 
-#: A stage in either form: compact, or a flat operator list.
-Stage = Union[CompactStage, Sequence[OpSpec]]
-
-
-def per_op(stage: Stage, fn: Callable[[OpSpec], T]) -> List[T]:
-    """``fn`` of every op of ``stage`` in flat-list order.
-
-    On a compact stage ``fn`` runs once per distinct op and the layer's
-    results repeat ``num_layers`` times, so ``fn`` must not depend on op
-    names.
+    ``fn`` runs once per distinct op and the layer's results repeat
+    ``num_layers`` times, so ``fn`` must not depend on op names.
     """
-    if isinstance(stage, CompactStage):
-        return ([fn(op) for op in stage.head]
-                + [fn(op) for op in stage.layer] * stage.num_layers
-                + [fn(op) for op in stage.tail])
-    return [fn(op) for op in stage]
+    return ([fn(op) for op in stage.head]
+            + [fn(op) for op in stage.layer] * stage.num_layers
+            + [fn(op) for op in stage.tail])
 
 
 def _split(value: int, ways: int, what: str) -> int:
@@ -133,8 +115,7 @@ def _split(value: int, ways: int, what: str) -> int:
 
 
 def attention_ops(config: LLMConfig, shape: StageShape,
-                  tensor_parallel: int = 1,
-                  layer_name: str = LAYER_NAME) -> List[OpSpec]:
+                  tensor_parallel: int = 1) -> List[OpSpec]:
     """The three ops of a decoder layer whose shapes depend on the
     context: ``attn_score``, ``softmax`` and ``attn_ctx``.
 
@@ -161,12 +142,12 @@ def attention_ops(config: LLMConfig, shape: StageShape,
                       m=op.m, n=op.n, k=op.k, elem_bytes=dtype)
 
     return [
-        aggregated(matmul_op(f"{layer_name}.attn_score", m=m, n=ctx, k=hd,
+        aggregated(matmul_op(f"{LAYER_NAME}.attn_score", m=m, n=ctx, k=hd,
                              dtype_bytes=dtype)),
-        vector_op(f"{layer_name}.softmax", OpKind.SOFTMAX,
+        vector_op(f"{LAYER_NAME}.softmax", OpKind.SOFTMAX,
                   elements=shape.batch_tokens * ctx * heads,
                   dtype_bytes=dtype),
-        aggregated(matmul_op(f"{layer_name}.attn_ctx", m=m, n=hd, k=ctx,
+        aggregated(matmul_op(f"{LAYER_NAME}.attn_ctx", m=m, n=hd, k=ctx,
                              dtype_bytes=dtype)),
     ]
 
@@ -174,6 +155,10 @@ def attention_ops(config: LLMConfig, shape: StageShape,
 #: Where :func:`attention_ops` sit in :func:`decoder_layer_ops`: after
 #: ``ln1`` and ``qkv``, before ``proj`` .. ``residual2``.
 ATTENTION_OPS = slice(2, 5)
+
+#: Where the feed-forward block (``fc1``, ``gelu``, ``fc2``) sits in
+#: :func:`decoder_layer_ops`: after ``ln2``, before ``residual2``.
+FFN_OPS = slice(8, 11)
 
 
 def op_values(ops: Sequence[OpSpec],
@@ -251,15 +236,15 @@ class GenStageSweep:
 
 
 def decoder_layer_ops(config: LLMConfig, shape: StageShape,
-                      tensor_parallel: int = 1,
-                      layer_name: str = LAYER_NAME) -> List[OpSpec]:
+                      tensor_parallel: int = 1) -> List[OpSpec]:
     """Operator list for one decoding layer at the given stage shape.
 
     Follows the paper's decomposition: LayerNorm, QKV generation, attention
     (scores, softmax, context; :func:`attention_ops`, at
     :data:`ATTENTION_OPS`), projection, residual, LayerNorm, FC1, GELU,
-    FC2, residual.  The weight matmuls are ``[batch_tokens x k] @
-    [k x n]`` over every row of every request: the weights stream once.
+    FC2 (the three at :data:`FFN_OPS`), residual.  The weight matmuls
+    are ``[batch_tokens x k] @ [k x n]`` over every row of every
+    request: the weights stream once.
     """
     d = config.d_model
     dtype = config.dtype_bytes
@@ -268,25 +253,25 @@ def decoder_layer_ops(config: LLMConfig, shape: StageShape,
     dff_local = _split(config.d_ff, tensor_parallel, "d_ff")
     m = shape.batch_tokens
     return [
-        vector_op(f"{layer_name}.ln1", OpKind.LAYERNORM,
+        vector_op(f"{LAYER_NAME}.ln1", OpKind.LAYERNORM,
                   elements=m * d, dtype_bytes=dtype),
-        matmul_op(f"{layer_name}.qkv", m=m, n=3 * d_local, k=d,
+        matmul_op(f"{LAYER_NAME}.qkv", m=m, n=3 * d_local, k=d,
                   dtype_bytes=dtype),
-        *attention_ops(config, shape, tensor_parallel, layer_name),
-        matmul_op(f"{layer_name}.proj", m=m, n=d, k=d_local,
+        *attention_ops(config, shape, tensor_parallel),
+        matmul_op(f"{LAYER_NAME}.proj", m=m, n=d, k=d_local,
                   dtype_bytes=dtype),
-        vector_op(f"{layer_name}.residual1", OpKind.ELEMENTWISE,
+        vector_op(f"{LAYER_NAME}.residual1", OpKind.ELEMENTWISE,
                   elements=m * d, dtype_bytes=dtype,
                   flops_per_element=1.0, num_inputs=2),
-        vector_op(f"{layer_name}.ln2", OpKind.LAYERNORM,
+        vector_op(f"{LAYER_NAME}.ln2", OpKind.LAYERNORM,
                   elements=m * d, dtype_bytes=dtype),
-        matmul_op(f"{layer_name}.fc1", m=m, n=dff_local, k=d,
+        matmul_op(f"{LAYER_NAME}.fc1", m=m, n=dff_local, k=d,
                   dtype_bytes=dtype),
-        vector_op(f"{layer_name}.gelu", OpKind.GELU,
+        vector_op(f"{LAYER_NAME}.gelu", OpKind.GELU,
                   elements=m * dff_local, dtype_bytes=dtype),
-        matmul_op(f"{layer_name}.fc2", m=m, n=d, k=dff_local,
+        matmul_op(f"{LAYER_NAME}.fc2", m=m, n=d, k=dff_local,
                   dtype_bytes=dtype),
-        vector_op(f"{layer_name}.residual2", OpKind.ELEMENTWISE,
+        vector_op(f"{LAYER_NAME}.residual2", OpKind.ELEMENTWISE,
                   elements=m * d, dtype_bytes=dtype,
                   flops_per_element=1.0, num_inputs=2),
     ]
@@ -350,16 +335,3 @@ def compact_gen_stage(config: LLMConfig, context_len: int,
     """
     shape = StageShape(batch_tokens=1, context_len=context_len)
     return compact_stage(config, shape, tensor_parallel)
-
-
-def sum_stage_ops(config: LLMConfig, input_len: int,
-                  tensor_parallel: int = 1) -> List[OpSpec]:
-    """All operators of the summarization stage over ``input_len`` tokens."""
-    return compact_sum_stage(config, input_len, tensor_parallel).ops()
-
-
-def gen_stage_ops(config: LLMConfig, context_len: int,
-                  tensor_parallel: int = 1) -> List[OpSpec]:
-    """All operators of one generation stage at attention span
-    ``context_len`` (see :func:`compact_gen_stage`)."""
-    return compact_gen_stage(config, context_len, tensor_parallel).ops()

@@ -14,18 +14,17 @@ layer's FFN is replicated into ``num_experts`` experts with a router, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
 from repro.llm.config import LLMConfig
 from repro.llm.graph import (
-    StageShape,
-    attention_ops,
-    embedding_ops,
-    lm_head_ops,
+    FFN_OPS,
+    LAYER_NAME,
+    CompactStage,
+    compact_gen_stage,
 )
-from repro.llm.ops import OpKind, OpSpec, matmul_op, vector_op
+from repro.llm.ops import matmul_op
 
 
 @dataclass(frozen=True)
@@ -90,41 +89,25 @@ class MoEConfig:
         return self.num_params / self.active_params_per_token
 
 
-def moe_gen_stage_ops(config: MoEConfig, context_len: int) -> List[OpSpec]:
-    """One gen stage of the MoE model: dense attention, top-k expert FFN.
+def compact_moe_gen_stage(config: MoEConfig,
+                          context_len: int) -> CompactStage:
+    """One gen stage of the MoE model at attention span ``context_len``:
+    the dense gen stage with each layer's FFN replaced by a router and
+    ``top_k`` expert FFNs.
 
-    Router matmul is tiny; the FFN ops carry ``top_k`` experts' weights.
+    Head, tail and every other layer op are the dense backbone's; the
+    tiny router matmul follows ``ln2``, and the experts repeat the dense
+    ``fc1``, ``gelu``, ``fc2`` (:data:`~repro.llm.graph.FFN_OPS`), named
+    ``layer.expert{i}.*``, so only the touched experts stream weights.
     """
     base = config.base
-    shape = StageShape(batch_tokens=1, context_len=context_len)
-    d, dff, dtype = base.d_model, base.d_ff, base.dtype_bytes
-    ops = embedding_ops(base, shape)
-    for i in range(base.num_layers):
-        prefix = f"layer{i}"
-        ops.append(vector_op(f"{prefix}.ln1", OpKind.LAYERNORM,
-                             elements=d, dtype_bytes=dtype))
-        ops.append(matmul_op(f"{prefix}.qkv", m=1, n=3 * d, k=d,
-                             dtype_bytes=dtype))
-        ops.extend(attention_ops(base, shape, layer_name=prefix))
-        ops.append(matmul_op(f"{prefix}.proj", m=1, n=d, k=d,
-                             dtype_bytes=dtype))
-        ops.append(vector_op(f"{prefix}.residual1", OpKind.ELEMENTWISE,
-                             elements=d, dtype_bytes=dtype,
-                             flops_per_element=1.0, num_inputs=2))
-        ops.append(vector_op(f"{prefix}.ln2", OpKind.LAYERNORM,
-                             elements=d, dtype_bytes=dtype))
-        ops.append(matmul_op(f"{prefix}.router", m=1, n=config.num_experts,
-                             k=d, dtype_bytes=dtype))
-        for expert in range(config.top_k):
-            ops.append(matmul_op(f"{prefix}.expert{expert}.fc1", m=1,
-                                 n=dff, k=d, dtype_bytes=dtype))
-            ops.append(vector_op(f"{prefix}.expert{expert}.gelu",
-                                 OpKind.GELU, elements=dff,
-                                 dtype_bytes=dtype))
-            ops.append(matmul_op(f"{prefix}.expert{expert}.fc2", m=1,
-                                 n=d, k=dff, dtype_bytes=dtype))
-        ops.append(vector_op(f"{prefix}.residual2", OpKind.ELEMENTWISE,
-                             elements=d, dtype_bytes=dtype,
-                             flops_per_element=1.0, num_inputs=2))
-    ops.extend(lm_head_ops(base, shape))
-    return ops
+    dense = compact_gen_stage(base, context_len)
+    layer = dense.layer
+    router = matmul_op(f"{LAYER_NAME}.router", m=1, n=config.num_experts,
+                       k=base.d_model, dtype_bytes=base.dtype_bytes)
+    experts = tuple(
+        replace(op, name=op.name.replace(f"{LAYER_NAME}.",
+                                         f"{LAYER_NAME}.expert{expert}.", 1))
+        for expert in range(config.top_k) for op in layer[FFN_OPS])
+    return replace(dense, layer=layer[:FFN_OPS.start] + (router,) + experts
+                   + layer[FFN_OPS.stop:])

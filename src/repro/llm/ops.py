@@ -76,6 +76,14 @@ class OpSpec:
         return self.weight_bytes + self.input_bytes + self.output_bytes
 
     @property
+    def matmul_instances(self) -> float:
+        """How many ``[m x k] @ [k x n]`` matmuls the op aggregates (a
+        matmul op only): every head of every request of an attention
+        op, which keeps per-head ``k`` and ``n`` but sums the heads'
+        flops; 1 for a plain matmul."""
+        return max(1.0, self.flops / (2.0 * max(self.m, 1) * self.n * self.k))
+
+    @property
     def arithmetic_intensity(self) -> float:
         """FLOPs per byte of device-memory traffic (roofline x-axis)."""
         traffic = self.total_bytes

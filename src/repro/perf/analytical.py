@@ -36,14 +36,13 @@ from repro.llm.config import LLMConfig
 from repro.llm.graph import (
     CompactStage,
     GenStageSweep,
-    Stage,
     compact_sum_stage,
     op_values,
 )
 from repro.llm.ops import OpKind, OpSpec
 import repro.perf.calibration as cal
 from repro.perf.metrics import (InferenceResult, StageResult, fold_stages,
-                                left_fold, left_sum)
+                                left_sum)
 
 
 class DevicePerfModel(Protocol):
@@ -145,10 +144,8 @@ class PnmPerfModel:
     def _matmul_time(self, op: OpSpec) -> float:
         mpu = self._mpu
         clock = self._clock_hz
-        # Attention ops fold heads into flops; recover the per-matmul
-        # shape scale so tile rounding applies per head.
-        base_flops = 2.0 * max(op.m, 1) * op.n * op.k
-        head_factor = max(1.0, op.flops / base_flops)
+        # Tile rounding applies per head of an attention op.
+        head_factor = op.matmul_instances
         bandwidth = self._bandwidth
         if op.kind is OpKind.GEMM:
             # A GEMM can run on the PE array (weights stream once; rows
@@ -205,21 +202,16 @@ def no_comm(_batch_tokens: int) -> float:
     return 0.0
 
 
-def _stage_sums(stage: Stage, fn: Callable[[OpSpec], object]
+def _stage_sums(stage: CompactStage, fn: Callable[[OpSpec], object]
                 ) -> List[float]:
     """:func:`left_sum` of ``fn``'s values over the stage's flat order,
-    one sum per quantity ``fn`` returns; each distinct op of a compact
-    stage is valued once."""
-    if isinstance(stage, CompactStage):
-        sums = fold_stages(op_values(stage.head, fn),
-                           op_values(stage.layer, fn), stage.num_layers,
-                           op_values(stage.tail, fn))
-    else:
-        sums = left_fold(op_values(stage, fn))
-    return sums[0].tolist()
+    one sum per quantity ``fn`` returns; each distinct op is valued
+    once."""
+    return fold_stages(op_values(stage.head, fn), op_values(stage.layer, fn),
+                       stage.num_layers, op_values(stage.tail, fn))[0].tolist()
 
 
-def _stage_time_s(stage: Stage, model: DevicePerfModel) -> float:
+def _stage_time_s(stage: CompactStage, model: DevicePerfModel) -> float:
     """Sum of op times over the stage's flat order."""
     return _stage_sums(stage, model.op_time)[0]
 
@@ -231,10 +223,10 @@ def _priced(model: DevicePerfModel) -> Callable[[OpSpec],
     return lambda op: (op_time(op), op.flops, op.total_bytes)
 
 
-def stage_result(name: str, ops: Stage, model: DevicePerfModel,
+def stage_result(name: str, stage: CompactStage, model: DevicePerfModel,
                  comm_s: float = 0.0) -> StageResult:
-    """Time one stage (compact or flat) on a device and account energy."""
-    return _stage_result(name, *_stage_sums(ops, _priced(model)), model,
+    """Time one stage on a device and account energy."""
+    return _stage_result(name, *_stage_sums(stage, _priced(model)), model,
                          comm_s)
 
 

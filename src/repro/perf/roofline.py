@@ -11,12 +11,14 @@ land on any device model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.llm.config import LLMConfig
-from repro.llm.graph import gen_stage_ops, sum_stage_ops
+from repro.llm.graph import compact_gen_stage, compact_sum_stage, per_op
 from repro.perf.analytical import DevicePerfModel
+from repro.perf.metrics import left_sum
 from repro.units import TERA
 
 
@@ -57,10 +59,10 @@ def stage_intensity(config: LLMConfig, context_len: int,
                     sum_stage: bool = False,
                     input_len: int = 64) -> float:
     """Aggregate arithmetic intensity of a stage (FLOPs/byte)."""
-    ops = sum_stage_ops(config, input_len) if sum_stage \
-        else gen_stage_ops(config, context_len)
-    flops = sum(op.flops for op in ops)
-    traffic = sum(op.total_bytes for op in ops)
+    stage = compact_sum_stage(config, input_len) if sum_stage \
+        else compact_gen_stage(config, context_len)
+    flops = left_sum(per_op(stage, attrgetter("flops")))
+    traffic = left_sum(per_op(stage, attrgetter("total_bytes")))
     return flops / traffic
 
 

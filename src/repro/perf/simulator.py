@@ -41,6 +41,11 @@ _BARRIER, _BOUNDARY = -1, -2
 _BARRIER_STEP = (_BARRIER, (), (), 0.0, 0.0, 0.0, 0.0, None)
 _BOUNDARY_STEP = (_BOUNDARY, (), (), 0.0, 0.0, 0.0, 0.0, None)
 
+#: Matmuls that stream their memory operand once per activation row
+#: when a tree-only device runs them as GEMV sweeps in place of the PE
+#: array (convolutions do not).
+_ROW_STREAMED = (isa.MpuMmPea, isa.MpuMaskedMm, isa.MpuAttnContext)
+
 
 @dataclass
 class SimulationResult:
@@ -108,14 +113,11 @@ class AcceleratorSimulator:
                   ) -> Tuple[float, float, float]:
         """(busy s on the instruction's unit, memory s, memory bytes)."""
         mem_bytes = instr.mem_bytes(self.dtype_bytes)
-        if self._mpu.gemm_via_tree:
+        if self._mpu.gemm_via_tree and instr.unit is isa.Unit.PE_ARRAY \
+                and isinstance(instr, _ROW_STREAMED):
             # DFX-style GEMM-as-row-sweeps re-streams the memory operand
             # once per activation row (see PnmPerfModel._matmul_time).
-            if isinstance(instr, isa.MpuMmPea):
-                mem_bytes *= instr.m
-            elif isinstance(instr, (isa.MpuMaskedMm, isa.MpuAttnContext)) \
-                    and instr.m > 1:
-                mem_bytes *= instr.m
+            mem_bytes *= instr.m
         mem_time = mem_bytes / self._bw
         unit = instr.unit
         if unit is isa.Unit.DMA:

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.accelerator.device import CXLPNMDevice
 from repro.experiments import ablations
+from repro.llm import OPT_13B
+from repro.llm.graph import compact_gen_stage, per_op
+from repro.llm.workload import PAPER_INPUT_TOKENS
 
 
 class TestPeArrayAblation:
@@ -24,6 +28,19 @@ class TestTileDimAblation:
         rows = ablations.tile_dim_ablation().rows
         times = {r["tile_dim"]: r["matmul_compute_ms"] for r in rows}
         assert times[128] < times[64] < times[32]
+
+    def test_compute_covers_every_head(self):
+        """No tile can finish the gen token's matmuls in fewer cycles
+        than its MACs over the trees' MACs per cycle.  Attention ops
+        aggregate all heads into one op with per-head ``k`` and ``n``,
+        so counting one head per op falls below this floor."""
+        stage = compact_gen_stage(OPT_13B, PAPER_INPUT_TOKENS + 512)
+        macs = sum(per_op(stage, lambda op: op.flops / 2
+                          if op.kind.is_matmul else 0.0))
+        clock = CXLPNMDevice().spec.clock_hz
+        for row in ablations.tile_dim_ablation().rows:
+            cycles = row["matmul_compute_ms"] / 1e3 * clock
+            assert cycles >= macs / row["tree_macs_per_cycle"], row
 
 
 class TestRedumaxAblation:

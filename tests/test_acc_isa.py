@@ -92,6 +92,25 @@ class TestWeightMatmul:
             assert mv.mem_bytes(2) == mm.mem_bytes(2)
             assert mv.out_shapes({}) == mm.out_shapes({}) == ((1, 8),)
 
+    @pytest.mark.parametrize("m", [1, 2, 64])
+    def test_attention_follows_the_weight_matmul_datapath(self, m):
+        weight = isa.weight_matmul(dst="m1", act="m0", weight_addr=0, m=m,
+                                   k=16, n=8)
+        scores = isa.MpuMaskedMm(dst="m2", q="m1", k_addr=0, heads=2,
+                                 head_dim=4, ctx=64, m=m, scale=0.5,
+                                 mask_offset=63)
+        context = isa.MpuAttnContext(dst="m3", probs="m2", v_addr=0,
+                                     heads=2, head_dim=4, ctx=64, m=m)
+        unit = isa.matmul_unit(m)
+        assert weight.unit is scores.unit is context.unit is unit
+        tree = unit is isa.Unit.ADDER_TREE
+        for instr in (weight, scores, context):
+            # The opcode family names the datapath: DFX's ``*MV`` on
+            # the adder trees, ``*_PEA`` on the PE array.
+            assert instr.opcode.endswith("MV") is tree
+            assert instr.opcode.endswith("_PEA") is not tree
+        assert context.opcode == weight.opcode
+
 
 class TestOutputShapes:
     def test_row_maxima_shapes(self):

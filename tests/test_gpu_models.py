@@ -13,7 +13,7 @@ from repro.gpu import (
     OffloadModel,
 )
 from repro.llm import OPT_13B, OPT_30B, OPT_66B, OPT_6_7B
-from repro.llm.graph import gen_stage_ops, sum_stage_ops
+from repro.llm.graph import compact_gen_stage, compact_sum_stage, per_op
 from repro.llm.ops import matmul_op, vector_op, OpKind
 import repro.perf.calibration as cal
 
@@ -84,26 +84,26 @@ class TestOffload:
     def test_memcpy_dominates_for_opt30b(self):
         offload = OffloadModel(spec=A100_40G, config=OPT_30B)
         kernels = GpuKernelModel(A100_40G)
-        ops = gen_stage_ops(OPT_30B, 128)
-        assert offload.memcpy_fraction(ops, kernels) > 0.9
+        stage = compact_gen_stage(OPT_30B, 128)
+        assert offload.memcpy_fraction(stage, kernels) > 0.9
 
     def test_fitting_model_runs_at_kernel_speed(self):
         offload = OffloadModel(spec=A100_40G, config=OPT_13B)
         kernels = GpuKernelModel(A100_40G)
-        ops = gen_stage_ops(OPT_13B, 128)
-        kernel_time = sum(kernels.op_time(op) for op in ops)
-        assert offload.stage_time(ops, kernels) == pytest.approx(
+        stage = compact_gen_stage(OPT_13B, 128)
+        kernel_time = sum(per_op(stage, kernels.op_time))
+        assert offload.stage_time(stage, kernels) == pytest.approx(
             kernel_time)
-        assert offload.memcpy_fraction(ops, kernels) == 0.0
+        assert offload.memcpy_fraction(stage, kernels) == 0.0
 
     def test_pinned_faster_than_pageable(self):
         kernels = GpuKernelModel(A100_40G)
-        ops = sum_stage_ops(OPT_30B, 64)
+        stage = compact_sum_stage(OPT_30B, 64)
         pageable = OffloadModel(spec=A100_40G, config=OPT_30B)
         pinned = OffloadModel(spec=A100_40G, config=OPT_30B,
                               h2d_bandwidth=cal.PCIE_H2D_PINNED_BYTES_S)
-        assert pinned.stage_time(ops, kernels) \
-            < pageable.stage_time(ops, kernels) / 2
+        assert pinned.stage_time(stage, kernels) \
+            < pageable.stage_time(stage, kernels) / 2
 
     def test_resident_fraction_bounds(self):
         offload = OffloadModel(spec=A100_40G, config=OPT_30B)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.accelerator import isa, timing_program
 from repro.llm import OPT_1_3B, tiny_config
-from repro.llm.graph import gen_stage_ops, sum_stage_ops
+from repro.llm.graph import compact_gen_stage, compact_sum_stage, per_op
 
 
 def _program_matmul_flops(program):
@@ -19,16 +19,17 @@ def _program_matmul_flops(program):
                if i.unit in (isa.Unit.PE_ARRAY, isa.Unit.ADDER_TREE))
 
 
-def _graph_matmul_flops(ops):
-    return sum(op.flops for op in ops if op.kind.is_matmul)
+def _graph_matmul_flops(stage):
+    return sum(per_op(stage, lambda op: op.flops if op.kind.is_matmul
+                      else 0.0))
 
 
 def _program_mem_elems(program):
     return sum(i.mem_elems() for i in program)
 
 
-def _graph_weight_elems(ops, dtype_bytes=2):
-    return sum(op.weight_bytes for op in ops) / dtype_bytes
+def _graph_weight_elems(stage, dtype_bytes=2):
+    return sum(per_op(stage, lambda op: op.weight_bytes)) / dtype_bytes
 
 
 class TestFlopConsistency:
@@ -40,20 +41,20 @@ class TestFlopConsistency:
         program = timing_program(config, batch_tokens=batch,
                                  ctx_prev=ctx_prev)
         if batch == 1:
-            ops = gen_stage_ops(config, ctx_prev + 1)
+            stage = compact_gen_stage(config, ctx_prev + 1)
         else:
-            ops = sum_stage_ops(config, batch)
+            stage = compact_sum_stage(config, batch)
         assert _program_matmul_flops(program) == pytest.approx(
-            _graph_matmul_flops(ops), rel=1e-6)
+            _graph_matmul_flops(stage), rel=1e-6)
 
     @settings(max_examples=10, deadline=None)
     @given(ctx_prev=st.integers(1, 40))
     def test_gen_flops_match_property(self, ctx_prev):
         config = tiny_config()
         program = timing_program(config, batch_tokens=1, ctx_prev=ctx_prev)
-        ops = gen_stage_ops(config, ctx_prev + 1)
+        stage = compact_gen_stage(config, ctx_prev + 1)
         assert _program_matmul_flops(program) == pytest.approx(
-            _graph_matmul_flops(ops), rel=1e-6)
+            _graph_matmul_flops(stage), rel=1e-6)
 
 
 class TestTrafficConsistency:
@@ -63,9 +64,9 @@ class TestTrafficConsistency:
         cover the graph's weight traffic and not exceed it by much."""
         config = OPT_1_3B
         program = timing_program(config, batch_tokens=1, ctx_prev=ctx_prev)
-        ops = gen_stage_ops(config, ctx_prev + 1)
+        stage = compact_gen_stage(config, ctx_prev + 1)
         program_elems = _program_mem_elems(program)
-        graph_elems = _graph_weight_elems(ops)
+        graph_elems = _graph_weight_elems(stage)
         assert program_elems >= graph_elems * 0.98
         assert program_elems <= graph_elems * 1.10
 

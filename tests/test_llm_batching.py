@@ -5,19 +5,26 @@ import pytest
 from repro.errors import ConfigurationError, ParallelismError
 from repro.llm import OPT_13B
 from repro.llm.batching import (
-    batched_gen_stage_ops,
+    compact_batched_gen_stage,
     max_batch_for_memory,
 )
-from repro.llm.graph import gen_stage_ops
+from repro.llm.graph import compact_gen_stage, per_op
 from repro.llm.ops import OpKind, total_flops, total_weight_bytes
 from repro.units import GB
+
+
+def batched_ops(config, ctx, batch, tensor_parallel=1):
+    """Every op of the batched gen step in flat order."""
+    return per_op(compact_batched_gen_stage(config, ctx, batch,
+                                            tensor_parallel), lambda op: op)
 
 
 class TestBatchedOps:
     def test_batch_one_matches_unbatched_weights(self):
         ctx = 576
-        batched = total_weight_bytes(batched_gen_stage_ops(OPT_13B, ctx, 1))
-        plain = total_weight_bytes(gen_stage_ops(OPT_13B, ctx))
+        batched = total_weight_bytes(batched_ops(OPT_13B, ctx, 1))
+        plain = total_weight_bytes(per_op(compact_gen_stage(OPT_13B, ctx),
+                                          lambda op: op))
         assert batched == pytest.approx(plain, rel=0.01)
 
     def test_batch_one_matches_unbatched_exactly(self):
@@ -30,14 +37,15 @@ class TestBatchedOps:
         ctx = 576
         for config in (OPT_13B, OPT_13B.with_dtype(1)):
             for ways in (1, 2):
-                assert batched_gen_stage_ops(config, ctx, 1, ways) \
-                    == gen_stage_ops(config, ctx, ways), (config.name, ways)
+                assert compact_batched_gen_stage(config, ctx, 1, ways) \
+                    == compact_gen_stage(config, ctx, ways), \
+                    (config.name, ways)
 
     def test_embedding_scales_with_batch_not_context(self):
         """Each sequence embeds exactly one new token per decode step,
         whatever its context length."""
         def embed_bytes(ctx, batch):
-            ops = batched_gen_stage_ops(OPT_13B, ctx, batch)
+            ops = batched_ops(OPT_13B, ctx, batch)
             return sum(op.weight_bytes for op in ops
                        if op.name.startswith("embed"))
 
@@ -48,33 +56,33 @@ class TestBatchedOps:
         """The point of batching: parameter traffic is batch-invariant,
         only KV traffic scales."""
         ctx = 576
-        b1 = total_weight_bytes(batched_gen_stage_ops(OPT_13B, ctx, 1))
-        b16 = total_weight_bytes(batched_gen_stage_ops(OPT_13B, ctx, 16))
+        b1 = total_weight_bytes(batched_ops(OPT_13B, ctx, 1))
+        b16 = total_weight_bytes(batched_ops(OPT_13B, ctx, 16))
         kv_extra = 15 * ctx * OPT_13B.kv_bytes_per_token()
         assert b16 - b1 == pytest.approx(kv_extra, rel=0.02)
 
     def test_flops_scale_linearly_with_batch(self):
         ctx = 128
-        f1 = total_flops(batched_gen_stage_ops(OPT_13B, ctx, 1))
-        f8 = total_flops(batched_gen_stage_ops(OPT_13B, ctx, 8))
+        f1 = total_flops(batched_ops(OPT_13B, ctx, 1))
+        f8 = total_flops(batched_ops(OPT_13B, ctx, 8))
         assert f8 == pytest.approx(8 * f1, rel=0.02)
 
     def test_weight_matmuls_become_gemm(self):
-        ops = batched_gen_stage_ops(OPT_13B, 128, 8)
+        ops = batched_ops(OPT_13B, 128, 8)
         qkv = [op for op in ops if op.name.endswith(".qkv")][0]
         assert qkv.kind is OpKind.GEMM
         assert qkv.m == 8
 
     def test_attention_stays_gemv(self):
-        ops = batched_gen_stage_ops(OPT_13B, 128, 8)
+        ops = batched_ops(OPT_13B, 128, 8)
         score = [op for op in ops if "attn_score" in op.name][0]
         assert score.kind is OpKind.GEMV
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            batched_gen_stage_ops(OPT_13B, 128, 0)
+            compact_batched_gen_stage(OPT_13B, 128, 0)
         with pytest.raises(ParallelismError):
-            batched_gen_stage_ops(OPT_13B, 128, 2, tensor_parallel=7)
+            compact_batched_gen_stage(OPT_13B, 128, 2, tensor_parallel=7)
 
 
 class TestCapacity:

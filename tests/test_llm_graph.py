@@ -14,12 +14,21 @@ from repro.llm.graph import (
     compact_stage,
     compact_sum_stage,
     decoder_layer_ops,
-    gen_stage_ops,
     lm_head_ops,
     per_op,
-    sum_stage_ops,
 )
 from repro.llm.ops import OpKind, total_flops, total_weight_bytes
+
+
+def gen_ops(config, context_len, tensor_parallel=1):
+    """Every op of the gen stage in flat order."""
+    return per_op(compact_gen_stage(config, context_len, tensor_parallel),
+                  lambda op: op)
+
+
+def sum_ops(config, input_len):
+    """Every op of the sum stage in flat order."""
+    return per_op(compact_sum_stage(config, input_len), lambda op: op)
 
 
 class TestStageShape:
@@ -50,7 +59,7 @@ class TestStageShape:
 
 class TestGenStage:
     def test_gen_stage_is_gemv_dominated(self):
-        ops = gen_stage_ops(OPT_13B, context_len=512)
+        ops = gen_ops(OPT_13B, context_len=512)
         matmuls = [op for op in ops if op.kind.is_matmul]
         assert matmuls
         assert all(op.kind is OpKind.GEMV for op in matmuls)
@@ -59,7 +68,7 @@ class TestGenStage:
         # A gen stage must read every layer weight plus the KV cache; the
         # weight-byte total should exceed the raw parameter bytes.
         ctx = 512
-        ops = gen_stage_ops(OPT_13B, ctx)
+        ops = gen_ops(OPT_13B, ctx)
         streamed = total_weight_bytes(ops)
         assert streamed > OPT_13B.param_bytes * 0.9
         # ... but not by more than params + KV + embeddings.
@@ -68,43 +77,42 @@ class TestGenStage:
         assert streamed < bound * 1.05
 
     def test_kv_traffic_grows_with_context(self):
-        short = total_weight_bytes(gen_stage_ops(OPT_13B, 64))
-        long = total_weight_bytes(gen_stage_ops(OPT_13B, 1024))
+        short = total_weight_bytes(gen_ops(OPT_13B, 64))
+        long = total_weight_bytes(gen_ops(OPT_13B, 1024))
         expected_delta = (1024 - 64) * OPT_13B.kv_bytes_per_token()
         assert long - short == pytest.approx(expected_delta, rel=0.01)
 
 
 class TestSumStage:
     def test_sum_stage_is_gemm_dominated(self):
-        ops = sum_stage_ops(OPT_13B, input_len=64)
+        ops = sum_ops(OPT_13B, input_len=64)
         matmuls = [op for op in ops if op.kind.is_matmul]
         gemms = [op for op in matmuls if op.kind is OpKind.GEMM]
         # All matmuls except the single-row LM head are GEMMs.
         assert len(matmuls) - len(gemms) == 1
 
     def test_sum_flops_scale_with_input_length(self):
-        f32 = total_flops(sum_stage_ops(OPT_13B, 32))
-        f64 = total_flops(sum_stage_ops(OPT_13B, 64))
+        f32 = total_flops(sum_ops(OPT_13B, 32))
+        f64 = total_flops(sum_ops(OPT_13B, 64))
         assert f64 / f32 == pytest.approx(2.0, rel=0.1)
 
     def test_sum_flops_approx_2_params_tokens(self):
         # Classic estimate: ~2 * N_params FLOPs per token.
         tokens = 64
-        flops = total_flops(sum_stage_ops(OPT_13B, tokens))
+        flops = total_flops(sum_ops(OPT_13B, tokens))
         assert flops == pytest.approx(2 * OPT_13B.num_params * tokens,
                                       rel=0.1)
 
 
 class TestTensorParallel:
     def test_tp_splits_matmul_weights(self):
-        full = total_weight_bytes(gen_stage_ops(OPT_13B, 512))
-        half = total_weight_bytes(gen_stage_ops(OPT_13B, 512,
-                                                tensor_parallel=2))
+        full = total_weight_bytes(gen_ops(OPT_13B, 512))
+        half = total_weight_bytes(gen_ops(OPT_13B, 512, tensor_parallel=2))
         assert half < full * 0.6
 
     def test_tp_must_divide_heads(self):
         with pytest.raises(ParallelismError):
-            gen_stage_ops(OPT_13B, 512, tensor_parallel=7)
+            gen_ops(OPT_13B, 512, tensor_parallel=7)
 
     def test_tp_flops_conserved_across_group(self):
         cfg = tiny_config(num_heads=4)
@@ -125,12 +133,11 @@ class TestTensorParallel:
 class TestOpNaming:
     def test_layer_ops_have_qualified_names(self):
         ops = decoder_layer_ops(tiny_config(),
-                                StageShape(batch_tokens=2, context_len=4),
-                                layer_name="layer3")
+                                StageShape(batch_tokens=2, context_len=4))
         names = {op.name for op in ops}
-        assert "layer3.qkv" in names
-        assert "layer3.attn_score" in names
-        assert "layer3.fc2" in names
+        assert "layer.qkv" in names
+        assert "layer.attn_score" in names
+        assert "layer.fc2" in names
 
     def test_lm_head_emits_single_row_gemv(self):
         cfg = tiny_config()
@@ -153,7 +160,8 @@ class TestElemBytes:
                                                 context_len=64,
                                                 requests=8))]
         for stage in stages:
-            widths = {op.name: op.elem_bytes for op in stage.ops()}
+            widths = {op.name: op.elem_bytes
+                      for op in per_op(stage, lambda op: op)}
             assert set(widths.values()) == {dtype_bytes}, widths
 
 

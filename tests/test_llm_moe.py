@@ -4,9 +4,14 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.llm import OPT_13B, tiny_config
-from repro.llm.moe import MoEConfig, moe_gen_stage_ops
-from repro.llm.graph import gen_stage_ops
+from repro.llm.moe import MoEConfig, compact_moe_gen_stage
+from repro.llm.graph import compact_gen_stage, per_op
 from repro.llm.ops import total_flops, total_weight_bytes
+
+
+def moe_ops(moe, context_len):
+    """Every op of the MoE gen stage in flat order."""
+    return per_op(compact_moe_gen_stage(moe, context_len), lambda op: op)
 
 
 class TestMoEConfig:
@@ -45,7 +50,7 @@ class TestMoEOps:
     def test_gen_streams_only_topk_experts(self):
         cfg = tiny_config()
         moe = MoEConfig(base=cfg, num_experts=8, top_k=2)
-        ops = moe_gen_stage_ops(moe, context_len=16)
+        ops = moe_ops(moe, context_len=16)
         streamed = total_weight_bytes(ops)
         assert streamed == pytest.approx(
             moe.active_params_per_token * cfg.dtype_bytes, rel=0.15)
@@ -54,28 +59,31 @@ class TestMoEOps:
         """The §IX trade: stored params >> streamed params per token."""
         cfg = tiny_config()
         moe = MoEConfig(base=cfg, num_experts=8, top_k=2)
-        streamed = total_weight_bytes(moe_gen_stage_ops(moe, 16))
+        streamed = total_weight_bytes(moe_ops(moe, 16))
         assert streamed < moe.param_bytes / 2
 
     def test_topk_scales_ffn_work(self):
         cfg = tiny_config()
         one = MoEConfig(base=cfg, num_experts=8, top_k=1)
         two = MoEConfig(base=cfg, num_experts=8, top_k=2)
-        f1 = total_flops(moe_gen_stage_ops(one, 16))
-        f2 = total_flops(moe_gen_stage_ops(two, 16))
+        f1 = total_flops(moe_ops(one, 16))
+        f2 = total_flops(moe_ops(two, 16))
         assert f2 > f1
 
     def test_attention_matches_dense_model(self):
         cfg = tiny_config()
         moe = MoEConfig(base=cfg, num_experts=4, top_k=4)
-        moe_ops = {op.name: op for op in moe_gen_stage_ops(moe, 16)}
-        dense_ops = {op.name: op for op in gen_stage_ops(cfg, 16)}
-        for name in ("layer0.qkv", "layer0.attn_score", "layer0.proj"):
-            assert moe_ops[name].flops == dense_ops[name].flops
+        sparse = {op.name: op for op in compact_moe_gen_stage(moe, 16).layer}
+        dense = {op.name: op for op in compact_gen_stage(cfg, 16).layer}
+        for name in ("layer.qkv", "layer.attn_score", "layer.proj"):
+            assert sparse[name].flops == dense[name].flops
 
     def test_router_op_present(self):
         cfg = tiny_config()
         moe = MoEConfig(base=cfg, num_experts=4, top_k=2)
-        names = {op.name for op in moe_gen_stage_ops(moe, 16)}
-        assert "layer0.router" in names
-        assert "layer0.expert1.fc2" in names
+        names = [op.name for op in compact_moe_gen_stage(moe, 16).layer]
+        assert "layer.router" in names
+        assert names[names.index("layer.ln2") + 1:names.index(
+            "layer.residual2")] == ["layer.router"] + [
+                f"layer.expert{e}.{op}" for e in range(2)
+                for op in ("fc1", "gelu", "fc2")]

@@ -6,6 +6,7 @@ from repro.accelerator import CXLPNMDevice
 from repro.errors import ConfigurationError
 from repro.gpu import A100_40G
 from repro.llm import OPT_13B, OPT_1_3B, tiny_config
+from repro.llm.graph import compact_sum_stage
 from repro.llm.ops import matmul_op, vector_op, OpKind
 from repro.perf.analytical import (
     GpuPerfModel,
@@ -53,16 +54,16 @@ class TestPnmOpModel:
 
 class TestStageResult:
     def test_energy_positive_and_consistent(self, pnm):
-        ops = [matmul_op("g", m=64, n=512, k=512, dtype_bytes=2)]
-        result = stage_result("s", ops, pnm)
+        stage = compact_sum_stage(tiny_config(), 16)
+        result = stage_result("s", stage, pnm)
         assert result.energy_j > 0
         assert result.energy_j / result.time_s \
             <= pnm.device.spec.platform_max_watts
 
     def test_comm_included_in_time(self, pnm):
-        ops = [matmul_op("g", m=64, n=512, k=512, dtype_bytes=2)]
-        base = stage_result("s", ops, pnm)
-        with_comm = stage_result("s", ops, pnm, comm_s=1e-3)
+        stage = compact_sum_stage(tiny_config(), 16)
+        base = stage_result("s", stage, pnm)
+        with_comm = stage_result("s", stage, pnm, comm_s=1e-3)
         assert with_comm.time_s == pytest.approx(base.time_s + 1e-3)
 
 

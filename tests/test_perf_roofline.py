@@ -7,7 +7,7 @@ from repro.accelerator import CXLPNMDevice
 from repro.errors import ConfigurationError
 from repro.gpu import A100_40G
 from repro.llm import OPT_13B
-from repro.llm.graph import gen_stage_ops
+from repro.llm.graph import compact_gen_stage, per_op
 from repro.perf.analytical import GpuPerfModel, PnmPerfModel
 from repro.perf.roofline import (
     Roofline,
@@ -88,7 +88,8 @@ class TestStagePlacement:
         assert ratio == pytest.approx(1.555 / 1.088, rel=0.02)
 
     def test_every_gen_matmul_is_memory_bound(self, pnm_roof):
-        matmuls = [op for op in gen_stage_ops(OPT_13B, 576)
+        matmuls = [op for op in per_op(compact_gen_stage(OPT_13B, 576),
+                                       lambda op: op)
                    if op.kind.is_matmul]
         assert matmuls
         assert all(pnm_roof.bound_of(op.arithmetic_intensity) == "memory"
