@@ -41,8 +41,10 @@ verify-programs:
 	$(PYTHON) -m repro lint-program OPT-1.3B --batch-tokens 256 --ctx-prev 0 --dtype int8
 
 # Ten alternating benchmark pairs of HEAD and the working tree over all
-# five workloads, held against each other by benchmarks/e2e/compare.py;
+# five workloads (WORKLOAD=serve-steady runs that one only), held
+# against each other by benchmarks/e2e/compare.py;
 # CLAIM="serve-steady:wall_s ..." passes each claim on.
 bench-pairs:
 	$(PYTHON) tools/bench_pairs.py --parent HEAD --pairs 10 \
+		$(if $(WORKLOAD),--workload $(WORKLOAD)) \
 		$(foreach claim,$(CLAIM),--claim $(claim))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.arrays import any_true, maximum, where
 from repro.errors import SimulationError
 from repro.units import MiB
 
@@ -40,15 +41,15 @@ class DmaTiming:
             raise SimulationError("DMA buffer must be positive")
 
     def transfer_time(self, num_bytes: float) -> float:
-        """Seconds to move ``num_bytes`` between memory and registers."""
-        if num_bytes < 0:
+        """Seconds to move ``num_bytes`` between memory and registers
+        (elementwise for an array of sizes)."""
+        if any_true(num_bytes < 0):
             raise SimulationError("negative DMA size")
-        if num_bytes == 0:
-            return 0.0
-        bursts = max(1, int((num_bytes + self.buffer_bytes - 1)
-                            // self.buffer_bytes))
-        return (self.setup_s + (bursts - 1) * self.burst_rearm_s
-                + num_bytes / self.bandwidth)
+        bursts = maximum(1, (num_bytes + self.buffer_bytes - 1)
+                         // self.buffer_bytes)
+        return where(num_bytes == 0, 0.0,
+                     self.setup_s + (bursts - 1) * self.burst_rearm_s
+                     + num_bytes / self.bandwidth)
 
     def gather_time(self, num_rows: int, row_bytes: float) -> float:
         """Seconds for a row gather (embedding lookup): per-row requests."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.accelerator import isa
 from repro.accelerator.compiler import TILE_DIM
+from repro.arrays import where
 from repro.errors import SimulationError
 
 
@@ -62,13 +63,14 @@ class MpuTiming:
         On the PE array, rows round up to the array's row count and
         columns/depth to the tile dimension — the fragmentation that makes
         narrow GEMMs cheap on adder trees instead.  Tree-only designs
-        sweep the rows through the GEMV datapath.
+        sweep the rows through the GEMV datapath.  ``m``, ``k`` and
+        ``n`` may be int arrays (one GEMM per element).
         """
         if self.gemm_via_tree or self.pe_macs_per_cycle == 0:
             per_row = self.gemv_cycles(k, n) - self.pipeline_fill_cycles
             return self.pipeline_fill_cycles + m * per_row
-        mr = _round_up(m, min(m, self.pe_rows)) if m >= self.pe_rows \
-            else self.pe_rows
+        mr = where(m >= self.pe_rows, _round_up(m, self.pe_rows),
+                   self.pe_rows)
         kr = _round_up(k, TILE_DIM)
         nr = _round_up(n, self.pe_cols)
         macs = mr * kr * nr

@@ -453,6 +453,14 @@ class ContinuousBatchStats:
         met = sum(1 for c in self.completed if self.met_slo(c))
         return met / offered if offered else 0.0
 
+    @property
+    def shed_ratio(self) -> float:
+        """Fraction of *offered* requests that were shed: rejected over
+        offered, where offered = completed + rejected (0 when nothing
+        was offered)."""
+        offered = len(self.completed) + len(self.rejected)
+        return len(self.rejected) / offered if offered else 0.0
+
     def class_breakdown(self) -> Dict[str, Dict[str, float]]:
         """Per-tenant-class service report, sorted by class name.
 
@@ -593,6 +601,7 @@ class ContinuousBatchStats:
         return {
             "requests": float(len(self.completed)),
             "rejected": float(len(self.rejected)),
+            "shed_ratio": self.shed_ratio,
             "num_instances": float(self.num_instances),
             "makespan_s": self.makespan_s,
             "mean_latency_s": self.mean_latency_s,

@@ -343,21 +343,20 @@ def cxl_expansion_ablation() -> ExperimentResult:
 
 
 def run() -> ExperimentResult:
-    """Bundle: run every ablation and merge the headline rows."""
+    """Bundle: run every ablation; its rows are every study's rows, in
+    study order, each tagged with the study's id as ``ablation``."""
     studies = [pe_array_ablation(), tile_dim_ablation(),
                redumax_ablation(), batching_ablation(),
                quantization_ablation(), moe_ablation(),
                dma_buffer_ablation(), parallelism_strategy_ablation(),
                cxl_expansion_ablation()]
-    rows = []
-    for study in studies:
-        rows.append({"ablation": study.experiment_id,
-                     "rows": len(study.rows),
-                     "title": study.title})
     return ExperimentResult(
         experiment_id="ablations",
-        title="Design-choice ablation suite (index)",
-        rows=rows,
-        notes=["Each study is callable individually from "
-               "repro.experiments.ablations."],
+        title="Design-choice ablation suite",
+        rows=[{"ablation": study.experiment_id, **row}
+              for study in studies for row in study.rows],
+        group_by="ablation",
+        notes=[f"{study.experiment_id}: {study.title}" for study in studies]
+        + ["Each study is callable individually from "
+           "repro.experiments.ablations."],
     )

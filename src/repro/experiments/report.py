@@ -10,6 +10,8 @@ tables as text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -58,6 +60,9 @@ class ExperimentResult:
         anchors: Paper values the rows should be compared against.
         notes: Modelling caveats and substitutions.
         columns: Optional explicit column order for rendering.
+        group_by: Optional key whose consecutive equal values render as
+            separate tables, each under its own header (a bundle of
+            studies whose rows have different columns).
     """
 
     experiment_id: str
@@ -66,14 +71,19 @@ class ExperimentResult:
     anchors: Dict[str, Any] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
     columns: Optional[List[str]] = None
+    group_by: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.experiment_id:
             raise ConfigurationError("experiment needs an id")
 
     def render(self) -> str:
+        groups = ([list(rows) for _, rows in
+                   groupby(self.rows, key=itemgetter(self.group_by))]
+                  if self.group_by and self.rows else [self.rows])
         parts = [f"== {self.experiment_id}: {self.title} ==",
-                 text_table(self.rows, self.columns)]
+                 "\n\n".join(text_table(rows, self.columns)
+                              for rows in groups)]
         if self.anchors:
             parts.append("paper anchors:")
             for key, value in self.anchors.items():

@@ -5,13 +5,15 @@ Models how a GPU executes the operator graphs of :mod:`repro.llm.graph`
 efficiency; GEMVs are bound by achieved HBM bandwidth; every operator
 pays a kernel-launch cost.  The same interface
 (:meth:`GpuKernelModel.op_time`) is implemented by the CXL-PNM analytical
-model, so the inference timer is device-agnostic.
+model, so the inference timer is device-agnostic.  Like it, the time
+methods price an array-valued op (:mod:`repro.arrays`) elementwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.arrays import any_true, maximum
 from repro.errors import SimulationError
 from repro.gpu.device import GPUSpec
 from repro.llm.ops import OpKind, OpSpec
@@ -31,7 +33,7 @@ class GpuKernelModel:
         Thin GEMMs (few token rows) underfill the tensor cores; efficiency
         saturates toward ``GPU_GEMM_MAX_EFF`` for large row counts.
         """
-        if rows <= 0:
+        if any_true(rows <= 0):
             raise SimulationError(f"non-positive GEMM rows {rows}")
         return cal.GPU_GEMM_MAX_EFF * rows / (rows + cal.GPU_GEMM_HALF_ROWS)
 
@@ -42,7 +44,7 @@ class GpuKernelModel:
         created by high tensor-parallel degrees) lose efficiency to launch
         granularity and DRAM page effects.
         """
-        if streamed_bytes <= 0:
+        if any_true(streamed_bytes <= 0):
             raise SimulationError("GEMV must stream a positive size")
         return cal.GPU_GEMV_BW_EFF * streamed_bytes / (
             streamed_bytes + cal.GPU_GEMV_SIZE_HALF_BYTES)
@@ -52,7 +54,7 @@ class GpuKernelModel:
                               * self.gemm_flop_efficiency(op.m))
         memory = op.total_bytes / (self.spec.memory_bandwidth
                                    * cal.GPU_VECTOR_BW_EFF)
-        return self.launch_overhead_s + max(compute, memory)
+        return self.launch_overhead_s + maximum(compute, memory)
 
     def gemv_time(self, op: OpSpec) -> float:
         eff = self.gemv_bandwidth_efficiency(op.weight_bytes

@@ -13,10 +13,14 @@ ever expanded into a flat op list: :func:`per_op` maps a function over
 the flat order while calling it once per distinct op, the performance
 models price each distinct op once, and the roofline and the
 accelerator compiler use the same shapes, so functional and timing
-paths share one source of truth for shapes.  Sweeps over the context
-(:class:`GenStageSweep`) re-price only the three attention ops of a
-gen stage, the only ops whose shapes the context changes, and return
-the values of many contexts as arrays to fold at once.
+paths share one source of truth for shapes.  A shape may sweep its
+token counts over an int array, and the ops built from it are then
+array-valued (:mod:`repro.arrays`): a perf model prices every element
+in one call, so the sum stages of many input lengths cost one stage
+build.  Sweeps over the context (:class:`GenStageSweep`) re-price only
+the three attention ops of a gen stage, the only ops whose shapes the
+context changes, once per sweep, and return the values of many
+contexts as arrays to fold at once.
 
 Tensor-parallel execution is modelled by ``tensor_parallel`` ways: attention
 heads and FFN columns are split across devices (Megatron-style), shrinking
@@ -28,10 +32,11 @@ all-reduce points per layer (after attention projection, after FC2), which
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
+from repro.arrays import any_true, to_float
 from repro.errors import ConfigurationError, ParallelismError
 from repro.llm.config import LLMConfig
 from repro.llm.ops import OpKind, OpSpec, matmul_op, vector_op
@@ -52,7 +57,10 @@ class StageShape:
     tokens plus tokens generated so far) of every request; ``requests``
     is how many requests the rows belong to, in equal shares.  Weight
     matmuls see all ``batch_tokens`` rows at once; each request attends
-    over its own KV cache with its own rows.
+    over its own KV cache with its own rows.  ``batch_tokens`` and
+    ``context_len`` may be int arrays along one sweep axis (one shape
+    per element), and the stage built from such a shape has
+    array-valued ops (:mod:`repro.arrays`).
     """
 
     batch_tokens: int
@@ -60,13 +68,14 @@ class StageShape:
     requests: int = 1
 
     def __post_init__(self) -> None:
-        if min(self.batch_tokens, self.context_len, self.requests) <= 0:
+        if self.requests <= 0 or any_true(self.batch_tokens <= 0) \
+                or any_true(self.context_len <= 0):
             raise ConfigurationError("stage shape must be positive")
-        if self.batch_tokens % self.requests:
+        if any_true(self.batch_tokens % self.requests != 0):
             raise ConfigurationError(
                 f"batch_tokens={self.batch_tokens} do not split evenly "
                 f"across requests={self.requests}")
-        if self.rows_per_request > self.context_len:
+        if any_true(self.rows_per_request > self.context_len):
             raise ConfigurationError(
                 f"{self.rows_per_request} rows per request exceed "
                 f"context_len={self.context_len}"
@@ -161,19 +170,28 @@ ATTENTION_OPS = slice(2, 5)
 FFN_OPS = slice(8, 11)
 
 
-def op_values(ops: Sequence[OpSpec],
-              fn: Callable[[OpSpec], Union[float, Sequence[float]]]
+def op_values(ops: Sequence[OpSpec], fn: Callable[[OpSpec], object]
               ) -> np.ndarray:
-    """``fn`` of every op as an ``(ops, 1, q)`` float array: ``q``
-    quantities per op (one when ``fn`` returns a float), shared by every
-    context of a fold (:func:`repro.perf.metrics.fold_stages`)."""
-    return _column([fn(op) for op in ops])
+    """``fn`` of every op as an ``(ops, contexts, q)`` float array.
 
-
-def _column(values: list) -> np.ndarray:
-    """Per-op values (floats, or tuples of ``q`` floats) as an
-    ``(ops, 1, q)`` array."""
-    return np.array(values, dtype=float).reshape(len(values), 1, -1)
+    ``fn`` returns a float, an array over a sweep (for an array-valued
+    op), or a fixed number ``q`` of either.  ``contexts`` is the length
+    of the sweep, a float repeating along it; with no array anywhere it
+    is 1: one value every context of a fold shares
+    (:func:`repro.perf.metrics.fold_stages`).
+    """
+    values = [fn(op) for op in ops]
+    quantities = [v if isinstance(v, (tuple, list)) else (v,)
+                  for v in values]
+    swept = [p for parts in quantities for p in parts
+             if isinstance(p, np.ndarray)]
+    if not swept:
+        return np.array(quantities, dtype=float).reshape(len(values), 1, -1)
+    out = np.empty((len(values), len(swept[0]), len(quantities[0])))
+    for i, parts in enumerate(quantities):
+        for j, part in enumerate(parts):
+            out[i, :, j] = part
+    return out
 
 
 class GenStageSweep:
@@ -186,18 +204,18 @@ class GenStageSweep:
     on the context) and ``layer`` is ``(ops, contexts, q)``, so
     :func:`repro.perf.metrics.fold_stages` adds each context's stage in
     flat order.  At one batch size only the three
-    :func:`attention_ops` depend on the context: the first context ever
-    swept builds the whole compact stage and keeps ``fn`` of every other
-    op; every other context applies ``fn`` to the three attention ops
-    only, whose ``(3, contexts, q)`` values sit at
-    :data:`ATTENTION_OPS` in ``layer``.  ``fn`` returns a float or a
-    fixed number of floats and must not depend on op names; the
+    :func:`attention_ops` depend on the context, and a call builds them
+    once, array-valued over all its contexts, so ``fn`` sees each of
+    them once per call: the first call builds the whole compact stage
+    and keeps ``fn`` of every other op; every later call applies ``fn``
+    to the three attention ops only, whose ``(3, contexts, q)`` values
+    sit at :data:`ATTENTION_OPS` in ``layer``.  ``fn`` returns what
+    :func:`op_values` takes and must not depend on op names; the
     returned arrays must not be mutated.
     """
 
     def __init__(self, config: LLMConfig, batch: int,
-                 fn: Callable[[OpSpec], Union[float, Sequence[float]]],
-                 tensor_parallel: int = 1):
+                 fn: Callable[[OpSpec], object], tensor_parallel: int = 1):
         self.config = config
         self.batch = batch
         self.fn = fn
@@ -207,30 +225,26 @@ class GenStageSweep:
 
     def __call__(self, contexts: Sequence[int]
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        fn = self.fn
-        attention = []
-        for context_len in contexts:
-            shape = StageShape(batch_tokens=self.batch,
-                               context_len=context_len, requests=self.batch)
-            if self._kept is None:
-                stage = compact_stage(self.config, shape,
-                                      self.tensor_parallel)
-                values = [fn(op) for op in stage.layer]
-                layer = _column(values)
-                self._kept = (op_values(stage.head, fn),
-                              layer[:ATTENTION_OPS.start],
-                              layer[ATTENTION_OPS.stop:],
-                              op_values(stage.tail, fn))
-                attention.append(values[ATTENTION_OPS])
-            else:
-                attention.append([fn(op) for op in attention_ops(
-                    self.config, shape, self.tensor_parallel)])
+        shape = StageShape(batch_tokens=self.batch,
+                           context_len=np.asarray(contexts),
+                           requests=self.batch)
+        if self._kept is None:
+            stage = compact_stage(self.config, shape, self.tensor_parallel)
+            layer = op_values(stage.layer, self.fn)
+            # The ops around the attention repeat along the contexts.
+            self._kept = (op_values(stage.head, self.fn),
+                          layer[:ATTENTION_OPS.start, :1].copy(),
+                          layer[ATTENTION_OPS.stop:, :1].copy(),
+                          op_values(stage.tail, self.fn))
+            attention = layer[ATTENTION_OPS]
+        else:
+            attention = op_values(attention_ops(
+                self.config, shape, self.tensor_parallel), self.fn)
         head, before, after, tail = self._kept
-        q = head.shape[2]
-        layer = np.empty((len(before) + 3 + len(after), len(attention), q))
+        layer = np.empty((len(before) + 3 + len(after), len(contexts),
+                          head.shape[2]))
         layer[:ATTENTION_OPS.start] = before
-        layer[ATTENTION_OPS] = np.array(attention, dtype=float) \
-            .reshape(len(attention), 3, q).transpose(1, 0, 2)
+        layer[ATTENTION_OPS] = attention
         layer[ATTENTION_OPS.stop:] = after
         return head, layer, tail
 
@@ -300,10 +314,10 @@ def lm_head_ops(config: LLMConfig, shape: StageShape) -> List[OpSpec]:
 def embedding_ops(config: LLMConfig, shape: StageShape) -> List[OpSpec]:
     """Token + positional embedding lookup (a gather, bandwidth only)."""
     elems = shape.batch_tokens * config.d_model
-    return [OpSpec(name="embed", kind=OpKind.EMBEDDING, flops=float(elems),
-                   weight_bytes=float(elems * config.dtype_bytes),
+    return [OpSpec(name="embed", kind=OpKind.EMBEDDING, flops=to_float(elems),
+                   weight_bytes=to_float(elems * config.dtype_bytes),
                    input_bytes=0.0,
-                   output_bytes=float(elems * config.dtype_bytes),
+                   output_bytes=to_float(elems * config.dtype_bytes),
                    elem_bytes=config.dtype_bytes)]
 
 

@@ -13,6 +13,10 @@ different hardware behaviour (paper §II-B, §III-B):
 
 :class:`OpSpec` carries the roofline-relevant quantities: FLOPs, weight
 bytes that must be streamed from device memory, and activation bytes.
+Its shape fields (``m``, ``n``, ``k`` and the quantities derived from
+them) may be int/float arrays along one sweep axis, so that a perf
+model prices every element of a sweep in one call (:mod:`repro.arrays`);
+an array-valued op is one op at many operating points.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Iterable
+
+from repro.arrays import maximum, to_float, uniform
 
 
 class OpKind(enum.Enum):
@@ -81,7 +87,8 @@ class OpSpec:
         matmul op only): every head of every request of an attention
         op, which keeps per-head ``k`` and ``n`` but sums the heads'
         flops; 1 for a plain matmul."""
-        return max(1.0, self.flops / (2.0 * max(self.m, 1) * self.n * self.k))
+        return maximum(1.0, self.flops
+                       / (2.0 * maximum(self.m, 1) * self.n * self.k))
 
     @property
     def arithmetic_intensity(self) -> float:
@@ -97,15 +104,17 @@ def matmul_op(name: str, m: int, n: int, k: int, dtype_bytes: int,
     ``weights_resident`` distinguishes parameter matrices (streamed from
     device memory every token in the gen stage) from attention operands
     (KV matrices, also streamed; Q/score operands, activation-sized).
-    A matmul with ``m == 1`` is a GEMV.
+    A matmul with ``m == 1`` is a GEMV; an array ``m`` must be all 1 or
+    all above 1.
     """
-    kind = OpKind.GEMV if m == 1 else OpKind.GEMM
+    kind = OpKind.GEMV if uniform(m == 1) else OpKind.GEMM
     flops = 2.0 * m * n * k
-    weight_bytes = float(k * n * dtype_bytes) if weights_resident else 0.0
-    input_bytes = float(m * k * dtype_bytes)
+    weight_bytes = to_float(k * n * dtype_bytes) if weights_resident \
+        else 0.0
+    input_bytes = to_float(m * k * dtype_bytes)
     if not weights_resident:
-        input_bytes += float(k * n * dtype_bytes)
-    output_bytes = float(m * n * dtype_bytes)
+        input_bytes += to_float(k * n * dtype_bytes)
+    output_bytes = to_float(m * n * dtype_bytes)
     return OpSpec(name=name, kind=kind, flops=flops, weight_bytes=weight_bytes,
                   input_bytes=input_bytes, output_bytes=output_bytes,
                   m=m, n=n, k=k, elem_bytes=dtype_bytes)
@@ -126,8 +135,8 @@ def vector_op(name: str, kind: OpKind, elements: int, dtype_bytes: int,
         kind=kind,
         flops=flops_per_element * elements,
         weight_bytes=0.0,
-        input_bytes=float(num_inputs * elements * dtype_bytes),
-        output_bytes=float(elements * dtype_bytes),
+        input_bytes=to_float(num_inputs * elements * dtype_bytes),
+        output_bytes=to_float(elements * dtype_bytes),
         elem_bytes=dtype_bytes,
     )
 

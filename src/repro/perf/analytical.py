@@ -28,6 +28,7 @@ from repro.accelerator.device import CXLPNMDevice
 from repro.accelerator.dma import DmaTiming
 from repro.accelerator.mpu import MpuTiming
 from repro.accelerator.vpu import VpuTiming
+from repro.arrays import maximum, minimum
 from repro.errors import ConfigurationError
 from repro.gpu.device import GPUSpec
 from repro.gpu.kernels import GpuKernelModel
@@ -110,7 +111,9 @@ class PnmPerfModel:
     cycles from :class:`MpuTiming`; vector ops run on the VPU; every
     instruction pays the control unit's dispatch overhead.  The device's
     unit timings, clock and effective bandwidth are derived once, at
-    construction (the device is frozen).
+    construction (the device is frozen).  ``op_time`` prices an
+    array-valued op (:mod:`repro.arrays`) elementwise, each element the
+    float the scalar op of its shape gets.
     """
 
     device: CXLPNMDevice
@@ -157,19 +160,19 @@ class PnmPerfModel:
             sweep_traffic = op.total_bytes + (op.m - 1) * op.weight_bytes
             sweep_cycles = mpu.pipeline_fill_cycles + op.m * (
                 mpu.gemv_cycles(op.k, op.n) - mpu.pipeline_fill_cycles)
-            tree_time = max(head_factor * sweep_cycles / clock,
-                            sweep_traffic / bandwidth)
+            tree_time = maximum(head_factor * sweep_cycles / clock,
+                                sweep_traffic / bandwidth)
             if mpu.gemm_via_tree:
                 return tree_time + cal.PNM_INSTRUCTION_OVERHEAD_S
             pea_cycles = mpu.gemm_cycles(op.m, op.k, op.n)
-            pea_time = max(head_factor * pea_cycles / clock,
-                           op.total_bytes / bandwidth)
-            return min(pea_time, tree_time) \
+            pea_time = maximum(head_factor * pea_cycles / clock,
+                               op.total_bytes / bandwidth)
+            return minimum(pea_time, tree_time) \
                 + cal.PNM_INSTRUCTION_OVERHEAD_S
         cycles = mpu.gemv_cycles(op.k, op.n)
         compute = head_factor * cycles / clock
         memory = op.total_bytes / bandwidth
-        return max(compute, memory) + cal.PNM_INSTRUCTION_OVERHEAD_S
+        return maximum(compute, memory) + cal.PNM_INSTRUCTION_OVERHEAD_S
 
     def _vector_time(self, op: OpSpec) -> float:
         vpu = self._vpu
@@ -178,7 +181,7 @@ class PnmPerfModel:
         cycles = vpu.issue_cycles + passes * elements / vpu.lanes
         compute = cycles / self._clock_hz
         memory = op.total_bytes / self._bandwidth
-        return max(compute, memory) + cal.PNM_INSTRUCTION_OVERHEAD_S
+        return maximum(compute, memory) + cal.PNM_INSTRUCTION_OVERHEAD_S
 
     def op_time(self, op: OpSpec) -> float:
         if op.kind.is_matmul:
@@ -202,18 +205,19 @@ def no_comm(_batch_tokens: int) -> float:
     return 0.0
 
 
-def _stage_sums(stage: CompactStage, fn: Callable[[OpSpec], object]
-                ) -> List[float]:
+def _stage_fold(stage: CompactStage, fn: Callable[[OpSpec], object]
+                ) -> np.ndarray:
     """:func:`left_sum` of ``fn``'s values over the stage's flat order,
-    one sum per quantity ``fn`` returns; each distinct op is valued
-    once."""
+    one sum per quantity ``fn`` returns, as a ``(contexts, q)`` array:
+    one row per element of an array-valued stage (one row otherwise).
+    Each distinct op is valued once."""
     return fold_stages(op_values(stage.head, fn), op_values(stage.layer, fn),
-                       stage.num_layers, op_values(stage.tail, fn))[0].tolist()
+                       stage.num_layers, op_values(stage.tail, fn))
 
 
 def _stage_time_s(stage: CompactStage, model: DevicePerfModel) -> float:
     """Sum of op times over the stage's flat order."""
-    return _stage_sums(stage, model.op_time)[0]
+    return _stage_fold(stage, model.op_time).item()
 
 
 def _priced(model: DevicePerfModel) -> Callable[[OpSpec],
@@ -226,8 +230,8 @@ def _priced(model: DevicePerfModel) -> Callable[[OpSpec],
 def stage_result(name: str, stage: CompactStage, model: DevicePerfModel,
                  comm_s: float = 0.0) -> StageResult:
     """Time one stage on a device and account energy."""
-    return _stage_result(name, *_stage_sums(stage, _priced(model)), model,
-                         comm_s)
+    return _stage_result(name, *_stage_fold(stage, _priced(model))[0].tolist(),
+                         model, comm_s)
 
 
 def _stage_result(name: str, op_time_s: float, flops: float, mem: float,
@@ -372,6 +376,16 @@ def quantize_context(context_len: int, quantum: int, max_seq_len: int
     return min(quantized, max(context_len, max_seq_len))
 
 
+def quantized_contexts(quantum: int, max_seq_len: int) -> List[int]:
+    """Every context :func:`quantize_context` returns for a context in
+    ``1 .. max_seq_len``, ascending: the multiples of ``quantum`` up to
+    the budget, and the budget itself."""
+    contexts = list(range(quantum, max_seq_len + 1, quantum))
+    if max_seq_len % quantum:
+        contexts.append(max_seq_len)
+    return contexts
+
+
 @dataclass
 class StepTimer:
     """The memoizing front end both continuous-batching step timers share.
@@ -478,14 +492,21 @@ class BatchStepTimer(StepTimer):
     quantizing the context up to ``context_quantum`` (set it to 1 for
     exact per-context costing).
 
-    A decode memo miss prices through one
-    :class:`~repro.llm.graph.GenStageSweep` of op times per batch size:
-    the first miss at a batch size prices every distinct op of the
-    compact stage, every later one the three attention ops only (at one
-    batch size nothing else depends on the context), and the op times
-    add in flat-list order, so each step cost equals pricing the whole
-    stage to the last bit.  The sweeps belong to the instance: a fresh
-    timer pays its own fills.
+    Memo misses read two kinds of table.  The first prefill miss
+    prices the sum stage of every input length up to
+    ``config.max_seq_len`` at once: one array-valued sum stage for
+    lengths 2 and up (one GEMM stage) and one for length 1 (the GEMV
+    case), each op priced once over the whole array.  A batch size's
+    first decode miss prices its step at every quantized context up to
+    ``config.max_seq_len`` (:func:`quantized_contexts`) in one call of
+    that batch's :class:`~repro.llm.graph.GenStageSweep` of op times,
+    which keeps every op but the three attention ops.  A longer input
+    or context is priced on demand, the same way.  The op times add in
+    flat-list order, so each cost equals pricing its whole compact
+    stage to the last bit.  The tables are lists indexed by length or
+    by quantized context, so the memos keep only the shapes a run
+    asks for; they belong to the instance: a fresh timer pays its own
+    fills.
 
     Attributes:
         config: The model.
@@ -501,7 +522,9 @@ class BatchStepTimer(StepTimer):
     tensor_parallel: int = 1
     comm: CommModel = no_comm
     context_quantum: int = 32
-    _sweeps: Dict[int, GenStageSweep] = field(
+    _prefill_table: List[float] = field(
+        default_factory=list, init=False, repr=False)
+    _decode_tables: Dict[int, Tuple[GenStageSweep, List[float]]] = field(
         default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -510,16 +533,45 @@ class BatchStepTimer(StepTimer):
         super().__post_init__()
 
     def _price_prefill_s(self, input_len: int) -> float:
-        stage = compact_sum_stage(self.config, input_len,
+        table = self._prefill_table
+        if not table:
+            lengths = range(1, self.config.max_seq_len + 1)
+            table += self._sum_stages_s(lengths[:1]) \
+                + self._sum_stages_s(lengths[1:])
+        if input_len <= len(table):
+            return table[input_len - 1]
+        return self._sum_stages_s((input_len,))[0]
+
+    def _sum_stages_s(self, input_lens: Sequence[int]) -> List[float]:
+        """Prefill seconds at every length of ``input_lens``, all 1 or
+        all above 1: one array-valued sum stage, priced op by op."""
+        if not len(input_lens):
+            return []
+        stage = compact_sum_stage(self.config, np.asarray(input_lens),
                                   self.tensor_parallel)
-        return _stage_time_s(stage, self.model) + self.comm(input_len)
+        times = _stage_fold(stage, self.model.op_time)[:, 0].tolist()
+        return [time_s + self.comm(input_len)
+                for input_len, time_s in zip(input_lens, times)]
 
     def _price_decode_s(self, batch: int, context_len: int) -> float:
-        sweep = self._sweeps.get(batch)
-        if sweep is None:
+        quantum = self.context_quantum
+        entry = self._decode_tables.get(batch)
+        if entry is None:
             sweep = GenStageSweep(self.config, batch, self.model.op_time,
                                   self.tensor_parallel)
-            self._sweeps[batch] = sweep
-        head, layer, tail = sweep((context_len,))
-        return fold_stages(head, layer, self.config.num_layers,
-                           tail).item() + self.comm(batch)
+            entry = sweep, self._decode_steps(sweep, quantized_contexts(
+                quantum, self.config.max_seq_len))
+            self._decode_tables[batch] = entry
+        sweep, table = entry
+        if context_len <= self.config.max_seq_len:
+            # A quantized context's place in quantized_contexts.
+            return table[-(-context_len // quantum) - 1]
+        return self._decode_steps(sweep, (context_len,))[0]
+
+    def _decode_steps(self, sweep: GenStageSweep,
+                      contexts: Sequence[int]) -> List[float]:
+        """Seconds of ``sweep``'s batched decode step at every context."""
+        head, layer, tail = sweep(contexts)
+        comm_s = self.comm(sweep.batch)
+        return [time_s + comm_s for time_s in fold_stages(
+            head, layer, self.config.num_layers, tail)[:, 0].tolist()]

@@ -34,8 +34,11 @@ def left_sum(values: Iterable[float]) -> float:
     return total
 
 
-#: Most float64 values one block of :func:`flat_blocks` holds (~1 MB).
-FOLD_BLOCK_VALUES = 1 << 17
+#: Most float64 values one block of :func:`flat_blocks` holds (128 KiB):
+#: a block, and its accumulation in :func:`left_fold`, stays under
+#: glibc's default 128 KiB ``mmap`` threshold, so blocks are reused from
+#: the heap instead of being mapped and faulted in afresh.
+FOLD_BLOCK_VALUES = 1 << 14
 
 
 def left_fold(values: np.ndarray) -> np.ndarray:

@@ -131,6 +131,37 @@ class TestCxlExpansionAblation:
         assert times[1] > 10 * times[2]
 
 
+STUDIES = ("pe_array", "tile_dim", "redumax", "batching", "quantization",
+           "moe", "dma_buffer", "parallelism_strategy", "cxl_expansion")
+
+
 def test_bundle_runs_every_study():
+    # The bundle's rows are every study's rows, in study order, each
+    # tagged with its study's id.
+    expected = []
+    for name in STUDIES:
+        study = getattr(ablations, f"{name}_ablation")()
+        expected += [{"ablation": study.experiment_id, **row}
+                     for row in study.rows]
     result = ablations.run()
-    assert len(result.rows) == 9
+    assert result.rows == expected
+    assert len({row["ablation"] for row in result.rows}) == 9
+
+
+def test_changed_ablation_value_changes_bundle_rows(monkeypatch):
+    # The bundle is what the paper-artifacts fingerprint sees: a moved
+    # number in any one study must move its rows.
+    before = ablations.run().rows
+    tile_dim = ablations.tile_dim_ablation
+
+    def moved():
+        study = tile_dim()
+        study.rows[-1] = {**study.rows[-1], "matmul_compute_ms":
+                          study.rows[-1]["matmul_compute_ms"] * 1.001}
+        return study
+
+    monkeypatch.setattr(ablations, "tile_dim_ablation", moved)
+    after = ablations.run().rows
+    assert after != before
+    assert [i for i, (a, b) in enumerate(zip(before, after)) if a != b] \
+        == [9]

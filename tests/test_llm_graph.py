@@ -198,13 +198,50 @@ class TestGenStageSweep:
                      tail[:, 0]])
                 assert flat.tolist() \
                     == [list(v) for v in per_op(stage, values)]
+            # One call prices each op once, for all its contexts.
             distinct = len(stage.head) + len(stage.layer) + len(stage.tail)
-            fills = distinct + 3 * (len(contexts) - 1) if i == 0 \
-                else 3 * len(contexts)
-            assert len(priced) == fills
+            assert len(priced) == (distinct if i == 0 else 3)
 
     def test_float_values_are_one_quantity(self):
         head, layer, tail = GenStageSweep(tiny_config(), 1,
                                           lambda op: op.flops)([3, 5])
         assert head.shape[2] == layer.shape[2] == tail.shape[2] == 1
         assert layer.shape == (12, 2, 1)
+
+
+class TestArrayShapes:
+    @pytest.mark.parametrize("tensor_parallel", [1, 2])
+    @pytest.mark.parametrize("lengths", [[1], [2, 3, 64, 120, 7]])
+    def test_array_sum_stage_is_every_scalar_sum_stage(self, lengths,
+                                                       tensor_parallel):
+        # One sum stage over an array of input lengths holds, element
+        # by element, every field of each length's own sum stage.
+        cfg = tiny_config(num_heads=4)
+        swept = compact_sum_stage(cfg, np.asarray(lengths), tensor_parallel)
+        for i, input_len in enumerate(lengths):
+            stage = compact_sum_stage(cfg, input_len, tensor_parallel)
+            for part in ("head", "layer", "tail"):
+                for got, want in zip(getattr(swept, part),
+                                     getattr(stage, part)):
+                    assert got.name == want.name and got.kind is want.kind
+                    for f in fields(want):
+                        value = getattr(got, f.name)
+                        if isinstance(value, np.ndarray):
+                            value = value[i].item()
+                        assert value == getattr(want, f.name), \
+                            (input_len, got.name, f.name)
+                        assert type(value) is type(getattr(want, f.name))
+
+    def test_matmul_rows_must_not_mix_gemv_and_gemm(self):
+        with pytest.raises(ConfigurationError):
+            compact_sum_stage(tiny_config(), np.array([1, 2]))
+
+    @pytest.mark.parametrize("batch_tokens, context_len", [
+        ([4, 0], [4, 8]), ([4, 8], [4, -1]), ([4, 9], [9, 9]),
+        ([4, 8], [4, 3]),
+    ])
+    def test_array_shape_is_validated_elementwise(self, batch_tokens,
+                                                  context_len):
+        with pytest.raises(ConfigurationError):
+            StageShape(batch_tokens=np.array(batch_tokens),
+                       context_len=np.array(context_len), requests=2)

@@ -484,6 +484,17 @@ class TestSloAdmission:
         assert stats.slo_attainment == pytest.approx(2 / 3)
         assert stats.as_dict()["slo_attainment"] == stats.slo_attainment
 
+    def test_shed_ratio_counts_offered_requests(self):
+        # Two gold requests are shed at admission, one std completes:
+        # 2 shed of 3 offered.
+        classes = [TenantClass("gold", ttft_target_s=0.5)]
+        reqs = [_req(0, "gold"), _req(1, "gold"), _req(2, "std")]
+        stats = _run(reqs, memory=_memory_for(4), classes=classes,
+                     slo_admission=True)
+        assert stats.shed_ratio == 2 / 3
+        assert stats.as_dict()["shed_ratio"] == stats.shed_ratio
+        assert _run([_req(0)], memory=_memory_for(4)).shed_ratio == 0.0
+
     def test_readmitted_victims_never_shed(self):
         # The preemption victim (L1) re-runs admission with a blown
         # queue wait; the SLO gate must not discard its partial work.

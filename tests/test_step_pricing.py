@@ -5,12 +5,17 @@
   ``float.hex``), and consults ``decode_step_s`` once per run of equal
   quantized context, also over arbitrary hypothesis-drawn context
   lists.
-* A ``BatchStepTimer`` decode memo miss after the first at a batch size
-  prices the three attention ops only, yet every step equals pricing
-  the whole compact stage (``float.hex``), whatever the order of the
-  misses, on the PNM, A100 and DFX models, fp16 and int8, TP 1 and 2.
+* ``BatchStepTimer`` prices memo misses from tables: the first prefill
+  miss prices every input length up to the position budget, a batch
+  size's first decode miss every quantized context up to it, each
+  distinct op once over the whole array, and a decode miss past the
+  budget re-prices the three attention ops only.  Every entry equals pricing the whole
+  compact stage (``float.hex``), every input length and every quantized
+  context, whatever the order of the misses, on the PNM, A100 and DFX
+  models, fp16 and int8, TP 1 and 2.
 * ``InferenceTimer.gen_stage`` likewise prices a gen stage after its
-  first from the three attention ops, and every ``StageResult`` field
+  first from the three attention ops (once for a whole sweep of
+  contexts), and every ``StageResult`` field
   equals ``stage_result`` of the whole compact gen stage
   (``float.hex``), for contexts in any order: OPT-1.3B and OPT-13B,
   fp16 and int8, TP 1 and 2, PNM and A100 models.
@@ -71,6 +76,7 @@ from repro.accelerator.compiler import batched_timing_program, timing_program
 from repro.accelerator.device import CXLPNMDevice
 from repro.accelerator.dfx import dfx_device
 from repro.appliance.comm import CxlCommModel
+from repro.appliance.continuous import ContinuousBatchScheduler
 from repro.errors import ConfigurationError
 from repro.gpu.device import A100_40G
 from repro.gpu.kernels import GpuKernelModel
@@ -84,8 +90,9 @@ from repro.llm import (
 )
 from repro.llm.batching import compact_batched_gen_stage
 from repro.llm.config import tiny_config
-from repro.llm.graph import compact_gen_stage
+from repro.llm.graph import compact_gen_stage, compact_sum_stage
 from repro.llm.ops import OpKind, OpSpec, matmul_op, vector_op
+from repro.llm.workload import steady_arrivals
 from repro.perf.analytical import (
     BatchStepTimer,
     GpuPerfModel,
@@ -95,6 +102,7 @@ from repro.perf.analytical import (
     left_sum,
     no_comm,
     quantize_context,
+    quantized_contexts,
     stage_result,
 )
 from repro.perf.simulator import AcceleratorSimulator, SimulatedStepTimer
@@ -373,15 +381,129 @@ def test_decode_miss_after_the_first_prices_three_ops(monkeypatch):
         on.decode_step_s(batch, context_len)
         return list(priced)
 
-    assert len(calls(8, 64)) == distinct       # fills batch 8's memo
-    assert calls(8, 700) == attention          # later misses: attention
-    assert calls(8, 2100) == attention
-    assert calls(8, 700) == []                 # memo hit
+    # The first miss at a batch size prices every distinct op once,
+    # over every context up to the position budget (2048).
+    assert len(calls(8, 64)) == distinct
+    assert calls(8, 700) == []                 # in the table
+    assert calls(8, 2100) == attention         # past it: attention
+    assert calls(8, 2300) == attention
+    assert calls(8, 2100) == []                # memo hit
     assert len(calls(4, 700)) == distinct      # a new batch size fills
-    assert calls(4, 64) == attention
+    assert calls(4, 64) == []
     # A fresh timer pays its own fill.
     fresh = BatchStepTimer(OPT_13B, model, context_quantum=1)
     assert len(calls(8, 700, on=fresh)) == distinct
+
+
+def test_prefill_table_prices_each_op_once_per_stage(monkeypatch):
+    priced = []
+    op_time = PnmPerfModel.op_time
+
+    def counted(self, op):
+        priced.append(op.name)
+        return op_time(self, op)
+
+    monkeypatch.setattr(PnmPerfModel, "op_time", counted)
+    timer = BatchStepTimer(OPT_13B, PnmPerfModel(CXLPNMDevice()))
+    stage = compact_sum_stage(OPT_13B, 64)
+    distinct = len(stage.head) + len(stage.layer) + len(stage.tail)
+    timer.prefill_s(300)
+    # Two array-valued stages: length 1 (GEMV) and 2 .. 2048 (GEMM).
+    assert len(priced) == 2 * distinct
+    del priced[:]
+    assert [timer.prefill_s(n) for n in (1, 2, 2048)] and priced == []
+    timer.prefill_s(2049)                      # past the budget
+    assert len(priced) == distinct
+
+
+def _table_timer(model, dtype_bytes, device, tensor_parallel, quantum=32,
+                 max_seq_len=2048):
+    config = dataclasses.replace(INCREMENTAL_MODELS[model],
+                                 max_seq_len=max_seq_len)
+    if dtype_bytes == 1:
+        config = config.with_dtype(1)
+    comm = (CxlCommModel(config, tensor_parallel) if tensor_parallel > 1
+            else no_comm)
+    return BatchStepTimer(config, _perf_model(device),
+                          tensor_parallel=tensor_parallel, comm=comm,
+                          context_quantum=quantum)
+
+
+@pytest.mark.parametrize("model", sorted(INCREMENTAL_MODELS))
+@pytest.mark.parametrize("dtype_bytes", [2, 1])
+@pytest.mark.parametrize("device", sorted(PERF_MODELS))
+@pytest.mark.parametrize("tensor_parallel", [1, 2])
+def test_prefill_table_matches_whole_sum_stage(model, dtype_bytes, device,
+                                               tensor_parallel):
+    # The first miss (here past the position budget) fills every input
+    # length up to the budget from two array-valued sum stages, length
+    # 1 the GEMV one; each entry is the scalar sum stage to the last bit.
+    timer = _table_timer(model, dtype_bytes, device, tensor_parallel)
+    config, top = timer.config, timer.config.max_seq_len
+    for input_len in [top + 1, *range(1, top + 1)]:
+        stage = compact_sum_stage(config, input_len, tensor_parallel)
+        want = _stage_time_s(stage, timer.model) + timer.comm(input_len)
+        assert timer.prefill_s(input_len).hex() == want.hex(), input_len
+
+
+@pytest.mark.parametrize("dtype_bytes", [2, 1])
+@pytest.mark.parametrize("device", sorted(PERF_MODELS))
+@pytest.mark.parametrize("quantum, max_seq_len", [(1, 2048), (32, 2048),
+                                                  (32, 2040)])
+def test_decode_table_matches_whole_stage(dtype_bytes, device, quantum,
+                                          max_seq_len):
+    # A budget that is not a multiple of the quantum is a table entry
+    # of its own, after the last multiple.
+    timer = _table_timer("OPT-13B", dtype_bytes, device, 1, quantum,
+                         max_seq_len)
+    top = timer.config.max_seq_len
+    contexts = quantized_contexts(quantum, top)
+    for batch in (1, 8):
+        for context_len in [*contexts, top + 1, top + 100]:
+            assert timer.decode_step_s(batch, context_len).hex() \
+                == _whole_stage_s(timer, batch, context_len).hex(), \
+                (batch, context_len)
+
+
+@pytest.mark.parametrize("quantum", [1, 7, 32, 2040, 2048, 4096])
+@pytest.mark.parametrize("max_seq_len", [1, 40, 2040, 2048])
+def test_quantized_contexts_are_every_quantized_context(quantum,
+                                                        max_seq_len):
+    assert quantized_contexts(quantum, max_seq_len) == sorted(
+        {quantize_context(c, quantum, max_seq_len)
+         for c in range(1, max_seq_len + 1)})
+
+
+def test_priced_values_are_python_floats():
+    # A numpy scalar that leaked out of the models would spell itself
+    # np.float64(...) in every serve fingerprint.
+    config = OPT_13B
+    device = CXLPNMDevice()
+    perf = PnmPerfModel(device)
+    timer = BatchStepTimer(config, perf)
+    engine = ContinuousBatchScheduler(timer, config,
+                                      device.memory_capacity,
+                                      num_devices=8, max_batch=64)
+    stats = engine.run(sampled_workload(60, seed=7),
+                       steady_arrivals(60, 4.75, seed=7))
+    assert stats.completed
+    for c in stats.completed:
+        for name in ("arrival_s", "start_s", "first_token_s", "finish_s"):
+            assert type(getattr(c, name)) is float, name
+    assert all(type(r.arrival_s) is float for r in stats.rejected)
+    costs = [timer.prefill_s(n) for n in (1, 2, 2048, 2049)] \
+        + [timer.decode_step_s(b, c) for b in (1, 8, 3)
+           for c in (1, 2048, 2300)] \
+        + timer.decode_steps_s(5, list(range(30, 100)) + [2200])
+    assert all(type(x) is float for x in costs)
+    inference = InferenceTimer(config, perf)
+    results = [inference.sum_stage(64), inference.gen_stage(65),
+               *inference.gen_stages([70, 2300])]
+    for name in ("time_s", "flops", "mem_bytes", "comm_s", "energy_j"):
+        assert all(type(getattr(r, name)) is float for r in results), name
+    run = inference.run(64, 200)
+    assert all(type(x) is float for x in (run.sum_time_s, run.gen_time_s,
+                                          run.energy_j))
 
 
 #: Contexts in non-monotone order: the first fills the memo, later ones
@@ -432,9 +554,14 @@ def test_gen_stage_after_the_first_prices_three_ops(monkeypatch):
     timer.gen_stage(64)
     assert len(priced) == len(stage.head) + len(stage.layer) \
         + len(stage.tail)
+    attention = ["layer.attn_score", "layer.softmax", "layer.attn_ctx"]
     del priced[:]
     timer.gen_stage(700)
-    assert priced == ["layer.attn_score", "layer.softmax", "layer.attn_ctx"]
+    assert priced == attention
+    # A sweep prices the three attention ops once for all its contexts.
+    del priced[:]
+    timer.gen_stages([700, 65, 2300, 701])
+    assert priced == attention
 
 
 # -- device constants ------------------------------------------------------
@@ -736,7 +863,7 @@ def test_continuous_batch_stats_keys_in_order():
     stats = ContinuousBatchStats(completed=[], makespan_s=0.0,
                                  num_instances=1)
     assert list(stats.as_dict()) == [
-        "requests", "rejected", "num_instances", "makespan_s",
+        "requests", "rejected", "shed_ratio", "num_instances", "makespan_s",
         "mean_latency_s", "p50_latency_s", "p95_latency_s",
         "mean_queue_wait_s", "throughput_tokens_per_s",
         "instance_utilization", "num_iterations", "max_occupancy",
