@@ -1,5 +1,6 @@
 """Multi-device appliances: parallelism plans, comm models, clusters."""
 
+from repro.appliance.admission import TenantClass
 from repro.appliance.cluster import (
     GpuAppliance,
     PnmAppliance,
@@ -9,7 +10,6 @@ from repro.appliance.continuous import (
     ContinuousBatchScheduler,
     ContinuousBatchStats,
     FailoverEvent,
-    TenantClass,
     simulated_step_model,
 )
 from repro.appliance.pipeline import PipelinePlan

@@ -9,7 +9,6 @@ energy per configuration via the analytical performance models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 from repro.accelerator.device import CXLPNMDevice
 from repro.appliance.comm import CxlCommModel, GpuCommModel
@@ -60,33 +59,6 @@ class GpuAppliance:
                                instances=plan.data_parallel,
                                per_request=result)
 
-    def serve(self, config: LLMConfig, requests: Sequence,
-              arrival_times: Optional[Sequence[float]] = None, *,
-              max_batch: Optional[int] = None, step=None,
-              classes=None, slo_admission: bool = False):
-        """Serve a request stream with continuous batching on this
-        appliance (one model replica per GPU, appliance-level DP).
-
-        Builds a :class:`~repro.appliance.continuous.
-        ContinuousBatchScheduler` over ``num_devices`` independent
-        replica timelines and returns its
-        :class:`~repro.appliance.continuous.ContinuousBatchStats`.
-        Pass ``step`` to override the default analytical
-        :class:`~repro.perf.analytical.BatchStepTimer`; ``classes``
-        (a sequence of :class:`~repro.appliance.continuous.
-        TenantClass`) and ``slo_admission`` configure the multi-tenant
-        front end.
-        """
-        from repro.appliance.continuous import ContinuousBatchScheduler
-        from repro.perf.analytical import BatchStepTimer
-        if step is None:
-            step = BatchStepTimer(config, GpuPerfModel(self.spec))
-        scheduler = ContinuousBatchScheduler(
-            step, config, self.spec.memory_bytes, max_batch=max_batch,
-            num_devices=self.num_devices, classes=classes,
-            slo_admission=slo_admission)
-        return scheduler.run(requests, arrival_times)
-
 
 @dataclass(frozen=True)
 class PnmAppliance:
@@ -121,35 +93,6 @@ class PnmAppliance:
                                num_devices=self.num_devices,
                                instances=plan.data_parallel,
                                per_request=result)
-
-    def serve(self, config: LLMConfig, requests: Sequence,
-              arrival_times: Optional[Sequence[float]] = None, *,
-              max_batch: Optional[int] = None, step=None,
-              classes=None, slo_admission: bool = False):
-        """Serve a request stream with continuous batching on this
-        appliance (one model replica per CXL-PNM card, appliance DP).
-
-        Builds a :class:`~repro.appliance.continuous.
-        ContinuousBatchScheduler` over ``num_devices`` independent
-        replica timelines and returns its
-        :class:`~repro.appliance.continuous.ContinuousBatchStats`.
-        Pass ``step`` to override the default analytical
-        :class:`~repro.perf.analytical.BatchStepTimer` (e.g. the
-        instruction-level
-        :func:`~repro.appliance.continuous.simulated_step_model`);
-        ``classes`` (a sequence of :class:`~repro.appliance.continuous.
-        TenantClass`) and ``slo_admission`` configure the multi-tenant
-        front end.
-        """
-        from repro.appliance.continuous import ContinuousBatchScheduler
-        from repro.perf.analytical import BatchStepTimer
-        if step is None:
-            step = BatchStepTimer(config, PnmPerfModel(self.device))
-        scheduler = ContinuousBatchScheduler(
-            step, config, self.device.memory_capacity,
-            max_batch=max_batch, num_devices=self.num_devices,
-            classes=classes, slo_admission=slo_admission)
-        return scheduler.run(requests, arrival_times)
 
 
 def devices_required(config: LLMConfig, device_memory_bytes: int,

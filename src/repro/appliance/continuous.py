@@ -32,7 +32,9 @@ finish heap of ``(origin + output_len, order)`` — so planning a unit
 O(1) in the batch size; completing one costs O(log n) per finished
 request, and only preemption and failover touch the heap's middle.
 
-Scheduling semantics:
+Scheduling semantics (admission, eviction and shedding are decided by
+:class:`~repro.appliance.admission.AdmissionPolicy`; this kernel
+carries the decisions out):
 
 * **Admission** — FCFS from the waiting queue; a request is admitted
   when the target device has a slot (``max_batch``) and its *peak* KV
@@ -64,30 +66,24 @@ import bisect
 import heapq
 import itertools
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import (
-    Deque, Dict, List, Optional, Protocol, Sequence, Tuple,
-)
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from repro.appliance.scheduler import (
-    CompletedRequest,
-    RejectedRequest,
-    infeasible_error,
+from repro.appliance.admission import (
+    AdmissionPolicy,
+    QueueItem,
+    TenantClass,
+    resolve_class,
 )
-from repro.errors import (
-    AdmissionError,
-    ConfigurationError,
-    DeviceLostError,
-    SimulationError,
-)
+from repro.appliance.scheduler import CompletedRequest, RejectedRequest
+from repro.errors import ConfigurationError, DeviceLostError, SimulationError
 from repro.faults.context import get_faults
 from repro.faults.plan import DeviceFaultEvent, DeviceFaultKind
 from repro.llm.config import LLMConfig
-from repro.llm.kvcache import kv_spare_bytes, peak_kv_bytes
-from repro.llm.workload import DEFAULT_TENANT_CLASS, InferenceRequest
+from repro.llm.kvcache import kv_spare_bytes
+from repro.llm.workload import InferenceRequest
 from repro.obs.context import get_metrics, get_tracer
 from repro.perf.analytical import left_sum
 from repro.units import GB
@@ -139,9 +135,7 @@ def simulated_step_model(config: LLMConfig, device=None,
             weight-stream bytes on the bandwidth-bound decode steps).
     """
     from repro.perf.simulator import AcceleratorSimulator, SimulatedStepTimer
-    simulator = AcceleratorSimulator(device) if device is not None \
-        else AcceleratorSimulator()
-    return SimulatedStepTimer(config, simulator=simulator,
+    return SimulatedStepTimer(config, simulator=AcceleratorSimulator(device),
                               context_quantum=context_quantum,
                               quantize=quantize)
 
@@ -162,96 +156,26 @@ class FailoverEvent:
     requeued: int
 
 
-@dataclass(frozen=True)
-class TenantClass:
-    """One tenant priority class: scheduling share and SLO targets.
-
-    Attributes:
-        name: Class name; requests select it via
-            ``InferenceRequest.tenant_class``.  Unknown names resolve
-            to a default-parameter class, so a class table is never
-            required to be exhaustive.
-        weight: Fair-share weight within a priority tier.  Admission
-            picks the eligible class with the least weighted service
-            (admitted tokens / weight), so a weight-4 class receives
-            4x the admitted tokens of a weight-1 sibling under
-            sustained contention.
-        priority: Strict tier; higher admits first, and may preempt
-            strictly lower tiers under KV pressure.  Equal-priority
-            classes never preempt each other.
-        ttft_target_s: Optional time-to-first-token SLO target.  With
-            ``slo_admission=True``, requests whose projected TTFT
-            exceeds it are shed with a typed
-            :class:`~repro.errors.AdmissionError`; completed requests
-            beating it count toward goodput.
-        tbt_target_s: Optional mean time-between-tokens SLO target,
-            handled the same way.
-    """
-
-    name: str
-    weight: float = 1.0
-    priority: int = 0
-    ttft_target_s: Optional[float] = None
-    tbt_target_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("tenant class name must be non-empty")
-        if self.weight <= 0:
-            raise ConfigurationError(
-                f"class {self.name}: weight={self.weight} must be > 0")
-        for label, value in (("ttft_target_s", self.ttft_target_s),
-                             ("tbt_target_s", self.tbt_target_s)):
-            if value is not None and value <= 0:
-                raise ConfigurationError(
-                    f"class {self.name}: {label}={value} must be > 0")
-
-    def met_by(self, completed: CompletedRequest) -> bool:
-        """Did a completed request meet this class's SLO targets?
-
-        Targets that were never set are trivially met.
-        """
-        if self.ttft_target_s is not None \
-                and completed.ttft_s > self.ttft_target_s:
-            return False
-        if self.tbt_target_s is not None:
-            tbt = completed.mean_tbt_s
-            if tbt is not None and tbt > self.tbt_target_s:
-                return False
-        return True
-
-
 @dataclass(eq=False, slots=True)
 class _Running:
-    """In-flight request state in a device's batch (identity semantics).
+    """A request admitted to a device's batch (identity semantics).
 
+    ``item`` is the request's one record, kept from arrival to
+    completion, so a requeue puts the same record back on the queue.
     ``order`` is the request's admission number on its device (the key
     of ``dev.batch``).  A decoding request stores ``origin``, the
     device's step clock at which it had generated 0 tokens, so
     ``generated`` is derived from the clock rather than counted; a
     request waiting for its prefill has no origin.
-
-    ``failovers`` travels with the *queue entry* (set at admission
-    from the waiting-queue item), never through a table keyed by
-    ``id(request)`` — duplicate request objects in the input
-    or recycled object ids therefore cannot mis-attribute failover
-    counts.
     """
 
-    request: InferenceRequest
-    arrival_s: float
+    item: QueueItem
     admitted_s: float
-    kv_reserved: int
     slot: int
     dev: "_Device"
     order: int
     origin: Optional[int] = None
-    failovers: int = 0
     first_token_s: Optional[float] = None
-    seq: int = 0
-    preempted: int = 0
-    cls_name: str = DEFAULT_TENANT_CLASS
-    prio: int = 0
 
     @property
     def generated(self) -> int:
@@ -263,125 +187,7 @@ class _Running:
     @property
     def context_len(self) -> int:
         """Attention span of this request's next decode step."""
-        return self.request.input_len + self.generated
-
-
-@dataclass(slots=True)
-class _QueueItem:
-    """One waiting request with its attribution state.
-
-    ``seq`` is the request's stable position in the arrival-sorted
-    input (used for deterministic tie-breaks and wake-up dedup);
-    ``requeued_at`` is set only by device-failure requeue and drives
-    failover-latency accounting at re-admission — preemption requeue
-    deliberately leaves it ``None`` so preemptions never pollute the
-    failover latency distribution.  ``peak`` memoizes the request's
-    peak KV footprint once its feasibility check passed, so a head
-    blocked for KV room is not re-checked at every retry.
-    """
-
-    request: InferenceRequest
-    arrival_s: float
-    seq: int
-    failovers: int = 0
-    preemptions: int = 0
-    requeued_at: Optional[float] = None
-    peak: Optional[int] = None
-
-
-class _WaitQueue:
-    """Per-class FIFO queues with weighted-fair virtual time.
-
-    Each tenant class keeps its own FIFO (arrival order, with
-    failover/preemption victims pushed back to the front) and a
-    weighted service counter.  With a single class this degenerates to
-    the plain FCFS waiting list: selection always returns the one
-    class, in arrival order.
-    """
-
-    def __init__(self, items: Sequence[_QueueItem],
-                 classes: Dict[str, TenantClass]) -> None:
-        self.classes: Dict[str, TenantClass] = dict(classes)
-        self.queues: Dict[str, Deque[_QueueItem]] = {}
-        self.service: Dict[str, float] = {}
-        for item in items:
-            self.push_back(item)
-
-    def cls(self, name: str) -> TenantClass:
-        """The class record for ``name``, creating a default lazily."""
-        tc = self.classes.get(name)
-        if tc is None:
-            tc = TenantClass(name=name)
-            self.classes[name] = tc
-        return tc
-
-    def _queue_for(self, name: str) -> Deque[_QueueItem]:
-        dq = self.queues.get(name)
-        if dq is None:
-            self.cls(name)
-            dq = self.queues[name] = deque()
-            self.service.setdefault(name, 0.0)
-        return dq
-
-    def push_back(self, item: _QueueItem) -> None:
-        self._queue_for(item.request.tenant_class).append(item)
-
-    def push_front(self, items: Sequence[_QueueItem]) -> None:
-        """Requeue victims at their class front, preserving their order."""
-        for item in reversed(items):
-            self._queue_for(item.request.tenant_class).appendleft(item)
-
-    def __len__(self) -> int:
-        return sum(len(dq) for dq in self.queues.values())
-
-    def pop(self, name: str) -> _QueueItem:
-        return self.queues[name].popleft()
-
-    def charge(self, name: str, tokens: int) -> None:
-        """Add weighted service; a requeue refunds with ``-tokens``."""
-        self.service[name] += tokens / self.cls(name).weight
-
-    def select(self, now: float, blocked: set,
-               prio_floor: Optional[int]) -> Optional[str]:
-        """Next class to try: highest tier, then least weighted service.
-
-        Skips empty queues, classes already blocked this admission
-        pass, classes below the blocking tier's priority floor (a
-        blocked class stalls every strictly lower tier, never its
-        equal-priority siblings), and classes whose head has not
-        arrived yet.  Name breaks exact service ties deterministically.
-        """
-        best: Optional[str] = None
-        best_key: Optional[Tuple[int, float, str]] = None
-        for name, dq in self.queues.items():
-            if not dq or name in blocked:
-                continue
-            tc = self.classes[name]  # made with the queue
-            if prio_floor is not None and tc.priority < prio_floor:
-                continue
-            if dq[0].arrival_s > now:
-                continue
-            key = (-tc.priority, self.service[name], name)
-            if best_key is None or key < best_key:
-                best, best_key = name, key
-        return best
-
-    def next_wakeup(self, now: float) -> Optional[Tuple[float, int]]:
-        """``(arrival, seq)`` of the earliest class head after ``now``."""
-        best: Optional[Tuple[float, int]] = None
-        for dq in self.queues.values():
-            if dq and dq[0].arrival_s > now:
-                key = (dq[0].arrival_s, dq[0].seq)
-                if best is None or key < best:
-                    best = key
-        return best
-
-    def drain(self) -> List[_QueueItem]:
-        """Remove and return everything, per-class FIFO order."""
-        items = [item for dq in self.queues.values() for item in dq]
-        for dq in self.queues.values():
-            dq.clear()
-        return items
+        return self.item.request.input_len + self.generated
 
 
 @dataclass
@@ -421,15 +227,10 @@ class ContinuousBatchStats:
     preemptions: int = 0
     tenant_classes: Dict[str, TenantClass] = field(default_factory=dict)
 
-    def request_class(self, request: InferenceRequest) -> TenantClass:
-        """The class a request resolved to (default-parameter if unknown)."""
-        tc = self.tenant_classes.get(request.tenant_class)
-        return tc if tc is not None else TenantClass(
-            name=request.tenant_class)
-
     def met_slo(self, completed: CompletedRequest) -> bool:
         """Did this completed request meet its class's SLO targets?"""
-        return self.request_class(completed.request).met_by(completed)
+        return resolve_class(self.tenant_classes,
+                             completed.request.tenant_class).met_by(completed)
 
     @property
     def goodput_tokens_per_s(self) -> float:
@@ -471,36 +272,27 @@ class ContinuousBatchStats:
         names = sorted(set(self.tenant_classes)
                        | {c.request.tenant_class for c in self.completed}
                        | {r.request.tenant_class for r in self.rejected})
-        span = self.makespan_s
         out: Dict[str, Dict[str, float]] = {}
         for name in names:
-            done = [c for c in self.completed
-                    if c.request.tenant_class == name]
-            met = [c for c in done if self.met_slo(c)]
-            ttfts = [c.ttft_s for c in done]
-            tbts = [c.mean_tbt_s for c in done
-                    if c.mean_tbt_s is not None]
-            rejected = sum(1 for r in self.rejected
-                           if r.request.tenant_class == name)
-            offered = len(done) + rejected
+            # The class's own requests, summarized by the run-level
+            # formulas over the same makespan.
+            part = replace(
+                self,
+                completed=[c for c in self.completed
+                           if c.request.tenant_class == name],
+                rejected=[r for r in self.rejected
+                          if r.request.tenant_class == name])
             out[name] = {
-                "completed": float(len(done)),
-                "rejected": float(rejected),
+                "completed": float(len(part.completed)),
+                "rejected": float(len(part.rejected)),
                 "preempted_requests": float(sum(
-                    1 for c in done if c.preemptions)),
-                # Over offered requests: a shed request misses.
-                "slo_attainment": len(met) / offered if offered else 0.0,
-                "throughput_tokens_per_s":
-                    sum(c.request.output_len for c in done) / span
-                    if span else 0.0,
-                "goodput_tokens_per_s":
-                    sum(c.request.output_len for c in met) / span
-                    if span else 0.0,
-                "mean_ttft_s":
-                    float(np.mean(ttfts)) if ttfts else 0.0,
-                "p95_ttft_s":
-                    float(np.percentile(ttfts, 95)) if ttfts else 0.0,
-                "mean_tbt_s": float(np.mean(tbts)) if tbts else 0.0,
+                    1 for c in part.completed if c.preemptions)),
+                "slo_attainment": part.slo_attainment,
+                "throughput_tokens_per_s": part.throughput_tokens_per_s,
+                "goodput_tokens_per_s": part.goodput_tokens_per_s,
+                "mean_ttft_s": part.mean_ttft_s,
+                "p95_ttft_s": part.p95_ttft_s,
+                "mean_tbt_s": part.mean_tbt_s,
             }
         return out
 
@@ -597,7 +389,31 @@ class ContinuousBatchStats:
         return float(np.mean(tbts)) if tbts else 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        """JSON-ready flat view, for exporters and benchmarks."""
+        """JSON-ready flat view, for exporters and benchmarks.
+
+        Counts, with no denominator: ``requests`` (completed),
+        ``rejected``, ``num_instances``, ``num_iterations`` (device
+        steps, summed over devices), ``max_occupancy`` (peak requests
+        admitted at once, appliance-wide), ``devices_failed``,
+        ``failovers`` (requests requeued by device failures) and
+        ``preemptions`` (evictions).  Totals in seconds: ``makespan_s``,
+        ``stall_s`` and ``lost_device_s``.  Every other field is a mean,
+        percentile or ratio over:
+
+        * offered requests (completed + rejected): ``shed_ratio``,
+          ``slo_attainment``;
+        * completed requests: ``mean_latency_s``, ``p50_latency_s``,
+          ``p95_latency_s``, ``mean_queue_wait_s``, ``mean_ttft_s``,
+          ``p95_ttft_s``;
+        * completed requests with two or more output tokens, each
+          averaging its own ``output_len - 1`` gaps: ``mean_tbt_s``;
+        * makespan seconds: ``throughput_tokens_per_s``,
+          ``goodput_tokens_per_s``;
+        * available device-seconds (:attr:`available_device_s`):
+          ``instance_utilization``;
+        * busy device-seconds: ``mean_occupancy``;
+        * failover readmissions: ``mean_failover_latency_s``.
+        """
         return {
             "requests": float(len(self.completed)),
             "rejected": float(len(self.rejected)),
@@ -688,12 +504,6 @@ class ContinuousBatchScheduler:
                 f"{self.config.name} parameters leave no KV room in "
                 f"{self.memory_bytes} bytes")
 
-    def class_table(self) -> Dict[str, TenantClass]:
-        """The configured classes as a name-keyed table (may be empty)."""
-        if not self.classes:
-            return {}
-        return {tc.name: tc for tc in self.classes}
-
     def run(self, requests: Sequence[InferenceRequest],
             arrival_times: Optional[Sequence[float]] = None
             ) -> ContinuousBatchStats:
@@ -718,7 +528,7 @@ class ContinuousBatchScheduler:
         events: Sequence[DeviceFaultEvent] = \
             faults.device_events if faults is not None else ()
         waiting = [
-            _QueueItem(request=r, arrival_s=a, seq=i)
+            QueueItem(request=r, arrival_s=a, seq=i)
             for i, (r, a) in enumerate(
                 sorted(zip(requests, arrival_times),
                        key=lambda p: p[1]))]
@@ -776,13 +586,15 @@ class _Device:
     ``clock`` counts completed decode steps; ``n_dec``, ``sum_in``,
     ``sum_origin`` and the ``finish`` heap aggregate the decoders, and
     ``pending`` lists the requests waiting for prefill, in batch order.
+    ``unit_ends`` holds the ascending step boundaries of the unit in
+    flight; a unit with prefills is one atomic iteration, so it has
+    exactly one.
     """
 
     __slots__ = ("index", "alive", "busy", "epoch", "batch", "next_order",
                  "clock", "n_dec", "sum_in", "sum_origin", "pending",
                  "finish", "kv_reserved", "stall_until", "failed_at",
-                 "unit_start", "unit_end", "unit_ends", "unit_prefills",
-                 "unit_n_dec")
+                 "unit_start", "unit_ends", "unit_prefills", "unit_n_dec")
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -799,21 +611,28 @@ class _Device:
         self.stall_until = 0.0   # stalls elapse in simulated time
         self.failed_at: Optional[float] = None
         self.unit_start = 0.0
-        self.unit_end = 0.0
-        # A unit with prefills is one atomic iteration; a decode unit of
-        # k > 1 steps keeps its k step boundaries in unit_ends.
-        self.unit_ends: Optional[List[float]] = None
+        self.unit_ends: List[float] = []
         self.unit_prefills: Sequence[_Running] = ()
         self.unit_n_dec = 0
 
+    def context_sum(self) -> int:
+        """Σ ``context_len`` over the decoders, exactly."""
+        return self.sum_in + self.n_dec * self.clock - self.sum_origin
+
+    def next_boundary(self, now: float) -> int:
+        """Index of the unit's first step boundary at or after ``now``
+        (its last boundary when all lie before ``now``)."""
+        return min(bisect.bisect_left(self.unit_ends, now),
+                   len(self.unit_ends) - 1)
+
     def start_decoding(self, entry: _Running) -> None:
         """Count a request whose prefill just ran as one step old."""
+        request = entry.item.request
         entry.origin = self.clock - 1
         self.n_dec += 1
-        self.sum_in += entry.request.input_len
+        self.sum_in += request.input_len
         self.sum_origin += entry.origin
-        heapq.heappush(self.finish, (entry.origin
-                                     + entry.request.output_len,
+        heapq.heappush(self.finish, (entry.origin + request.output_len,
                                      entry.order))
 
     def pop_done(self) -> List[_Running]:
@@ -828,16 +647,17 @@ class _Device:
 
     def remove(self, entry: _Running, finished: bool = False) -> None:
         """Take one request out of the batch and the aggregates."""
+        request = entry.item.request
         del self.batch[entry.order]
-        self.kv_reserved -= entry.kv_reserved
+        self.kv_reserved -= entry.item.peak
         if entry.origin is None:
             self.pending.remove(entry)  # identity comparison (eq=False)
             return
         self.n_dec -= 1
-        self.sum_in -= entry.request.input_len
+        self.sum_in -= request.input_len
         self.sum_origin -= entry.origin
         if not finished:  # pop_done already took it off the heap
-            self.finish.remove((entry.origin + entry.request.output_len,
+            self.finish.remove((entry.origin + request.output_len,
                                 entry.order))
             heapq.heapify(self.finish)
 
@@ -851,25 +671,21 @@ class _EventKernel:
     one decode step of the previous residents); a device with only
     decoders runs a *macro-step*: every decode step up to its next
     completion, priced in one cohort call and cut short only by an
-    admission landing on the device or a fault falling due.
+    admission landing on the device or a fault falling due.  Whom to
+    admit, evict or shed is the :class:`AdmissionPolicy`'s decision.
     """
 
     def __init__(self, sched: ContinuousBatchScheduler,
-                 waiting: List[_QueueItem], tracer, metrics, faults,
+                 waiting: List[QueueItem], tracer, metrics, faults,
                  events: Sequence[DeviceFaultEvent]) -> None:
         self.sched = sched
         self.step = sched.step
-        self.queue = _WaitQueue(waiting, sched.class_table())
-        # Lowest tier any request can run at; classes missing from the
-        # table default to priority 0.
-        self.lowest_prio = min(
-            [0, *(tc.priority for tc in self.queue.classes.values())])
         self.tracer = tracer
         self.metrics = metrics
         self.faults = faults
         self.events = tuple(events)
-        self.kv_budget = kv_spare_bytes(sched.config, sched.memory_bytes)
         self.devs = [_Device(d) for d in range(sched.num_devices)]
+        self.policy = AdmissionPolicy(sched, waiting, self.devs)
         self.heap: List[tuple] = []
         self.seq = itertools.count()
         self.fault_idx = 0
@@ -897,16 +713,16 @@ class _EventKernel:
             heapq.heappush(self.heap, (event.at_s, _PRIO_FAULT,
                                        next(self.seq), idx, 0))
         self._admit_and_start(0.0)
-        while self.heap or len(self.queue):
+        while self.heap or len(self.policy):
             if not self.heap:
                 # Only future arrivals remain; jump to the earliest
                 # class head.
-                head = self.queue.next_wakeup(-math.inf)
+                head = self.policy.next_wakeup(-math.inf)
                 if head is None:  # pragma: no cover - invariant
                     break
                 if not any(dev.busy for dev in self.devs):
                     self._admit_and_start(head[0])
-                    nxt = self.queue.next_wakeup(-math.inf)
+                    nxt = self.policy.next_wakeup(-math.inf)
                     if not self.heap and nxt is not None \
                             and nxt[0] <= head[0]:
                         raise SimulationError(
@@ -938,7 +754,7 @@ class _EventKernel:
             failover_events=self.failover_events,
             failover_latencies_s=self.failover_latencies,
             preemptions=self.preempted,
-            tenant_classes=dict(self.queue.classes))
+            tenant_classes=dict(self.policy.classes))
 
     # -- step planning -------------------------------------------------
 
@@ -946,13 +762,13 @@ class _EventKernel:
         """Durations of ``k`` consecutive decode steps.
 
         The mean context of an unchanged batch grows by exactly one
-        token per step, so the cohort is ``ctx0 .. ctx0+k-1``; step
-        models exposing ``decode_steps_s`` price it in one call, and
-        the returned list is used as is.
+        token per step, so the cohort is ``ctx0 .. ctx0+k-1``; for
+        ``k > 1``, step models exposing ``decode_steps_s`` price it in
+        one call, and the returned list is used as is.
         """
         contexts = list(range(ctx0, ctx0 + k))
         steps = getattr(self.step, "decode_steps_s", None)
-        if steps is not None:
+        if k > 1 and steps is not None:
             return steps(batch, contexts)
         return [float(self.step.decode_step_s(batch, c)) for c in contexts]
 
@@ -964,48 +780,38 @@ class _EventKernel:
             return
         start = max(now, dev.stall_until)
         if n:
-            # Σ(input_len + generated) over the decoders, exactly.
-            ctx0 = int(math.ceil(
-                (dev.sum_in + n * dev.clock - dev.sum_origin) / n))
+            ctx0 = int(math.ceil(dev.context_sum() / n))
         if prefills:
             # Barrier-style iteration: prefill block plus one decode
             # step of the previous residents (atomic, like one
             # iteration of the legacy kernel).
             cursor = start
             for e in prefills:
-                cursor += self.step.prefill_s(e.request.input_len)
+                cursor += self.step.prefill_s(e.item.request.input_len)
                 e.admitted_s = start  # service begins at unit start
                 e.first_token_s = cursor
             decode_s = self.step.decode_step_s(n, ctx0) if n else 0.0
-            dev.unit_ends = None
-            dev.unit_end = cursor + decode_s
+            ends = [cursor + decode_s]
         else:
             # Macro-step: the whole cohort of decode steps up to the
             # batch's next completion, bounded by the next scheduled
-            # fault so stalls/failures strike at a step boundary.
+            # fault so stalls/failures strike at a step boundary.  A
+            # sequential running sum from `start` keeps the boundaries
+            # bit-identical to one-step-at-a-time arithmetic.
             k = dev.finish[0][0] - dev.clock
-            if k == 1:
-                dev.unit_ends = None
-                dev.unit_end = start + self.step.decode_step_s(n, ctx0)
-            else:
-                # Sequential running sum from `start`, so step
-                # boundaries are bit-identical to the one-step-at-a-
-                # time barrier arithmetic.
-                ends = list(itertools.accumulate(
-                    self._decode_run(n, ctx0, k), initial=start))[1:]
-                fault = self.events[self.fault_idx].at_s \
-                    if self.fault_idx < len(self.events) else math.inf
-                if fault < ends[-1]:
-                    k = bisect.bisect_left(ends, fault) + 1
-                    del ends[k:]
-                dev.unit_ends = ends
-                dev.unit_end = ends[-1]
+            ends = list(itertools.accumulate(
+                self._decode_run(n, ctx0, k), initial=start))[1:]
+            fault = self.events[self.fault_idx].at_s \
+                if self.fault_idx < len(self.events) else math.inf
+            if fault < ends[-1]:
+                del ends[bisect.bisect_left(ends, fault) + 1:]
         dev.unit_start = start
+        dev.unit_ends = ends
         dev.unit_prefills = prefills
         dev.unit_n_dec = n
         dev.busy = True
         dev.epoch += 1
-        heapq.heappush(self.heap, (dev.unit_end, _PRIO_STEP,
+        heapq.heappush(self.heap, (ends[-1], _PRIO_STEP,
                                    next(self.seq), dev.index, dev.epoch))
 
     def _truncate_unit(self, dev: _Device, now: float) -> None:
@@ -1015,16 +821,14 @@ class _EventKernel:
         request's prefill begins at the next decode-step boundary.
         Prefill-bearing units are atomic.
         """
-        if not dev.busy or dev.unit_ends is None:
-            return  # only a multi-step decode unit has inner boundaries
-        ends = dev.unit_ends
-        j = bisect.bisect_left(ends, now)
-        if j + 1 >= len(ends):
+        if not dev.busy or dev.unit_prefills:
+            return
+        j = dev.next_boundary(now)
+        if j + 1 == len(dev.unit_ends):
             return  # already ends at the next boundary
-        dev.unit_ends = ends[:j + 1]
-        dev.unit_end = ends[j]
+        del dev.unit_ends[j + 1:]
         dev.epoch += 1
-        heapq.heappush(self.heap, (dev.unit_end, _PRIO_STEP,
+        heapq.heappush(self.heap, (dev.unit_ends[j], _PRIO_STEP,
                                    next(self.seq), dev.index, dev.epoch))
 
     # -- event handlers ------------------------------------------------
@@ -1037,7 +841,7 @@ class _EventKernel:
         # unit start); requests admitted mid-unit hold KV but only
         # occupy a batch slot from their own first unit on.
         occupancy = len(dev.unit_prefills) + dev.unit_n_dec
-        k = len(dev.unit_ends) if dev.unit_ends else 1
+        k = len(dev.unit_ends)
         dev.clock += k  # every surviving decoder advances k tokens
         if dev.unit_prefills:
             # The unit's surviving prefills lead the pending list (later
@@ -1047,21 +851,17 @@ class _EventKernel:
             del dev.pending[:len(survivors)]
             for e in survivors:
                 dev.start_decoding(e)
-            self.busy_s += now - dev.unit_start
-            self.occupancy_time_s += (now - dev.unit_start) * occupancy
-            total_decodes = dev.unit_n_dec
-        else:
-            # Per-boundary accumulation matches the barrier kernel's
-            # iteration-by-iteration float arithmetic exactly.
-            prev = dev.unit_start
-            busy, occupied = self.busy_s, self.occupancy_time_s
-            for boundary in dev.unit_ends or (dev.unit_end,):
-                span = boundary - prev
-                busy += span
-                occupied += span * occupancy
-                prev = boundary
-            self.busy_s, self.occupancy_time_s = busy, occupied
-            total_decodes = dev.unit_n_dec * k
+        # Per-boundary accumulation matches the barrier kernel's
+        # iteration-by-iteration float arithmetic exactly.
+        prev = dev.unit_start
+        busy, occupied = self.busy_s, self.occupancy_time_s
+        for boundary in dev.unit_ends:
+            span = boundary - prev
+            busy += span
+            occupied += span * occupancy
+            prev = boundary
+        self.busy_s, self.occupancy_time_s = busy, occupied
+        total_decodes = dev.unit_n_dec * k
         self.iterations += k
         if self.max_occupancy < self.in_flight:
             self.max_occupancy = self.in_flight
@@ -1086,33 +886,33 @@ class _EventKernel:
             self.metrics.counter("scheduler.prefills").inc(
                 len(dev.unit_prefills))
         dev.unit_prefills = ()
-        dev.unit_ends = None
         self._admit_and_start(now)
 
     def _complete_done(self, dev: _Device, now: float) -> None:
         for entry in dev.pop_done():
+            item = entry.item
             heapq.heappush(self.free_slots, entry.slot)
             self.in_flight -= 1
             self.completed.append(CompletedRequest(
-                request=entry.request,
-                arrival_s=entry.arrival_s,
+                request=item.request,
+                arrival_s=item.arrival_s,
                 start_s=entry.admitted_s,
                 finish_s=now,
                 first_token_s=entry.first_token_s,
-                failovers=entry.failovers,
-                preemptions=entry.preempted))
+                failovers=item.failovers,
+                preemptions=item.preemptions))
             if self.tracer.enabled:
                 self.tracer.sim_span(
                     "request", start_s=entry.admitted_s,
                     dur_s=now - entry.admitted_s,
                     track=f"scheduler.slot{entry.slot}",
                     category="scheduler",
-                    args={"request_id": entry.request.request_id,
+                    args={"request_id": item.request.request_id,
                           "queue_wait_s":
-                              entry.admitted_s - entry.arrival_s,
+                              entry.admitted_s - item.arrival_s,
                           "ttft_s": entry.first_token_s
-                          - entry.arrival_s,
-                          "output_tokens": entry.request.output_len})
+                          - item.arrival_s,
+                          "output_tokens": item.request.output_len})
 
     def _on_fault(self, now: float, idx: int) -> None:
         event = self.events[idx]
@@ -1126,7 +926,7 @@ class _EventKernel:
             # The stall elapses in simulated time starting now (or at
             # the end of the step in flight); a stall fully absorbed by
             # idle time delays nobody.
-            base = dev.unit_end if dev.busy \
+            base = dev.unit_ends[-1] if dev.busy \
                 else max(now, dev.stall_until)
             dev.stall_until = base + event.duration_s
             self.stall_total_s += event.duration_s
@@ -1153,7 +953,6 @@ class _EventKernel:
             dev.busy = False
             dev.epoch += 1  # invalidate the pending step event
             dev.unit_prefills = ()
-            dev.unit_ends = None
         victims = list(dev.batch.values())
         self._requeue(dev, victims, failed_at=now)
         self.failover_events.append(FailoverEvent(
@@ -1170,33 +969,16 @@ class _EventKernel:
                 args={"device": event.device,
                       "requeued": len(victims)})
         if not any(d.alive for d in self.devs):
-            for item in self.queue.drain():
-                error = DeviceLostError(
-                    "all devices failed; serving capacity lost")
-                self.rejected.append(RejectedRequest.of(
-                    item.request, item.arrival_s, error))
-                if self.metrics.enabled:
-                    self.metrics.counter("scheduler.rejected").inc()
+            for item in self.policy.drain():
+                self._reject(item, DeviceLostError(
+                    "all devices failed; serving capacity lost"))
             self.heap.clear()
             return
         self._admit_and_start(now)
 
     # -- admission -----------------------------------------------------
 
-    def _pick_device(self) -> Optional[_Device]:
-        """Least-reserved surviving device with a batch slot, or None."""
-        max_batch = self.sched.max_batch
-        best: Optional[_Device] = None
-        for dev in self.devs:
-            if not dev.alive:
-                continue
-            if max_batch is not None and len(dev.batch) >= max_batch:
-                continue
-            if best is None or dev.kv_reserved < best.kv_reserved:
-                best = dev
-        return best
-
-    def _reject(self, item: _QueueItem, error, slo: bool = False) -> None:
+    def _reject(self, item: QueueItem, error, slo: bool = False) -> None:
         self.rejected.append(RejectedRequest.of(
             item.request, item.arrival_s, error))
         if self.metrics.enabled:
@@ -1204,67 +986,28 @@ class _EventKernel:
             if slo:
                 self.metrics.counter("scheduler.slo_rejected").inc()
 
-    def _plan_preemption(self, priority: int, peak: int
-                         ) -> Tuple[Optional[_Device], List[_Running]]:
-        """Cheapest strictly-lower-priority eviction set fitting ``peak``.
-
-        Per device, victims are taken lowest-priority-first, then
-        most-recently-admitted (LIFO preserves the oldest work), then
-        latest batch position, until the device has both KV room and a
-        batch slot.  Among viable devices the plan with the fewest
-        victims wins, then the least KV freed (least over-eviction),
-        then the lowest device index.
-        """
-        if priority <= self.lowest_prio:
-            return None, []  # no running request can sit in a lower tier
-        max_batch = self.sched.max_batch
-        best_key: Optional[Tuple[int, int, int]] = None
-        best: Tuple[Optional[_Device], List[_Running]] = (None, [])
-        for dev in self.devs:
-            if not dev.alive:
-                continue
-            order = sorted(
-                (e for e in dev.batch.values() if e.prio < priority),
-                key=lambda e: (e.prio, -e.admitted_s, -e.order))
-            victims: List[_Running] = []
-            freed = 0
-            for e in [*order, None]:  # None: every candidate evicted
-                fits = dev.kv_reserved - freed + peak <= self.kv_budget \
-                    and (max_batch is None
-                         or len(dev.batch) - len(victims) < max_batch)
-                if fits or e is None:
-                    break
-                victims.append(e)
-                freed += e.kv_reserved
-            if not victims or not fits:
-                continue
-            key = (len(victims), freed, dev.index)
-            if best_key is None or key < best_key:
-                best_key, best = key, (dev, victims)
-        return best
-
     def _requeue(self, dev: _Device, victims: List[_Running],
                  failed_at: Optional[float] = None) -> None:
         """Return ``victims`` from ``dev`` to their class queue fronts.
 
         Victims lose their KV reservation and batch slot and restart
         from prefill at re-admission.  ``failed_at`` marks a failover
-        requeue (timed for failover latency); otherwise each victim
-        counts one preemption.
+        requeue, kept on the record to time the failover latency at
+        re-admission; otherwise each victim counts one preemption and
+        its record's ``requeued_at`` is cleared.
         """
-        failover = failed_at is not None
         for v in victims:
             dev.remove(v)
             heapq.heappush(self.free_slots, v.slot)
             self.in_flight -= 1
-            self.queue.charge(v.cls_name, -v.request.total_tokens)
-        self.queue.push_front([_QueueItem(
-            request=v.request, arrival_s=v.arrival_s, seq=v.seq,
-            failovers=v.failovers + failover,
-            preemptions=v.preempted + (not failover),
-            requeued_at=failed_at) for v in victims])
+            if failed_at is None:
+                v.item.preemptions += 1
+            else:
+                v.item.failovers += 1
+            v.item.requeued_at = failed_at
+        self.policy.requeue([v.item for v in victims])
 
-    def _preempt(self, dev: _Device, victims: List[_Running],
+    def _preempt(self, dev: _Device, victims: Sequence[_Running],
                  now: float) -> None:
         """Evict ``victims`` from ``dev`` back to their class fronts.
 
@@ -1288,131 +1031,29 @@ class _EventKernel:
                 track="scheduler.preempt", category="scheduler",
                 args={"device": dev.index, "victims": len(victims)})
 
-    def _projected_ttft(self, item: _QueueItem, dev: _Device,
-                        victims: List[_Running], now: float) -> float:
-        """Projected TTFT if admitted to ``dev`` now (victims evicted).
-
-        The prefill starts at the later of now, the stall horizon, and
-        the device's next step boundary (a decode macro-step truncates
-        there; a prefill-bearing unit is atomic), behind the prefills
-        of already-admitted requests that have not run yet.
-        """
-        busy_until = now
-        if dev.busy:
-            ends = dev.unit_ends or (dev.unit_end,)
-            busy_until = ends[min(bisect.bisect_left(ends, now),
-                                  len(ends) - 1)]
-        start = max(now, dev.stall_until, busy_until)
-        skip = {e.order for e in dev.unit_prefills}  # prefills in flight
-        skip.update(v.order for v in victims)
-        queued = left_sum(self.step.prefill_s(e.request.input_len)
-                          for e in dev.pending if e.order not in skip)
-        own = self.step.prefill_s(item.request.input_len)
-        return start + queued + own - item.arrival_s
-
-    def _projected_tbt(self, item: _QueueItem, dev: _Device,
-                       victims: List[_Running]) -> float:
-        """Projected decode step time at the post-admission occupancy."""
-        batch = len(dev.batch) - len(victims) + 1
-        # Σ context_len over the batch minus the victims, exactly.
-        context = dev.sum_in + dev.n_dec * dev.clock - dev.sum_origin \
-            + sum(e.request.input_len for e in dev.pending) \
-            - sum(v.context_len for v in victims)
-        ctx = int(math.ceil(
-            (context + item.request.input_len + 1) / batch))
-        return self.step.decode_step_s(batch, ctx)
-
-    def _slo_error(self, tc: TenantClass, item: _QueueItem,
-                   dev: _Device, victims: List[_Running],
-                   now: float) -> Optional[AdmissionError]:
-        """Typed rejection when the projected service level misses SLO."""
-        if tc.ttft_target_s is not None:
-            ttft = self._projected_ttft(item, dev, victims, now)
-            if ttft > tc.ttft_target_s:
-                return AdmissionError(
-                    f"class {tc.name}: projected TTFT {ttft:.3f}s "
-                    f"exceeds target {tc.ttft_target_s:.3f}s")
-        if tc.tbt_target_s is not None:
-            tbt = self._projected_tbt(item, dev, victims)
-            if tbt > tc.tbt_target_s:
-                return AdmissionError(
-                    f"class {tc.name}: projected TBT {tbt:.4f}s "
-                    f"exceeds target {tc.tbt_target_s:.4f}s")
-        return None
-
     def _admit_and_start(self, now: float) -> None:
-        """Admit from the class heads, then kick every idle device.
-
-        Each pass selects the eligible class by strict priority then
-        weighted fair share (see :meth:`_WaitQueue.select`) and tries
-        its head.  A head that cannot fit blocks its class and every
-        strictly lower tier for the rest of the pass — unless evicting
-        strictly lower-priority work makes room (preemption).  With a
-        single class this is exactly FCFS head-of-line admission.
+        """Carry out the policy's admission decisions, then kick every
+        idle device.
 
         Admission happens at the event's true time: the KV reservation
         is taken immediately, and if the target device is mid
         macro-step the step is truncated so the prefill begins at the
         next decode boundary.
         """
-        sched = self.sched
         metrics = self.metrics
-        queue = self.queue
-        blocked: set = set()
-        prio_floor: Optional[int] = None
-        while True:
-            name = queue.select(now, blocked, prio_floor)
-            if name is None:
-                break
-            tc = queue.classes[name]
-            item = queue.queues[name][0]
-            request = item.request
-            if item.peak is None:  # first time at a class head
-                error = infeasible_error(sched.config, sched.memory_bytes,
-                                         request)
-                if error is not None:
-                    queue.pop(name)
-                    self._reject(item, error)
-                    continue
-                item.peak = peak_kv_bytes(sched.config, request.input_len,
-                                          request.output_len)
-            peak = item.peak
-            dev = self._pick_device()
-            if dev is not None \
-                    and dev.kv_reserved + peak > self.kv_budget:
-                dev = None  # no KV room on the least-reserved device
-            victims: List[_Running] = []
-            if dev is None:
-                dev, victims = self._plan_preemption(tc.priority, peak)
-            if dev is None:
-                # Head-of-line blocking: this class waits, and so does
-                # every strictly lower tier.
-                blocked.add(name)
-                prio_floor = tc.priority if prio_floor is None \
-                    else max(prio_floor, tc.priority)
+        for item, dev, victims, error, shed in self.policy.admissions(now):
+            if error is not None:
+                self._reject(item, error, slo=shed)
                 continue
-            if sched.slo_admission and not item.failovers \
-                    and not item.preemptions:
-                error = self._slo_error(tc, item, dev, victims, now)
-                if error is not None:
-                    queue.pop(name)
-                    self._reject(item, error, slo=True)
-                    continue
             if victims:
                 self._preempt(dev, victims, now)
-            queue.pop(name)
-            queue.charge(name, request.total_tokens)
             if self.free_slots:
                 slot = heapq.heappop(self.free_slots)
             else:
                 slot = self.next_slot
                 self.next_slot += 1
-            entry = _Running(request=request, arrival_s=item.arrival_s,
-                             admitted_s=now, kv_reserved=peak,
-                             slot=slot, dev=dev, order=dev.next_order,
-                             failovers=item.failovers,
-                             seq=item.seq, preempted=item.preemptions,
-                             cls_name=name, prio=tc.priority)
+            entry = _Running(item=item, admitted_s=now, slot=slot, dev=dev,
+                             order=dev.next_order)
             if item.requeued_at is not None:
                 latency = now - item.requeued_at
                 self.failover_latencies.append(latency)
@@ -1420,7 +1061,7 @@ class _EventKernel:
                     self.faults.note_failover_latency(latency)
                 if metrics.enabled:
                     metrics.counter("scheduler.failover_readmits").inc()
-            dev.kv_reserved += peak
+            dev.kv_reserved += item.peak
             dev.next_order += 1
             dev.batch[entry.order] = entry
             dev.pending.append(entry)
@@ -1435,7 +1076,7 @@ class _EventKernel:
             if not dev.busy and dev.batch and dev.alive:
                 self._start_unit(dev, now)
         # Wake up when the earliest future class head arrives, if any.
-        nxt = queue.next_wakeup(now)
+        nxt = self.policy.next_wakeup(now)
         if nxt is not None:
             arrival, item_seq = nxt
             key = (item_seq, arrival)

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from typing import Iterator, List, Optional
@@ -176,6 +177,21 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+def _spec_number(flag: str, spec: str, label: str, text: str,
+                 cast=float):
+    """Field ``label`` of a ``flag`` spec as a finite number, or a
+    :class:`ConfigurationError` naming the flag, the spec and the field."""
+    try:
+        value = cast(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    kind = "an integer" if cast is int else "a finite number"
+    raise ConfigurationError(
+        f"{flag} {spec!r}: {label} {text!r} is not {kind}")
+
+
 def _parse_tenant_class(spec: str):
     """``NAME:WEIGHT[:PRIORITY[:TTFT[:TBT]]]`` -> TenantClass.
 
@@ -188,16 +204,18 @@ def _parse_tenant_class(spec: str):
         raise ConfigurationError(
             f"--class wants NAME:WEIGHT[:PRIORITY[:TTFT[:TBT]]], "
             f"got {spec!r}")
-    def _opt(i, cast):
-        return cast(parts[i]) if len(parts) > i and parts[i] else None
-    weight = _opt(1, float)
-    priority = _opt(2, int)
+    def _opt(i, label, cast=float):
+        if len(parts) > i and parts[i]:
+            return _spec_number("--class", spec, label, parts[i], cast)
+        return None
+    weight = _opt(1, "WEIGHT")
+    priority = _opt(2, "PRIORITY", int)
     return TenantClass(
         name=parts[0],
         weight=1.0 if weight is None else weight,
         priority=0 if priority is None else priority,
-        ttft_target_s=_opt(3, float),
-        tbt_target_s=_opt(4, float))
+        ttft_target_s=_opt(3, "TTFT"),
+        tbt_target_s=_opt(4, "TBT"))
 
 
 def _cmd_serve(args) -> int:
@@ -304,8 +322,10 @@ def _parse_stall(spec: str):
     if len(parts) not in (2, 3):
         raise ConfigurationError(
             f"--stall wants AT:DURATION[:DEVICE], got {spec!r}")
-    return (float(parts[0]), float(parts[1]),
-            int(parts[2]) if len(parts) == 3 else 0)
+    return (_spec_number("--stall", spec, "AT", parts[0]),
+            _spec_number("--stall", spec, "DURATION", parts[1]),
+            _spec_number("--stall", spec, "DEVICE", parts[2], int)
+            if len(parts) == 3 else 0)
 
 
 def _parse_fail(spec: str):
@@ -314,7 +334,9 @@ def _parse_fail(spec: str):
     if len(parts) not in (1, 2):
         raise ConfigurationError(
             f"--fail wants AT[:DEVICE], got {spec!r}")
-    return float(parts[0]), int(parts[1]) if len(parts) == 2 else 0
+    return (_spec_number("--fail", spec, "AT", parts[0]),
+            _spec_number("--fail", spec, "DEVICE", parts[1], int)
+            if len(parts) == 2 else 0)
 
 
 def _cmd_chaos(args) -> int:

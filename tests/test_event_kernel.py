@@ -13,10 +13,9 @@ values).
 
 import pytest
 
-from repro.appliance import ContinuousBatchScheduler, PnmAppliance
+from repro.appliance import ContinuousBatchScheduler
 from repro.faults import FaultPlan, chaos
 from repro.llm import (
-    OPT_1_3B,
     InferenceRequest,
     peak_kv_bytes,
     steady_arrivals,
@@ -261,10 +260,7 @@ class TestScaleSmoke:
         assert runs[0]["requests"] == 600.0
         assert runs[0]["rejected"] == 0.0
 
-    def test_appliance_serve_entry_point(self):
-        appliance = PnmAppliance(num_devices=2)
-        requests = [InferenceRequest(16, 8, request_id=i)
-                    for i in range(6)]
-        stats = appliance.serve(OPT_1_3B, requests)
+    def test_two_device_engine_reports_two_instances(self):
+        stats = _run(requests=_requests(6), num_devices=2)
         assert len(stats.completed) == 6
         assert stats.num_instances == 2

@@ -42,19 +42,28 @@ def check_device(dev) -> None:
     decoders = [e for e in entries if e.origin is not None]
     pending = [e for e in entries if e.origin is None]
     assert dev.n_dec == len(decoders)
-    assert dev.sum_in == sum(e.request.input_len for e in decoders)
+    assert dev.sum_in == sum(e.item.request.input_len for e in decoders)
     assert dev.sum_origin == sum(e.origin for e in decoders)
-    assert dev.sum_in + dev.n_dec * dev.clock - dev.sum_origin \
-        == sum(e.context_len for e in decoders)
+    assert dev.context_sum() == sum(e.context_len for e in decoders)
     assert [e.order for e in dev.pending] == [e.order for e in pending]
     assert all(p is e for p, e in zip(dev.pending, pending))
-    want = sorted((e.origin + e.request.output_len, e.order)
+    want = sorted((e.origin + e.item.request.output_len, e.order)
                   for e in decoders)
     assert sorted(dev.finish) == want
     if want:
         assert dev.finish[0] == want[0]
     # Finished requests leave at the step that finishes them.
-    assert all(0 < e.generated < e.request.output_len for e in decoders)
+    assert all(0 < e.generated < e.item.request.output_len
+               for e in decoders)
+    assert dev.kv_reserved == sum(e.item.peak for e in entries)
+    if dev.busy:
+        # One unit shape: ascending step boundaries after the unit's
+        # start, exactly one when the unit carries prefills.
+        bounds = [dev.unit_start, *dev.unit_ends]
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+        assert len(dev.unit_ends) >= 1
+        if dev.unit_prefills:
+            assert len(dev.unit_ends) == 1
 
 
 def _checked(monkeypatch, counter: list) -> None:

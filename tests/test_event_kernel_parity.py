@@ -216,9 +216,9 @@ def _observe(monkeypatch, coverage: Coverage) -> None:
         return preempt(self, dev, victims, now)
 
     def observed_truncate(self, dev, now):
-        before = dev.unit_end
+        before = dev.unit_ends[-1]
         truncate(self, dev, now)
-        if dev.unit_end < before:
+        if dev.unit_ends[-1] < before:
             coverage.truncating_admissions += 1
 
     def observed_fault(self, now, idx):

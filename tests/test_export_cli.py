@@ -79,6 +79,20 @@ class TestCli:
         assert main(["estimate", "OPT-9000B"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "OPT-13B", "--class", "interactive:ttft=0.5", "--slo"],
+        ["serve", "OPT-13B", "--class", "batch:1:high"],
+        ["serve", "OPT-13B", "--class", "batch:nan"],
+        ["chaos", "--fail", "abc"],
+        ["chaos", "--fail", "1.0:x"],
+        ["chaos", "--stall", "x:1"],
+        ["chaos", "--stall", "1:2:1.5"],
+    ])
+    def test_malformed_spec_fails_cleanly(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and "Traceback" not in err
+
     def test_generate(self, capsys):
         assert main(["generate", "--num-tokens", "3",
                      "--prompt", "1", "2"]) == 0

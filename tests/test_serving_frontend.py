@@ -21,9 +21,10 @@ from repro.accelerator import CXLPNMDevice
 from repro.appliance import (
     ContinuousBatchScheduler,
     TenantClass,
-    continuous,
+    admission,
 )
 from repro.errors import AdmissionError, ConfigurationError
+from repro.faults import FaultPlan, chaos
 from repro.llm import (
     OPT_13B,
     InferenceRequest,
@@ -355,24 +356,40 @@ class TestPreemption:
         assert stats.failover_events == []
         assert all(c.failovers == 0 for c in stats.completed)
 
+    def test_failed_over_then_preempted_keeps_one_record(self):
+        # L0 prefills on device 0 in [0, 1]; device 0 dies at 1.2 and
+        # L0 is readmitted at once on device 1.  H0 arrives at 3.0,
+        # finds device 1's one slot taken and evicts L0, which restarts
+        # after H0.  The one record carries both requeues, and only the
+        # failover readmission counts a failover latency.
+        classes = [TenantClass("low"), TenantClass("high", priority=1)]
+        with chaos(FaultPlan().with_device_failure(1.2, 0)):
+            stats = _run([_req(0, "low"), _req(10, "high")], [0.0, 3.0],
+                         classes=classes, num_devices=2, max_batch=1)
+        by_id = {c.request.request_id: c for c in stats.completed}
+        assert set(by_id) == {0, 10}
+        assert (by_id[0].failovers, by_id[0].preemptions) == (1, 1)
+        assert stats.failovers == 1 and stats.preemptions == 1
+        assert stats.failover_latencies_s == [0.0]
+
     @staticmethod
     def _spy_plans(monkeypatch):
         """Count preemption-plan calls and the batch sorts they make."""
         counts = {"calls": 0, "sorts": 0}
-        plan = continuous._EventKernel._plan_preemption
+        plan = admission.AdmissionPolicy._plan_preemption
 
-        def counting_plan(kernel, priority, peak):
+        def counting_plan(policy, priority, peak):
             counts["calls"] += 1
-            return plan(kernel, priority, peak)
+            return plan(policy, priority, peak)
 
         def counting_sorted(*args, **kwargs):
             if sys._getframe(1).f_code.co_name == "_plan_preemption":
                 counts["sorts"] += 1
             return sorted(*args, **kwargs)
 
-        monkeypatch.setattr(continuous._EventKernel, "_plan_preemption",
+        monkeypatch.setattr(admission.AdmissionPolicy, "_plan_preemption",
                             counting_plan)
-        monkeypatch.setattr(continuous, "sorted", counting_sorted,
+        monkeypatch.setattr(admission, "sorted", counting_sorted,
                             raising=False)
         return counts
 
